@@ -39,31 +39,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _coerce(value: str, target_type):
+def _coerce(key: str, value: str, target_type):
     if target_type is bool:
         low = value.lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
-        raise UsageError(f"expected boolean, got {value!r}")
-    if target_type is tuple:
-        return tuple(int(v) for v in value.split(",") if v)
-    return target_type(value)
+        raise UsageError(f"{key}: expected boolean, got {value!r}")
+    try:
+        if target_type is tuple:
+            return tuple(int(v) for v in value.split(",") if v)
+        return target_type(value)
+    except ValueError:
+        expected = ("comma-separated integers" if target_type is tuple
+                    else target_type.__name__)
+        raise UsageError(f"{key}: expected {expected}, got {value!r}") from None
 
 
 def resolve_config(config_path=None, overrides=()) -> PipelineConfig:
     """Defaults <- key=value config file <- --set overrides."""
     values = {}
-    field_types = {f.name: f.type for f in fields(PipelineConfig)}
-    type_map = {"int": int, "float": float, "bool": bool, "str": str,
-                "tuple": tuple}
+    field_names = {f.name for f in fields(PipelineConfig)}
 
     def _assign(key, raw, origin):
-        if key not in field_types:
+        if key not in field_names:
             raise UsageError(f"{origin}: unknown config key {key!r}")
         default = getattr(PipelineConfig(), key)
-        values[key] = _coerce(raw, type(default))
+        values[key] = _coerce(key, raw, type(default))
 
     if config_path:
         path = Path(config_path)

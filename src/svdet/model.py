@@ -6,6 +6,17 @@ and cell states, into the four LSTM gates; the output gate sees the
 freshly updated cell state. A max-pool + dense + sigmoid head turns the
 final hidden state into a per-block voicing posterior.
 
+The conv is linear and nothing nonlinear sits between it and the gates,
+so at run time it is folded into one fused gate projection: the four
+W*_z @ conv(x) + b_* terms become A @ x + b with A of shape (4h, d),
+computed for every frame of a batch before the time loop, and each step
+does one stacked hidden-state matmul for all four gates. The
+parameterization (conv_k, conv_b, W*_z, W*_h, W*_c, b_*) and the
+checkpoint format are unchanged; the backward pass chains the gradient
+of A back into conv_k, conv_b and the W*_z. Any A is reachable (make one
+filter a unit impulse), so the conv adds no capacity: it only
+reparameterizes the input projection.
+
 Everything is float64 numpy; forward/backward are batched over blocks.
 """
 
@@ -15,6 +26,7 @@ import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import DataError, DivergenceError
 from .features import FeatureMatrix, blockify, blocks_to_arrays
@@ -117,27 +129,53 @@ def vector_to_params(vec: np.ndarray, cfg: LrcnConfig) -> dict:
 # ---------------------------------------------------------------------------
 # Forward
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+_GATES = ("i", "f", "c", "o")
 
 
-def conv_features(x: np.ndarray, params: dict, cfg: LrcnConfig):
-    """1-D 'same' convolution along the feature axis.
+def _fuse_params(params: dict, cfg: LrcnConfig) -> dict:
+    """Fold the conv into the gate input projection and stack the gates.
 
-    x is (N, d); returns (z (N, n_filters * d), patches (N, d, kw)).
+    The conv is linear and feeds the gates directly, so every gate's
+    input term W*_z @ conv(x) + b_* equals A @ x + b with A of shape
+    (4h, d). Gate rows are stacked in the order i, f, c, o; "W3" is the
+    stacked W*_z viewed as (4h, n_filters, d), kept for the backward pass.
     """
-    kw = cfg.kernel_width
+    d, kw = cfg.input_dim, cfg.kernel_width
     pad_l = (kw - 1) // 2
-    xp = np.pad(x, ((0, 0), (pad_l, kw - 1 - pad_l)))
-    patches = np.lib.stride_tricks.sliding_window_view(xp, kw, axis=1)
-    z = np.einsum("fk,njk->nfj", params["conv_k"], patches)
-    z += params["conv_b"][None, :, None]
-    return z.reshape(x.shape[0], cfg.conv_dim), patches
+    W3 = np.concatenate([params[f"W{g}_z"] for g in _GATES]).reshape(
+        4 * cfg.hidden_size, cfg.n_filters, d)
+    # G[m, j, k]: weight of gate row m on padded input j + k, which conv
+    # tap k reads for output j; summing over j + k gives A
+    G = np.tensordot(W3, params["conv_k"], axes=([1], [0]))
+    A_pad = np.zeros((len(W3), d + kw - 1))
+    for k in range(kw):
+        A_pad[:, k : k + d] += G[:, :, k]
+    b = (np.concatenate([params[f"b_{g}"] for g in _GATES])
+         + W3.sum(axis=2) @ params["conv_b"])
+    return {"W3": W3, "A": np.ascontiguousarray(A_pad[:, pad_l : pad_l + d]),
+            "b": b,
+            "W_h": np.concatenate([params[f"W{g}_h"] for g in _GATES]),
+            "W_c": np.concatenate([params["Wi_c"], params["Wf_c"]]),
+            "Wo_c": params["Wo_c"]}
+
+
+def _cell_step(proj: np.ndarray, h: np.ndarray, c: np.ndarray, fused: dict):
+    """One fused LSTM step from the projected input proj (B, 4h).
+
+    Returns (h_new, c_new, gates, tanh(c_new)); gates (B, 4h) holds the
+    activated i, f, g and o side by side.
+    """
+    n = h.shape[1]
+    a = proj + h @ fused["W_h"].T
+    a[:, : 2 * n] += c @ fused["W_c"].T
+    expit(a[:, : 2 * n], out=a[:, : 2 * n])
+    np.tanh(a[:, 2 * n : 3 * n], out=a[:, 2 * n : 3 * n])
+    c_new = a[:, n : 2 * n] * c + a[:, :n] * a[:, 2 * n : 3 * n]
+    # the output gate sees the freshly updated cell state
+    a[:, 3 * n :] += c_new @ fused["Wo_c"].T
+    expit(a[:, 3 * n :], out=a[:, 3 * n :])
+    tanh_c = np.tanh(c_new)
+    return a[:, 3 * n :] * tanh_c, c_new, a, tanh_c
 
 
 def forward_blocks(x: np.ndarray, params: dict, cfg: LrcnConfig,
@@ -147,29 +185,24 @@ def forward_blocks(x: np.ndarray, params: dict, cfg: LrcnConfig,
         raise DataError(f"expected blocks of shape (B, {cfg.block_len}, "
                         f"{cfg.input_dim}), got {x.shape}")
     B, T, d = x.shape
-    z_all, patches = conv_features(x.reshape(B * T, d), params, cfg)
-    z_all = z_all.reshape(B, T, cfg.conv_dim)
-    h = np.zeros((B, cfg.hidden_size))
-    c = np.zeros((B, cfg.hidden_size))
-    steps = []
+    n = cfg.hidden_size
+    fused = _fuse_params(params, cfg)
+    # the input projection of every frame, outside the time loop
+    proj = (x.reshape(B * T, d) @ fused["A"].T + fused["b"]).reshape(B, T, 4 * n)
+    h = np.zeros((B, n))
+    c = np.zeros((B, n))
+    if want_cache:
+        hs = np.zeros((T + 1, B, n))      # hs[t], cs[t]: state entering step t
+        cs = np.zeros((T + 1, B, n))
+        gates = np.empty((T, B, 4 * n))
+        tanh_cs = np.empty((T, B, n))
     for t in range(T):
-        z = z_all[:, t]
-        i = _sigmoid(z @ params["Wi_z"].T + h @ params["Wi_h"].T
-                     + c @ params["Wi_c"].T + params["b_i"])
-        f = _sigmoid(z @ params["Wf_z"].T + h @ params["Wf_h"].T
-                     + c @ params["Wf_c"].T + params["b_f"])
-        g = np.tanh(z @ params["Wc_z"].T + h @ params["Wc_h"].T + params["b_c"])
-        c_new = f * c + i * g
-        o = _sigmoid(z @ params["Wo_z"].T + h @ params["Wo_h"].T
-                     + c_new @ params["Wo_c"].T + params["b_o"])
-        tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
+        h, c, a, tanh_c = _cell_step(proj[:, t], h, c, fused)
         if want_cache:
-            steps.append((z, h, c, i, f, g, o, c_new, tanh_c))
-        h, c = h_new, c_new
+            hs[t + 1], cs[t + 1], gates[t], tanh_cs[t] = h, c, a, tanh_c
     # head: max-pool pairs of hidden units, dense tanh stack, sigmoid
     L = cfg.pool_len
-    hp = h.reshape(B, cfg.hidden_size // L, L)
+    hp = h.reshape(B, n // L, L)
     pool_idx = hp.argmax(axis=2)
     u = hp.max(axis=2)
     dense_us = [u]
@@ -177,29 +210,22 @@ def forward_blocks(x: np.ndarray, params: dict, cfg: LrcnConfig,
         u = np.tanh(u @ params[f"dense_W{li}"].T + params[f"dense_b{li}"])
         dense_us.append(u)
     logit = u @ params["out_w"] + params["out_b"]
-    p = _sigmoid(logit)
+    p = expit(logit)
     if not want_cache:
         return p
-    cache = {"x": x, "patches": patches, "steps": steps, "h_T": h,
-             "pool_idx": pool_idx, "dense_us": dense_us, "p": p}
+    cache = {"fused": fused, "h": hs, "c": cs, "gates": gates,
+             "tanh_c": tanh_cs, "pool_idx": pool_idx, "dense_us": dense_us}
     return p, cache
 
 
 def lrcn_cell_step(x_vec: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
                    params: dict, cfg: LrcnConfig):
     """Single cell step on one frame vector; returns (h, c, gates dict)."""
-    z, _ = conv_features(x_vec[None, :], params, cfg)
-    i = _sigmoid(z @ params["Wi_z"].T + h_prev[None] @ params["Wi_h"].T
-                 + c_prev[None] @ params["Wi_c"].T + params["b_i"])
-    f = _sigmoid(z @ params["Wf_z"].T + h_prev[None] @ params["Wf_h"].T
-                 + c_prev[None] @ params["Wf_c"].T + params["b_f"])
-    g = np.tanh(z @ params["Wc_z"].T + h_prev[None] @ params["Wc_h"].T
-                + params["b_c"])
-    c = f * c_prev[None] + i * g
-    o = _sigmoid(z @ params["Wo_z"].T + h_prev[None] @ params["Wo_h"].T
-                 + c @ params["Wo_c"].T + params["b_o"])
-    h = o * np.tanh(c)
-    gates = {"i": i[0], "f": f[0], "o": o[0]}
+    fused = _fuse_params(params, cfg)
+    proj = x_vec[None] @ fused["A"].T + fused["b"]
+    h, c, a, _ = _cell_step(proj, h_prev[None], c_prev[None], fused)
+    n = cfg.hidden_size
+    gates = {"i": a[0, :n], "f": a[0, n : 2 * n], "o": a[0, 3 * n :]}
     return h[0], c[0], gates
 
 
@@ -223,6 +249,8 @@ def lrcn_backward(x: np.ndarray, y: np.ndarray, params: dict, cfg: LrcnConfig):
     y = np.asarray(y, dtype=np.float64)
     p, cache = forward_blocks(x, params, cfg, want_cache=True)
     B, T, d = x.shape
+    n = cfg.hidden_size
+    fused = cache["fused"]
     loss = bce_loss(p, y)
     grads = zero_params(cfg)
 
@@ -239,49 +267,57 @@ def lrcn_backward(x: np.ndarray, y: np.ndarray, params: dict, cfg: LrcnConfig):
         du = da @ params[f"dense_W{li}"]
     # un-pool: route gradient to the max element of each pool group
     L = cfg.pool_len
-    dh = np.zeros((B, cfg.hidden_size // L, L))
+    dh = np.zeros((B, n // L, L))
     np.put_along_axis(dh, cache["pool_idx"][:, :, None], du[:, :, None], axis=2)
-    dh = dh.reshape(B, cfg.hidden_size)
+    dh = dh.reshape(B, n)
 
-    dz_all = np.zeros((B, T, cfg.conv_dim))
-    dc_carry = np.zeros((B, cfg.hidden_size))
+    # Every gate-local derivative depends only on the forward pass, so it
+    # is formed for all steps at once; the time loop only carries dh, dc.
+    hs, cs, tanh_cs = cache["h"], cache["c"], cache["tanh_c"]
+    i, f, g, o = np.moveaxis(cache["gates"].reshape(T, B, 4, n), 2, 0)
+    # d pre-activation of i, f, c per unit of dc; of o per unit of dh
+    dc_to_ifc = np.stack([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f),
+                          i * (1.0 - g ** 2)], axis=2)
+    dh_to_o = tanh_cs * o * (1.0 - o)
+    dh_to_c = o * (1.0 - tanh_cs ** 2)
+    # dpre[t]: gradient of the stacked i, f, c, o pre-activations at step t
+    dpre = np.empty((T, B, 4, n))
+    dc_carry = np.zeros((B, n))
     for t in reversed(range(T)):
-        z, h_prev, c_prev, i, f, g, o, c_new, tanh_c = cache["steps"][t]
-        do = dh * tanh_c
-        dao = do * o * (1.0 - o)
-        dc = dh * o * (1.0 - tanh_c ** 2) + dc_carry + dao @ params["Wo_c"]
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dai = di * i * (1.0 - i)
-        daf = df * f * (1.0 - f)
-        dag = dg * (1.0 - g ** 2)
+        da = dpre[t]
+        da[:, 3] = dh * dh_to_o[t]
+        dc = dh * dh_to_c[t] + dc_carry + da[:, 3] @ fused["Wo_c"]
+        da[:, :3] = dc[:, None] * dc_to_ifc[t]
+        da = da.reshape(B, 4 * n)
+        dh = da @ fused["W_h"]
+        dc_carry = dc * f[t] + da[:, : 2 * n] @ fused["W_c"]
+    dpre = dpre.reshape(T, B, 4 * n)
 
-        grads["Wi_z"] += dai.T @ z
-        grads["Wi_h"] += dai.T @ h_prev
-        grads["Wi_c"] += dai.T @ c_prev
-        grads["b_i"] += dai.sum(axis=0)
-        grads["Wf_z"] += daf.T @ z
-        grads["Wf_h"] += daf.T @ h_prev
-        grads["Wf_c"] += daf.T @ c_prev
-        grads["b_f"] += daf.sum(axis=0)
-        grads["Wc_z"] += dag.T @ z
-        grads["Wc_h"] += dag.T @ h_prev
-        grads["b_c"] += dag.sum(axis=0)
-        grads["Wo_z"] += dao.T @ z
-        grads["Wo_h"] += dao.T @ h_prev
-        grads["Wo_c"] += dao.T @ c_new
-        grads["b_o"] += dao.sum(axis=0)
+    over_steps = ([0, 1], [0, 1])
+    dA = np.tensordot(dpre, x.transpose(1, 0, 2), axes=over_steps)
+    db = dpre.sum(axis=(0, 1))
+    dW_h = np.tensordot(dpre, hs[:-1], axes=over_steps)
+    dW_c = np.tensordot(dpre[:, :, : 2 * n], cs[:-1], axes=over_steps)
+    grads["Wo_c"] = np.tensordot(dpre[:, :, 3 * n :], cs[1:], axes=over_steps)
+    grads["Wi_c"], grads["Wf_c"] = dW_c[:n], dW_c[n:]
 
-        dz_all[:, t] = (dai @ params["Wi_z"] + daf @ params["Wf_z"]
-                        + dag @ params["Wc_z"] + dao @ params["Wo_z"])
-        dh = (dai @ params["Wi_h"] + daf @ params["Wf_h"]
-              + dag @ params["Wc_h"] + dao @ params["Wo_h"])
-        dc_carry = dc * f + dai @ params["Wi_c"] + daf @ params["Wf_c"]
-
-    dzf = dz_all.reshape(B * T, cfg.n_filters, d)
-    grads["conv_k"] += np.einsum("nfj,njk->fk", dzf, cache["patches"])
-    grads["conv_b"] += dzf.sum(axis=(0, 2))
+    # chain dA and db back through the fold: dG[m, j, k] = dA_pad[m, j + k]
+    # is the gradient of the G that _fuse_params sums into A
+    kw = cfg.kernel_width
+    pad_l = (kw - 1) // 2
+    W3 = fused["W3"]
+    dA_pad = np.zeros((4 * n, d + kw - 1))
+    dA_pad[:, pad_l : pad_l + d] = dA
+    dG = np.lib.stride_tricks.sliding_window_view(dA_pad, kw, axis=1)
+    grads["conv_k"] = np.tensordot(W3, dG, axes=([0, 2], [0, 1]))
+    grads["conv_b"] = W3.sum(axis=2).T @ db
+    dW3 = (np.tensordot(dG, params["conv_k"], axes=([2], [1])).transpose(0, 2, 1)
+           + np.outer(db, params["conv_b"])[:, :, None])
+    for r, gate in enumerate(_GATES):
+        rows = slice(r * n, (r + 1) * n)
+        grads[f"W{gate}_z"] = dW3[rows].reshape(n, cfg.conv_dim)
+        grads[f"W{gate}_h"] = dW_h[rows]
+        grads[f"b_{gate}"] = db[rows]
     return loss, grads
 
 
@@ -375,7 +411,7 @@ class LinearBaseline:
     b: float
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return _sigmoid(x @ self.w + self.b)
+        return expit(x @ self.w + self.b)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return (self.predict_proba(x) >= 0.5).astype(np.int8)
@@ -391,7 +427,7 @@ def train_linear_baseline(x: np.ndarray, y: np.ndarray, learning_rate: float = 0
     b = 0.0
     n = len(x)
     for _ in range(epochs):
-        p = _sigmoid(x @ w + b)
+        p = expit(x @ w + b)
         err = (p - y) / n
         w -= learning_rate * (x.T @ err)
         b -= learning_rate * err.sum()

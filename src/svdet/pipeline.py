@@ -51,6 +51,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.feature_tag not in FEATURE_SETS:
             raise DataError(f"unknown feature set {self.feature_tag!r}")
+        if self.smoothing_method not in smoothing.SMOOTHING_METHODS:
+            raise DataError(
+                f"unknown smoothing method {self.smoothing_method!r}")
         object.__setattr__(self, "dense_sizes", tuple(self.dense_sizes))
 
     def lrcn_config(self, input_dim: int) -> model.LrcnConfig:

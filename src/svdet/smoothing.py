@@ -59,9 +59,12 @@ class HmmGmmModel:
             raise DataError("transition rows must sum to 1")
 
 
+SMOOTHING_METHODS = ("none", "median", "hmm")
+
+
 @dataclass
 class SmoothingConfig:
-    method: str = "median"       # none | median | hmm
+    method: str = "median"       # one of SMOOTHING_METHODS
     median_window: int = DEFAULT_MEDIAN_WINDOW
     n_components: int = DEFAULT_N_COMPONENTS
     var_floor: float = DEFAULT_VAR_FLOOR
@@ -69,7 +72,7 @@ class SmoothingConfig:
     em_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.method not in ("none", "median", "hmm"):
+        if self.method not in SMOOTHING_METHODS:
             raise DataError(f"unknown smoothing method {self.method!r}")
         if self.median_window < 1 or self.median_window % 2 == 0:
             raise DataError("median window must be odd and >= 1")

@@ -23,8 +23,8 @@ class PredictionTrack:
         object.__setattr__(self, "posteriors", p)
         if len(p) != self.grid.n_frames:
             raise DataError("posterior count does not match frame grid")
-        if p.size and (p.min() < 0.0 or p.max() > 1.0):
-            raise DataError("posteriors must lie in [0, 1]")
+        if not np.all((p >= 0.0) & (p <= 1.0)):
+            raise DataError("posteriors must be finite and lie in [0, 1]")
 
     def binarize(self) -> "LabelTrack":
         labels = (self.posteriors >= self.threshold).astype(np.int8)

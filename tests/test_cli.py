@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from svdet.audio import load_wav
-from svdet.cli import main, resolve_config, save_bundle
+from svdet.cli import UsageError, main, resolve_config, save_bundle
 from svdet.errors import DataError
 from svdet.features import NormStats
 from svdet.model import LrcnConfig, zero_params
+from svdet.pipeline import PipelineConfig
 from svdet.synth import write_corpus
 
 # small/fast settings shared by every CLI invocation in this module
@@ -50,6 +51,26 @@ class TestResolveConfig:
     def test_tuple_coercion(self):
         cfg = resolve_config(None, ["dense_sizes=8,4"])
         assert cfg.dense_sizes == (8, 4)
+
+    @pytest.mark.parametrize("item, expected", [
+        ("folds=abc", "folds: expected int"),
+        ("learning_rate=fast", "learning_rate: expected float"),
+        ("dense_sizes=8,x", "dense_sizes: expected comma-separated integers"),
+    ])
+    def test_bad_value_usage_error(self, item, expected, capsys):
+        with pytest.raises(UsageError, match=expected):
+            resolve_config(None, [item])
+        assert main(["--set", item, "pipeline", "--audio-dir", "a",
+                     "--label-dir", "b", "--out-dir", "c"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: usage: {expected}")
+        assert err.count("\n") == 1
+
+    def test_unknown_smoothing_method_rejected(self):
+        with pytest.raises(DataError, match="smoothing method"):
+            PipelineConfig(smoothing_method="bogus")
+        assert main(["--set", "smoothing_method=bogus", "evaluate",
+                     "--pred", "a", "--truth", "b", "--out", "c"]) == 2
 
     def test_missing_config_file(self, capsys):
         assert main(["--config", "/nonexistent.conf", "evaluate",

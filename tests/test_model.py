@@ -64,6 +64,121 @@ def scalar_cell_oracle(x, h_prev, c_prev, params, cfg):
     return h, c
 
 
+# ---------------------------------------------------------------------------
+# independent unfolded reference: explicit "same" conv, four separate gate
+# matmuls per step, the max-pool/dense/sigmoid head, and BPTT through all of
+# it; the model under test folds the conv into one fused gate projection
+
+def _sig(v):
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+def unfolded_forward(x, p, cfg):
+    B, T, d = x.shape
+    kw = cfg.kernel_width
+    pad_l = (kw - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad_l, kw - 1 - pad_l)))
+    z = np.zeros((B, T, cfg.n_filters, d))
+    for f in range(cfg.n_filters):
+        for k in range(kw):
+            z[:, :, f] += p["conv_k"][f, k] * xp[:, :, k : k + d]
+        z[:, :, f] += p["conv_b"][f]
+    z = z.reshape(B, T, cfg.conv_dim)
+    h = np.zeros((B, cfg.hidden_size))
+    c = np.zeros((B, cfg.hidden_size))
+    steps = []
+    for t in range(T):
+        zt = z[:, t]
+        i = _sig(zt @ p["Wi_z"].T + h @ p["Wi_h"].T + c @ p["Wi_c"].T + p["b_i"])
+        f = _sig(zt @ p["Wf_z"].T + h @ p["Wf_h"].T + c @ p["Wf_c"].T + p["b_f"])
+        g = np.tanh(zt @ p["Wc_z"].T + h @ p["Wc_h"].T + p["b_c"])
+        c_new = f * c + i * g
+        o = _sig(zt @ p["Wo_z"].T + h @ p["Wo_h"].T + c_new @ p["Wo_c"].T
+                 + p["b_o"])
+        steps.append((zt, h, c, i, f, g, o, c_new))
+        h, c = o * np.tanh(c_new), c_new
+    hp = h.reshape(B, -1, cfg.pool_len)
+    us = [hp.max(axis=2)]
+    for li in range(len(cfg.dense_sizes)):
+        us.append(np.tanh(us[-1] @ p[f"dense_W{li}"].T + p[f"dense_b{li}"]))
+    post = _sig(us[-1] @ p["out_w"] + p["out_b"])
+    return post, (xp, steps, hp.argmax(axis=2), us)
+
+
+def unfolded_backward(x, y, p, cfg):
+    post, (xp, steps, pool_idx, us) = unfolded_forward(x, p, cfg)
+    B, T, d = x.shape
+    grads = {name: np.zeros(shape) for name, shape in param_shapes(cfg)}
+    dlogit = (post - y) / B
+    grads["out_w"] = dlogit @ us[-1]
+    grads["out_b"] = np.array(dlogit.sum())
+    du = np.outer(dlogit, p["out_w"])
+    for li in reversed(range(len(cfg.dense_sizes))):
+        da = du * (1.0 - us[li + 1] ** 2)
+        grads[f"dense_W{li}"] = da.T @ us[li]
+        grads[f"dense_b{li}"] = da.sum(axis=0)
+        du = da @ p[f"dense_W{li}"]
+    dh = np.zeros((B, cfg.hidden_size // cfg.pool_len, cfg.pool_len))
+    np.put_along_axis(dh, pool_idx[:, :, None], du[:, :, None], axis=2)
+    dh = dh.reshape(B, cfg.hidden_size)
+    dc_next = np.zeros_like(dh)
+    dz = np.zeros((B, T, cfg.conv_dim))
+    for t in reversed(range(T)):
+        zt, h, c, i, f, g, o, c_new = steps[t]
+        tc = np.tanh(c_new)
+        dao = dh * tc * o * (1.0 - o)
+        dc = dh * o * (1.0 - tc ** 2) + dc_next + dao @ p["Wo_c"]
+        dai = dc * g * i * (1.0 - i)
+        daf = dc * c * f * (1.0 - f)
+        dag = dc * i * (1.0 - g ** 2)
+        for gate, da, cell in (("i", dai, c), ("f", daf, c), ("c", dag, None),
+                               ("o", dao, c_new)):
+            grads[f"W{gate}_z"] += da.T @ zt
+            grads[f"W{gate}_h"] += da.T @ h
+            grads[f"b_{gate}"] += da.sum(axis=0)
+            if cell is not None:
+                grads[f"W{gate}_c"] += da.T @ cell
+        dz[:, t] = (dai @ p["Wi_z"] + daf @ p["Wf_z"] + dag @ p["Wc_z"]
+                    + dao @ p["Wo_z"])
+        dh = (dai @ p["Wi_h"] + daf @ p["Wf_h"] + dag @ p["Wc_h"]
+              + dao @ p["Wo_h"])
+        dc_next = dc * f + dai @ p["Wi_c"] + daf @ p["Wf_c"]
+    dz = dz.reshape(B, T, cfg.n_filters, d)
+    for k in range(cfg.kernel_width):
+        grads["conv_k"][:, k] = np.einsum("btfj,btj->f", dz, xp[:, :, k : k + d])
+    grads["conv_b"] = dz.sum(axis=(0, 1, 3))
+    return bce_loss(post, y), grads
+
+
+FOLD = LrcnConfig(input_dim=7, block_len=6, n_filters=3, kernel_width=4,
+                  hidden_size=6, dense_sizes=(5,))
+
+
+class TestFoldedProjection:
+    def _params(self, seed):
+        # every parameter random and non-zero, biases and conv_b included
+        r = np.random.default_rng(seed)
+        return {name: 0.5 * r.standard_normal(shape)
+                for name, shape in param_shapes(FOLD)}
+
+    def test_posteriors_match_unfolded(self, rng):
+        p = self._params(1)
+        x = rng.standard_normal((5, FOLD.block_len, FOLD.input_dim))
+        ref, _ = unfolded_forward(x, p, FOLD)
+        assert np.abs(forward_blocks(x, p, FOLD) - ref).max() <= 1e-12
+
+    def test_gradients_match_unfolded(self, rng):
+        p = self._params(2)
+        x = rng.standard_normal((5, FOLD.block_len, FOLD.input_dim))
+        y = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+        loss, grads = lrcn_backward(x, y, p, FOLD)
+        ref_loss, ref = unfolded_backward(x, y, p, FOLD)
+        assert abs(loss - ref_loss) <= 1e-12
+        for name, shape in param_shapes(FOLD):
+            assert np.shape(grads[name]) == shape
+            assert np.abs(grads[name] - ref[name]).max() <= 1e-12, name
+
+
 class TestCellStep:
     def test_zero_params_cprev_one(self):
         p = zero_params(SMALL)
@@ -256,6 +371,18 @@ class TestPredictTrack:
             block = padded[i : i + SMALL.block_len]
             assert abs(track.posteriors[i]
                        - lrcn_forward_block(block, p, SMALL)) < 1e-12
+
+
+    def test_batches_match_stacked_blocks(self, rng):
+        p = small_params(seed=13)
+        values = rng.standard_normal((9, 6))
+        track = predict_track(self._feat(values), p, SMALL, batch_size=4)
+        half = SMALL.block_len // 2
+        idx = np.clip(np.arange(9)[:, None] + np.arange(SMALL.block_len) - half,
+                      0, 8)
+        blocks = np.stack([values[row] for row in idx])
+        assert np.abs(track.posteriors
+                      - forward_blocks(blocks, p, SMALL)).max() <= 1e-12
 
 
 class TestCheckpoint:

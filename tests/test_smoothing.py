@@ -27,6 +27,16 @@ def make_labels(labels):
     return LabelTrack(labels=labels, grid=grid)
 
 
+class TestPredictionTrack:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.1])
+    def test_rejects_non_finite_or_out_of_range(self, bad):
+        with pytest.raises(DataError):
+            make_track([0.2, bad, 0.7])
+
+    def test_accepts_bounds(self):
+        assert make_track([0.0, 1.0]).binarize().labels.tolist() == [0, 1]
+
+
 class TestMedianFilter:
     def test_window3_hand_example(self):
         track = make_track([0.1, 0.9, 0.2, 0.3, 0.8, 0.7, 0.6, 0.4])
