@@ -7,7 +7,7 @@ shared freely between threads or worker processes.
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.signal
@@ -173,15 +173,15 @@ def istft(spec: Spectrogram) -> AudioClip:
         )
     frames = np.fft.irfft(spec.bins, n=spec.n_fft, axis=1)[:, : grid.frame_len]
     frames *= win
-    n_out = (grid.n_frames - 1) * grid.hop + grid.frame_len
-    num = np.zeros(n_out)
-    den = np.zeros(n_out)
-    wsq = win ** 2
-    for i in range(grid.n_frames):
-        start = i * grid.hop
-        num[start : start + grid.frame_len] += frames[i]
-        den[start : start + grid.frame_len] += wsq
-    out = np.zeros(n_out)
-    nz = den > 1e-12
-    out[nz] = num[nz] / den[nz]
+    # Hamming is COLA only for hops dividing the frame: chunk c of frame i
+    # lands on output chunk i + c, the largest c first as in frame order.
+    m = grid.frame_len // grid.hop
+    chunks = frames.reshape(grid.n_frames, m, grid.hop)
+    wsq = (win ** 2).reshape(m, grid.hop)
+    num = np.zeros((grid.n_frames + m - 1, grid.hop))
+    den = np.zeros_like(num)
+    for c in range(m - 1, -1, -1):
+        num[c : c + grid.n_frames] += chunks[:, c]
+        den[c : c + grid.n_frames] += wsq[c]
+    out = np.divide(num, den, out=np.zeros_like(num), where=den > 1e-12).ravel()
     return AudioClip(samples=out, sample_rate=grid.sample_rate)

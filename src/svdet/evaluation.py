@@ -175,6 +175,8 @@ def kfold_split(items, k: int = 5, seed: int = 0):
     Splitting is always by whole item (file), never by frame.
     """
     items = list(items)
+    if k < 2:
+        raise DataError(f"need at least 2 folds, got {k}")
     if len(items) < k:
         raise DataError(f"{len(items)} items < {k} folds")
     rng = np.random.default_rng(seed)

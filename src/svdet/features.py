@@ -1,13 +1,13 @@
 """Per-frame acoustic features: MFCC, LPCC, PLP, and block packing.
 
 All extractors return a FeatureMatrix aligned to the spectrogram's
-frame grid. Combinations and min-max normalization follow the feature
-set tags in FEATURE_SETS.
+frame grid, computed for all frames at once. Combinations and min-max
+normalization follow the feature set tags in FEATURE_SETS.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct
@@ -128,53 +128,65 @@ def mfcc(spec: Spectrogram, n_coeffs: int = 13, n_mels: int = 26) -> FeatureMatr
 def levinson_durbin(r: np.ndarray, order: int):
     """Solve the Toeplitz normal equations for LPC coefficients.
 
-    Returns (a, err, ok) with predictor x[n] ~ sum_k a[k-1] x[n-k].
-    A degenerate (all-zero) autocorrelation yields zeros with ok=False.
+    Returns (a, err, ok), predictor x[n] ~ sum_k a[..., k-1] x[n-k], for a
+    1-D r or for all rows of a 2-D r at once. A row with r[0] <= 0 or an
+    error <= 0 before some step is degenerate: zeros with ok=False.
     """
     r = np.asarray(r, dtype=np.float64)
-    if len(r) < order + 1:
+    if r.shape[-1] < order + 1:
         raise DataError("autocorrelation too short for requested order")
-    if r[0] <= 0.0:
-        return np.zeros(order), 0.0, False
-    a = np.zeros(order)
-    err = r[0]
+    rows = np.atleast_2d(r)
+    a = np.zeros((len(rows), order))
+    err = rows[:, 0].copy()
+    ok = err > 0.0
     for i in range(1, order + 1):
-        acc = r[i] - np.dot(a[: i - 1], r[i - 1 : 0 : -1])
-        if err <= 0.0:
-            return np.zeros(order), 0.0, False
-        k = acc / err
-        a_new = a.copy()
-        a_new[i - 1] = k
-        a_new[: i - 1] = a[: i - 1] - k * a[i - 2 :: -1][: i - 1]
-        a = a_new
+        ok &= err > 0.0
+        prev = a[:, : i - 1]
+        # one dot product per row, as for a single row, so a row's result
+        # does not depend on the rows solved with it
+        lagged = np.ascontiguousarray(rows[:, i - 1 : 0 : -1])
+        acc = rows[:, i] - np.matmul(prev[:, None], lagged[:, :, None])[:, 0, 0]
+        k = np.divide(acc, err, out=np.zeros_like(acc), where=ok)
+        a[:, : i - 1] = prev - k[:, None] * prev[:, ::-1]
+        a[:, i - 1] = k
         err *= 1.0 - k * k
-    return a, err, True
+    a[~ok] = 0.0
+    err[~ok] = 0.0
+    if r.ndim == 1:
+        return a[0], float(err[0]), bool(ok[0])
+    return a, err, ok
 
 
 def lpc_to_cepstrum(a: np.ndarray, n_coeffs: int) -> np.ndarray:
-    """Cepstral recursion c_n = a_n + sum_{k<n} (k/n) c_k a_{n-k}."""
-    order = len(a)
-    c = np.zeros(n_coeffs)
-    for n in range(1, n_coeffs + 1):
-        val = a[n - 1] if n <= order else 0.0
-        for k in range(1, n):
-            if n - k <= order:
-                val += (k / n) * c[k - 1] * a[n - k - 1]
-        c[n - 1] = val
-    return c
+    """Cepstral recursion c_n = a_n + sum_{k<n} (k/n) c_k a_{n-k}, for one
+    predictor (1-D a) or for all rows of a 2-D a at once."""
+    a = np.asarray(a, dtype=np.float64)
+    rows = np.atleast_2d(a)
+    order = rows.shape[1]
+    c = np.zeros((len(rows), n_coeffs))
+    c[:, :order] = rows[:, :n_coeffs]
+    for n in range(2, n_coeffs + 1):
+        for k in range(max(1, n - order), n):
+            c[:, n - 1] += (k / n) * c[:, k - 1] * rows[:, n - k - 1]
+    return c[0] if a.ndim == 1 else c
+
+
+def _lpc_cepstra(r: np.ndarray, order: int, n_coeffs: int):
+    """Cepstra of all autocorrelation rows; degenerate rows are zero."""
+    a, _, ok = levinson_durbin(r, order)
+    return lpc_to_cepstrum(a, n_coeffs), tuple(int(t) for t in np.flatnonzero(~ok))
 
 
 def autocorr_from_spectrogram(spec: Spectrogram, max_lag: int) -> np.ndarray:
     """Autocorrelation of each windowed frame via its power spectrum."""
-    full_power = np.concatenate(
-        [spec.power(), spec.power()[:, -2:0:-1]], axis=1
-    )
+    power = spec.power()
+    full_power = np.concatenate([power, power[:, -2:0:-1]], axis=1)
     r = np.fft.ifft(full_power, axis=1).real
     return r[:, : max_lag + 1]
 
 
 def lpcc(source, order: int = 12, n_coeffs: int = 13) -> FeatureMatrix:
-    """Linear-prediction cepstra per frame.
+    """Linear-prediction cepstra per frame, solved for all frames at once.
 
     Accepts a Spectrogram (autocorrelation from the power spectrum) or a
     (frames, grid) pair of time-domain frames. All-zero frames produce
@@ -185,22 +197,14 @@ def lpcc(source, order: int = 12, n_coeffs: int = 13) -> FeatureMatrix:
         r = autocorr_from_spectrogram(source, order)
     else:
         frames, grid = source
-        if frames.shape[1] <= order:
+        n = frames.shape[1]
+        if n <= order:
             raise DataError("frame length must exceed LPC order")
-        r = np.stack([
-            np.correlate(f, f, mode="full")[len(f) - 1 : len(f) + order]
-            for f in frames
-        ])
-    out = np.zeros((r.shape[0], n_coeffs))
-    degenerate = []
-    for t in range(r.shape[0]):
-        a, _, ok = levinson_durbin(r[t], order)
-        if ok:
-            out[t] = lpc_to_cepstrum(a, n_coeffs)
-        else:
-            degenerate.append(t)
-    return FeatureMatrix(values=out, feature_tag="lpcc", grid=grid,
-                         degenerate_frames=tuple(degenerate))
+        r = np.stack([np.einsum("fj,fj->f", frames[:, lag:], frames[:, : n - lag])
+                      for lag in range(order + 1)], axis=1)
+    values, degenerate = _lpc_cepstra(r, order, n_coeffs)
+    return FeatureMatrix(values=values, feature_tag="lpcc", grid=grid,
+                         degenerate_frames=degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +261,9 @@ def plp(spec: Spectrogram, order: int = 12, n_coeffs: int = 13) -> FeatureMatrix
     bands[:, -1] = bands[:, -2]
     full = np.concatenate([bands, bands[:, -2:0:-1]], axis=1)
     r = np.fft.ifft(full, axis=1).real[:, : order + 1]
-    out = np.zeros((spec.grid.n_frames, n_coeffs))
-    degenerate = []
-    for t in range(r.shape[0]):
-        a, _, ok = levinson_durbin(r[t], order)
-        if ok:
-            out[t] = lpc_to_cepstrum(a, n_coeffs)
-        else:
-            degenerate.append(t)
-    return FeatureMatrix(values=out, feature_tag="plp", grid=spec.grid,
-                         degenerate_frames=tuple(degenerate))
+    values, degenerate = _lpc_cepstra(r, order, n_coeffs)
+    return FeatureMatrix(values=values, feature_tag="plp", grid=spec.grid,
+                         degenerate_frames=degenerate)
 
 
 # ---------------------------------------------------------------------------

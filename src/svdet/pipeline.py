@@ -54,6 +54,8 @@ class PipelineConfig:
         if self.smoothing_method not in smoothing.SMOOTHING_METHODS:
             raise DataError(
                 f"unknown smoothing method {self.smoothing_method!r}")
+        if self.folds < 2:
+            raise DataError(f"folds must be at least 2, got {self.folds}")
         object.__setattr__(self, "dense_sizes", tuple(self.dense_sizes))
 
     def lrcn_config(self, input_dim: int) -> model.LrcnConfig:

@@ -151,8 +151,7 @@ def fit_hmm_gmm(tracks, labels, n_components: int = DEFAULT_N_COMPONENTS,
     for track, lab in zip(tracks, labels):
         seq = lab.labels.astype(int)
         init_counts[seq[0]] += 1
-        for a, b in zip(seq[:-1], seq[1:]):
-            counts[a, b] += 1
+        np.add.at(counts, (seq[:-1], seq[1:]), 1)
         for s in (0, 1):
             obs[s].append(track.posteriors[seq == s])
     samples = [np.concatenate(o) if o else np.array([]) for o in obs]

@@ -3,6 +3,7 @@ import wave
 
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -177,6 +178,29 @@ class TestIstft:
         grid = frame_signal(clip)
         rec = istft(stft(clip, grid))
         assert np.all(rec.samples == 0)
+
+    def test_matches_looped_overlap_add(self, random_clip):
+        grid = frame_signal(random_clip, 40.0, 10.0)
+        spec = stft(random_clip, grid)
+        win = scipy.signal.get_window("hamming", grid.frame_len, fftbins=True)
+        frames = np.fft.irfft(spec.bins, n=spec.n_fft, axis=1)[:, : grid.frame_len]
+        frames *= win
+        n_out = (grid.n_frames - 1) * grid.hop + grid.frame_len
+        num = np.zeros(n_out)
+        den = np.zeros(n_out)
+        for i in range(grid.n_frames):
+            start = i * grid.hop
+            num[start : start + grid.frame_len] += frames[i]
+            den[start : start + grid.frame_len] += win ** 2
+        expected = np.where(den > 1e-12, num / np.maximum(den, 1e-12), 0.0)
+        rec = istft(spec)
+        assert rec.samples.shape == expected.shape
+        assert np.abs(rec.samples - expected).max() <= 1e-12
+
+    def test_hop_not_dividing_frame_violates_cola(self, random_clip):
+        grid = frame_signal(random_clip, 40.0, 15.0)  # 640 / 240 samples
+        with pytest.raises(DataError, match="overlap"):
+            istft(stft(random_clip, grid))
 
     def test_cola_violation(self, random_clip):
         grid = frame_signal(random_clip, 40.0, 40.0)  # hop == frame_len

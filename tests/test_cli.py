@@ -72,6 +72,16 @@ class TestResolveConfig:
         assert main(["--set", "smoothing_method=bogus", "evaluate",
                      "--pred", "a", "--truth", "b", "--out", "c"]) == 2
 
+    @pytest.mark.parametrize("folds", [0, 1])
+    def test_fewer_than_two_folds_rejected(self, folds, capsys):
+        with pytest.raises(DataError, match="folds"):
+            PipelineConfig(folds=folds)
+        assert main(["--set", f"folds={folds}", "pipeline", "--audio-dir", "a",
+                     "--label-dir", "b", "--out-dir", "c"]) == 2
+        err = capsys.readouterr().err
+        assert "folds must be at least 2" in err
+        assert err.count("\n") == 1
+
     def test_missing_config_file(self, capsys):
         assert main(["--config", "/nonexistent.conf", "evaluate",
                      "--pred", "a", "--truth", "b", "--out", "c"]) == 2

@@ -198,6 +198,11 @@ class TestKfold:
         with pytest.raises(DataError):
             kfold_split([1, 2, 3], k=5)
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_fewer_than_two_folds(self, k):
+        with pytest.raises(DataError, match="at least 2 folds"):
+            kfold_split([1, 2, 3], k=k)
+
     @given(n=st.integers(5, 40), k=st.integers(2, 5), seed=st.integers(0, 100))
     @settings(max_examples=50, deadline=None)
     def test_partition_property(self, n, k, seed):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svdet import features
 from svdet.audio import AudioClip, FrameGrid, Spectrogram, frame_signal, stft
 from svdet.errors import DataError
 from svdet.features import (FeatureMatrix, NormStats, autocorr_from_spectrogram,
@@ -104,6 +105,43 @@ def plp_oracle(power_row, sr, n_fft, order=12, n_coeffs=13):
     return c
 
 
+def levinson_durbin_loop(r, order):
+    """Reference: Levinson-Durbin for one frame, one step at a time."""
+    if r[0] <= 0.0:
+        return np.zeros(order), 0.0, False
+    a = np.zeros(order)
+    err = r[0]
+    for i in range(1, order + 1):
+        acc = r[i] - np.dot(a[: i - 1], r[i - 1 : 0 : -1])
+        if err <= 0.0:
+            return np.zeros(order), 0.0, False
+        k = acc / err
+        a_new = a.copy()
+        a_new[i - 1] = k
+        a_new[: i - 1] = a[: i - 1] - k * a[i - 2 :: -1][: i - 1]
+        a = a_new
+        err *= 1.0 - k * k
+    return a, err, True
+
+
+def lpc_cepstra_loop(r, order=12, n_coeffs=13):
+    """Reference: per-frame Levinson-Durbin and cepstral recursion."""
+    out = np.zeros((r.shape[0], n_coeffs))
+    degenerate = []
+    for t in range(r.shape[0]):
+        a, _, ok = levinson_durbin_loop(r[t], order)
+        if not ok:
+            degenerate.append(t)
+            continue
+        for n in range(1, n_coeffs + 1):
+            val = a[n - 1] if n <= order else 0.0
+            for k in range(1, n):
+                if n - k <= order:
+                    val += (k / n) * out[t, k - 1] * a[n - k - 1]
+            out[t, n - 1] = val
+    return out, tuple(degenerate)
+
+
 # ---------------------------------------------------------------------------
 
 class TestMfcc:
@@ -174,6 +212,74 @@ class TestLevinsonLpcc:
         feat = lpcc((frames, grid))
         assert feat.values.shape == (3, 13)
         assert not feat.degenerate_frames
+
+
+class TestBatchedLpc:
+    """The batched LPC path against the per-frame reference loop."""
+
+    @pytest.fixture
+    def spec_with_degenerate_frames(self, random_spectrogram):
+        bins = random_spectrogram.bins.copy()
+        bins[3] = 0.0   # all-zero frame: r[0] == 0
+        bins[5] = 0.0
+        bins[5, 0] = 1.0  # flat autocorrelation: err hits 0 after step 1
+        return Spectrogram(bins=bins, grid=random_spectrogram.grid,
+                           n_fft=random_spectrogram.n_fft)
+
+    @pytest.mark.parametrize("extractor", [lpcc, plp])
+    def test_matches_per_frame_loop(self, extractor, spec_with_degenerate_frames,
+                                    monkeypatch):
+        seen = []
+        batched = features._lpc_cepstra
+
+        def spy(r, order, n_coeffs):
+            seen.append(r)
+            return batched(r, order, n_coeffs)
+
+        monkeypatch.setattr(features, "_lpc_cepstra", spy)
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            feat = extractor(spec_with_degenerate_frames)
+        expected, degenerate = lpc_cepstra_loop(seen[0])
+        assert np.abs(feat.values - expected).max() <= 1e-12
+        assert feat.degenerate_frames == degenerate
+        assert all(type(t) is int for t in feat.degenerate_frames)
+        if extractor is lpcc:
+            assert feat.degenerate_frames == (3, 5)
+
+    def test_time_domain_autocorrelation(self, rng):
+        frames = rng.standard_normal((4, 640))
+        frames[2] = 0.0
+        grid = FrameGrid(frame_len=640, hop=320, n_frames=4, sample_rate=16000)
+        feat = lpcc((frames, grid))
+        r = np.stack([np.correlate(f, f, mode="full")[639 : 639 + 13]
+                      for f in frames])
+        expected, degenerate = lpc_cepstra_loop(r)
+        assert np.abs(feat.values - expected).max() <= 1e-12
+        assert feat.degenerate_frames == degenerate == (2,)
+
+    def test_levinson_rows_match_single_calls(self, rng):
+        x = rng.standard_normal((6, 256))
+        r = np.stack([np.correlate(f, f, mode="full")[255 : 255 + 13] for f in x])
+        r[1] = 0.0
+        r[4] = 1.0
+        a, err, ok = levinson_durbin(r, 12)
+        assert a.shape == (6, 12) and err.shape == ok.shape == (6,)
+        for t in range(6):
+            a_t, err_t, ok_t = levinson_durbin(r[t], 12)
+            assert np.array_equal(a[t], a_t)
+            assert err[t] == err_t and ok[t] == ok_t
+            ref_a, ref_err, ref_ok = levinson_durbin_loop(r[t], 12)
+            assert np.abs(a_t - ref_a).max() <= 1e-12
+            assert abs(err_t - ref_err) <= 1e-12 * max(1.0, abs(ref_err))
+            assert ok_t == ref_ok
+        assert list(ok) == [True, False, True, True, False, True]
+
+    def test_cepstrum_rows_match_single_calls(self, rng):
+        a = rng.standard_normal((5, 12)) * 0.3
+        c = lpc_to_cepstrum(a, 13)
+        assert c.shape == (5, 13)
+        for t in range(5):
+            assert np.array_equal(c[t], lpc_to_cepstrum(a[t], 13))
 
 
 class TestPlp:
