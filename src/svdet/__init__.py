@@ -10,10 +10,10 @@ from .audio import AudioClip, FrameGrid, Spectrogram, frame_signal, istft, \
 from .errors import DataError, DivergenceError
 from .evaluation import EvalReport, confusion_counts, kfold_split, \
     load_labels, metrics
-from .features import FeatureMatrix, FrameBlock, NormStats, blockify, \
-    concat_normalize, lpcc, mfcc, plp
+from .features import FeatureMatrix, NormStats, blockify, concat_normalize, \
+    lpcc, mfcc, plp
 from .model import LrcnConfig, TrainConfig, lrcn_backward, lrcn_cell_step, \
-    lrcn_forward_block, predict_track, train_lrcn
+    predict_track, train_lrcn
 from .separation import beat_spectrum, estimate_period, repet_mask, separate
 from .smoothing import HmmGmmModel, SmoothingConfig, fit_hmm_gmm, \
     median_filter, viterbi_decode

@@ -20,8 +20,6 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluation, features, model, pipeline, separation, smoothing
 from .audio import frame_signal, load_wav, save_wav, stft
 from .errors import DataError, DivergenceError
@@ -168,26 +166,16 @@ def cmd_train(args, cfg, writer):
 
 def save_bundle(path, params, lrcn_cfg, stats):
     """Checkpoint plus the normalization statistics it was trained with."""
-    arrays = dict(params)
-    arrays["__norm_min__"] = stats.col_min
-    arrays["__norm_max__"] = stats.col_max
-    meta = {"format_version": model.CHECKPOINT_VERSION,
-            "config": asdict(lrcn_cfg)}
-    np.savez(path, __meta__=np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8), **arrays)
+    model.save_checkpoint(path, {**params, "__norm_min__": stats.col_min,
+                                 "__norm_max__": stats.col_max}, lrcn_cfg)
 
 
 def load_bundle(path):
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta["format_version"] != model.CHECKPOINT_VERSION:
-            raise DataError("unsupported checkpoint version")
-        c = meta["config"]
-        c["dense_sizes"] = tuple(c["dense_sizes"])
-        lrcn_cfg = model.LrcnConfig(**c)
-        params = {n: data[n] for n, _ in model.param_shapes(lrcn_cfg)}
-        stats = features.NormStats(col_min=data["__norm_min__"],
-                                   col_max=data["__norm_max__"])
+    params, lrcn_cfg, arrays = model.read_checkpoint(path)
+    if "__norm_min__" not in arrays or "__norm_max__" not in arrays:
+        raise DataError(f"checkpoint {path} carries no normalization statistics")
+    stats = features.NormStats(col_min=arrays["__norm_min__"],
+                               col_max=arrays["__norm_max__"])
     return params, lrcn_cfg, stats
 
 

@@ -65,15 +65,6 @@ class NormStats:
             raise DataError("NormStats requires min <= max per column")
 
 
-@dataclass(frozen=True)
-class FrameBlock:
-    """Fixed-length window of frames; one classifier input."""
-
-    block: np.ndarray  # (block_len, dim)
-    center_frame_index: int
-    label: int | None = None
-
-
 # ---------------------------------------------------------------------------
 # MFCC
 
@@ -179,10 +170,7 @@ def _lpc_cepstra(r: np.ndarray, order: int, n_coeffs: int):
 
 def autocorr_from_spectrogram(spec: Spectrogram, max_lag: int) -> np.ndarray:
     """Autocorrelation of each windowed frame via its power spectrum."""
-    power = spec.power()
-    full_power = np.concatenate([power, power[:, -2:0:-1]], axis=1)
-    r = np.fft.ifft(full_power, axis=1).real
-    return r[:, : max_lag + 1]
+    return np.fft.irfft(spec.power(), n=spec.n_fft, axis=1)[:, : max_lag + 1]
 
 
 def lpcc(source, order: int = 12, n_coeffs: int = 13) -> FeatureMatrix:
@@ -302,52 +290,28 @@ def concat_normalize(parts, stats: NormStats | None = None):
     return FeatureMatrix(values=scaled, feature_tag=tag, grid=parts[0].grid), stats
 
 
-def blockify(feat: FeatureMatrix, labels=None, block_len: int = 29,
-             stride: int = 5, pad: bool = False) -> list[FrameBlock]:
-    """Cut the feature matrix into fixed-length blocks.
+def blockify(values: np.ndarray, block_len: int = 29, stride: int = 5,
+             pad: bool = False) -> np.ndarray:
+    """Fixed-length blocks of frames as one (n_blocks, block_len, dim) view.
 
-    Training mode (pad=False): non-padded sliding windows at the given
-    stride; a block's label is the ground-truth label of its center
-    frame. Inference mode (pad=True): stride is forced to 1 and the
-    matrix is edge-replicated so every frame is the center of exactly
-    one block.
+    Training mode (pad=False): non-padded windows at the given stride;
+    block i is centered on frame i * stride + block_len // 2, whose
+    label is the block's label. Inference mode (pad=True): stride is
+    forced to 1 and the matrix is edge-replicated so every frame is the
+    center of exactly one block. Consecutive blocks share memory, so a
+    stride-1 view has equal strides on its first two axes.
     """
-    if feat.n_frames == 0:
+    if len(values) == 0:
         raise DataError("empty feature matrix")
-    half = block_len // 2
     if pad:
-        values = np.concatenate([
-            np.repeat(feat.values[:1], half, axis=0),
-            feat.values,
-            np.repeat(feat.values[-1:], block_len - 1 - half, axis=0),
-        ])
-        starts = range(feat.n_frames)
-        offset = 0
-    else:
-        if feat.n_frames < block_len:
-            raise DataError("fewer frames than one block")
-        starts = range(0, feat.n_frames - block_len + 1, stride)
-        values = feat.values
-        offset = half
-    blocks = []
-    for s in starts:
-        center = s + offset
-        label = None
-        if labels is not None:
-            label = int(labels[center])
-        blocks.append(FrameBlock(block=values[s : s + block_len],
-                                 center_frame_index=center, label=label))
-    return blocks
-
-
-def blocks_to_arrays(blocks):
-    """Stack blocks into (B, T, dim) features and (B,) labels (or None)."""
-    x = np.stack([b.block for b in blocks])
-    if all(b.label is not None for b in blocks):
-        y = np.array([b.label for b in blocks], dtype=np.float64)
-    else:
-        y = None
-    return x, y
+        half = block_len // 2
+        values = np.pad(values, ((half, block_len - 1 - half), (0, 0)),
+                        mode="edge")
+        stride = 1
+    elif len(values) < block_len:
+        raise DataError("fewer frames than one block")
+    windows = np.lib.stride_tricks.sliding_window_view(values, block_len, axis=0)
+    return windows.transpose(0, 2, 1)[::stride]
 
 
 def features_to_csv(path, feat: FeatureMatrix) -> None:

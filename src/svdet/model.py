@@ -15,7 +15,9 @@ parameterization (conv_k, conv_b, W*_z, W*_h, W*_c, b_*) and the
 checkpoint format are unchanged; the backward pass chains the gradient
 of A back into conv_k, conv_b and the W*_z. Any A is reachable (make one
 filter a unit impulse), so the conv adds no capacity: it only
-reparameterizes the input projection.
+reparameterizes the input projection. Stride-1 inference runs on a
+window view of one padded feature matrix, and forward_blocks projects
+each frame under such a view once, not once per block it falls in.
 
 Everything is float64 numpy; forward/backward are batched over blocks.
 """
@@ -24,12 +26,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
+from zipfile import BadZipFile
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import DataError, DivergenceError
-from .features import FeatureMatrix, blockify, blocks_to_arrays
+from .features import FeatureMatrix, blockify
 from .tracks import PredictionTrack
 
 CHECKPOINT_VERSION = 1
@@ -188,7 +191,15 @@ def forward_blocks(x: np.ndarray, params: dict, cfg: LrcnConfig,
     n = cfg.hidden_size
     fused = _fuse_params(params, cfg)
     # the input projection of every frame, outside the time loop
-    proj = (x.reshape(B * T, d) @ fused["A"].T + fused["b"]).reshape(B, T, 4 * n)
+    if B and x.strides[0] == x.strides[1]:
+        # blocks one frame apart (a stride-1 window view): project the
+        # B + T - 1 distinct frames once and window the projection
+        frames = np.concatenate([x[:, 0], x[-1, 1:]])
+        proj = np.lib.stride_tricks.sliding_window_view(
+            frames @ fused["A"].T + fused["b"], T, axis=0).transpose(0, 2, 1)
+    else:
+        proj = (x.reshape(B * T, d) @ fused["A"].T
+                + fused["b"]).reshape(B, T, 4 * n)
     h = np.zeros((B, n))
     c = np.zeros((B, n))
     if want_cache:
@@ -227,11 +238,6 @@ def lrcn_cell_step(x_vec: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     n = cfg.hidden_size
     gates = {"i": a[0, :n], "f": a[0, n : 2 * n], "o": a[0, 3 * n :]}
     return h[0], c[0], gates
-
-
-def lrcn_forward_block(block: np.ndarray, params: dict, cfg: LrcnConfig) -> float:
-    """Posterior for a single (block_len, input_dim) block."""
-    return float(forward_blocks(block[None], params, cfg)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +398,12 @@ def train_lrcn(train_x, train_y, cfg: LrcnConfig, tcfg: TrainConfig,
 
 def predict_track(feat: FeatureMatrix, params: dict, cfg: LrcnConfig,
                   batch_size: int = 512) -> PredictionTrack:
-    """One posterior per frame via stride-1 blocks with edge replication."""
-    blocks = blockify(feat, block_len=cfg.block_len, pad=True)
-    x, _ = blocks_to_arrays(blocks)
+    """One posterior per frame via stride-1 blocks with edge replication.
+
+    The blocks are a window view of one padded matrix, so forward_blocks
+    projects each frame once rather than once per block it falls in.
+    """
+    x = blockify(feat.values, block_len=cfg.block_len, pad=True)
     post = np.empty(len(x))
     for start in range(0, len(x), batch_size):
         post[start : start + batch_size] = forward_blocks(
@@ -444,14 +453,29 @@ def save_checkpoint(path, params: dict, cfg: LrcnConfig) -> None:
         json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8), **params)
 
 
+def read_checkpoint(path):
+    """(params, cfg, other arrays) from a checkpoint file.
+
+    A file that is missing, truncated, not an npz, holds pickled data or
+    lacks a well-formed __meta__ or parameter is a DataError.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(bytes(data["__meta__"]).decode())
+            if meta["format_version"] != CHECKPOINT_VERSION:
+                raise DataError(f"unsupported checkpoint version "
+                                f"{meta['format_version']}")
+            c = meta["config"]
+            c["dense_sizes"] = tuple(c["dense_sizes"])
+            cfg = LrcnConfig(**c)
+            arrays = {k: data[k] for k in data.files if k != "__meta__"}
+            params = {n: arrays.pop(n) for n, _ in param_shapes(cfg)}
+    except (BadZipFile, EOFError, KeyError, OSError, TypeError,
+            ValueError) as exc:
+        raise DataError(f"unreadable checkpoint {path}: {exc}") from None
+    return params, cfg, arrays
+
+
 def load_checkpoint(path):
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta["format_version"] != CHECKPOINT_VERSION:
-            raise DataError(f"unsupported checkpoint version "
-                            f"{meta['format_version']}")
-        c = meta["config"]
-        c["dense_sizes"] = tuple(c["dense_sizes"])
-        cfg = LrcnConfig(**c)
-        params = {n: data[n] for n, _ in param_shapes(cfg)}
+    params, cfg, _ = read_checkpoint(path)
     return params, cfg

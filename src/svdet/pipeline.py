@@ -93,6 +93,9 @@ def fit_norm_stats(mats) -> NormStats:
 
 
 def apply_norm(feat: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
+    if len(stats.col_min) != feat.dim:
+        raise DataError(f"normalization statistics are for {len(stats.col_min)} "
+                        f"feature columns, the features have {feat.dim}")
     span = stats.col_max - stats.col_min
     scaled = np.zeros_like(feat.values)
     nz = span > 0
@@ -104,13 +107,11 @@ def apply_norm(feat: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
 def _training_arrays(stems, feats, labels, stats, cfg: PipelineConfig):
     xs, ys = [], []
     for stem in stems:
-        feat = apply_norm(feats[stem], stats)
-        blocks = features.blockify(feat, labels=labels[stem].labels,
-                                   block_len=cfg.block_len,
-                                   stride=cfg.train_stride)
-        x, y = features.blocks_to_arrays(blocks)
+        x = features.blockify(apply_norm(feats[stem], stats).values,
+                              block_len=cfg.block_len, stride=cfg.train_stride)
+        centers = np.arange(len(x)) * cfg.train_stride + cfg.block_len // 2
         xs.append(x)
-        ys.append(y)
+        ys.append(labels[stem].labels[centers].astype(np.float64))
     return np.concatenate(xs), np.concatenate(ys)
 
 

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from svdet.audio import load_wav
+from svdet import pipeline
+from svdet.audio import FrameGrid, load_wav
 from svdet.cli import UsageError, main, resolve_config, save_bundle
 from svdet.errors import DataError
-from svdet.features import NormStats
+from svdet.features import FeatureMatrix, NormStats
 from svdet.model import LrcnConfig, zero_params
 from svdet.pipeline import PipelineConfig
 from svdet.synth import write_corpus
@@ -189,6 +190,50 @@ class TestTrainPredictEvaluate:
         assert report["accuracy"] == 0.0
         assert "precision" not in report["zero_division_flags"]
         assert "recall" in report["zero_division_flags"]
+
+
+class TestPredictDataErrors:
+    """Checkpoint and feature problems exit 2 with one line and no outputs."""
+
+    def _predict(self, corpus, checkpoint, out, extra=()):
+        wav = sorted((corpus / "audio").glob("*.wav"))[0]
+        return main(FAST + list(extra) + [
+            "predict", str(wav), "--checkpoint", str(checkpoint),
+            "--out", str(out / "pred.csv"), "--label-out", str(out / "pred.lab")])
+
+    def _assert_clean_data_error(self, rc, capsys, out, match):
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and err.count("\n") == 1
+        assert match in err
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_feature_width_mismatch(self, corpus, trained, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = self._predict(corpus, trained / "checkpoint.npz", out,
+                           ["--set", "feature_tag=mfcc_plp"])
+        self._assert_clean_data_error(rc, capsys, out, "13")
+        with pytest.raises(DataError, match="26"):
+            pipeline.apply_norm(
+                FeatureMatrix(values=np.zeros((3, 26)), feature_tag="mfcc_plp",
+                              grid=FrameGrid(frame_len=640, hop=320, n_frames=3,
+                                             sample_rate=16000)),
+                NormStats(col_min=np.zeros(13), col_max=np.ones(13)))
+
+    def test_truncated_checkpoint(self, corpus, trained, tmp_path, capsys):
+        ckpt = tmp_path / "checkpoint.npz"
+        data = (trained / "checkpoint.npz").read_bytes()
+        ckpt.write_bytes(data[: len(data) // 2])
+        out = tmp_path / "out"
+        rc = self._predict(corpus, ckpt, out)
+        self._assert_clean_data_error(rc, capsys, out, "unreadable checkpoint")
+
+    def test_garbage_checkpoint(self, corpus, tmp_path, capsys):
+        ckpt = tmp_path / "checkpoint.npz"
+        ckpt.write_bytes(b"\x80\x04garbage" * 16)
+        out = tmp_path / "out"
+        rc = self._predict(corpus, ckpt, out)
+        self._assert_clean_data_error(rc, capsys, out, "unreadable checkpoint")
 
 
 class TestZeroWeightCheckpoint:

@@ -7,11 +7,13 @@ from svdet import features
 from svdet.audio import AudioClip, FrameGrid, Spectrogram, frame_signal, stft
 from svdet.errors import DataError
 from svdet.features import (FeatureMatrix, NormStats, autocorr_from_spectrogram,
-                            bark_filterbank, blockify, blocks_to_arrays,
+                            bark_filterbank, blockify,
                             cepstra_from_log_energies, concat_normalize,
                             equal_loudness, extract_features, hz_to_bark,
                             levinson_durbin, lpc_to_cepstrum, lpcc,
                             mel_filterbank, mfcc, plp)
+from svdet.pipeline import PipelineConfig, _training_arrays
+from svdet.tracks import LabelTrack
 
 
 def make_spec(samples, sr=16000):
@@ -246,6 +248,15 @@ class TestBatchedLpc:
         if extractor is lpcc:
             assert feat.degenerate_frames == (3, 5)
 
+    def test_spectrogram_autocorrelation_matches_full_ifft(self,
+                                                          random_spectrogram):
+        power = random_spectrogram.power()
+        full = np.concatenate([power, power[:, -2:0:-1]], axis=1)
+        ref = np.fft.ifft(full, axis=1).real[:, :13]
+        r = autocorr_from_spectrogram(random_spectrogram, 12)
+        assert r.shape == ref.shape
+        assert np.abs(r - ref).max() <= 1e-14 * np.abs(ref).max()
+
     def test_time_domain_autocorrelation(self, rng):
         frames = rng.standard_normal((4, 640))
         frames[2] = 0.0
@@ -358,40 +369,68 @@ class TestConcatNormalize:
 
 
 class TestBlockify:
-    def _feat(self, n_frames, dim=2):
-        grid = FrameGrid(frame_len=640, hop=320, n_frames=n_frames,
-                         sample_rate=16000)
-        values = np.arange(n_frames * dim, dtype=float).reshape(n_frames, dim)
-        return FeatureMatrix(values=values, feature_tag="mfcc", grid=grid)
+    def _values(self, n_frames, dim=2):
+        return np.arange(n_frames * dim, dtype=float).reshape(n_frames, dim)
 
     def test_stride_29_counts(self):
-        blocks = blockify(self._feat(100), block_len=29, stride=29)
-        assert len(blocks) == 3
-        assert [b.block[0, 0] for b in blocks] == [0.0, 58.0, 116.0]
+        blocks = blockify(self._values(100), block_len=29, stride=29)
+        assert blocks.shape == (3, 29, 2)
+        assert list(blocks[:, 0, 0]) == [0.0, 58.0, 116.0]
 
     def test_single_block_center(self):
-        blocks = blockify(self._feat(29), block_len=29, stride=1)
+        values = self._values(29)
+        blocks = blockify(values, block_len=29, stride=1)
         assert len(blocks) == 1
-        assert blocks[0].center_frame_index == 14
+        assert np.array_equal(blocks[0, 14], values[14])
 
     def test_inference_one_block_per_frame(self):
-        blocks = blockify(self._feat(29), block_len=29, pad=True)
+        values = self._values(29)
+        blocks = blockify(values, block_len=29, pad=True)
         assert len(blocks) == 29
-        assert [b.center_frame_index for b in blocks] == list(range(29))
+        # frame i is the center of block i
+        assert np.array_equal(blocks[:, 14], values)
+
+    def test_is_a_window_view(self):
+        values = self._values(40)
+        blocks = blockify(values, block_len=29, stride=3)
+        assert np.shares_memory(blocks, values)
+        assert blocks.strides[0] == 3 * blocks.strides[1]
+        padded = blockify(values, block_len=29, pad=True)
+        assert np.shares_memory(padded[0], padded[1])
+        assert padded.strides[0] == padded.strides[1]
 
     def test_center_label(self):
+        grid = FrameGrid(frame_len=640, hop=320, n_frames=40, sample_rate=16000)
         labels = np.zeros(40, dtype=int)
         labels[20] = 1
-        blocks = blockify(self._feat(40), labels=labels, block_len=29, stride=1)
-        for b in blocks:
-            assert b.label == labels[b.center_frame_index]
+        feat = FeatureMatrix(values=self._values(40), feature_tag="mfcc",
+                             grid=grid)
+        stats = NormStats(col_min=np.zeros(2), col_max=np.ones(2))
+        cfg = PipelineConfig(block_len=29, train_stride=3)
+        x, y = _training_arrays(["a"], {"a": feat},
+                                {"a": LabelTrack(labels=labels, grid=grid)},
+                                stats, cfg)
+        centers = np.arange(0, 40 - 29 + 1, 3) + 14
+        assert np.array_equal(x[:, 14], feat.values[centers])
+        assert np.array_equal(y, labels[centers])
+        assert y.dtype == np.float64
+
+    def test_edges_replicated(self):
+        values = self._values(10)
+        blocks = blockify(values, block_len=29, pad=True)
+        assert np.array_equal(blocks[0, :15], np.repeat(values[:1], 15, axis=0))
+        assert np.array_equal(blocks[-1, 14:], np.repeat(values[-1:], 15, axis=0))
+        assert np.array_equal(blocks[4, 10:20], values)
+
+    def test_fewer_frames_than_one_block(self):
+        with pytest.raises(DataError, match="fewer frames"):
+            blockify(self._values(28), block_len=29)
+        assert len(blockify(self._values(28), block_len=29, pad=True)) == 28
 
     def test_empty_matrix(self):
-        grid = FrameGrid(frame_len=640, hop=320, n_frames=0, sample_rate=16000)
-        fm = FeatureMatrix(values=np.zeros((0, 2)), feature_tag="mfcc",
-                           grid=grid)
-        with pytest.raises(DataError):
-            blockify(fm)
+        for pad in (False, True):
+            with pytest.raises(DataError):
+                blockify(np.zeros((0, 2)), pad=pad)
 
 
 class TestShiftCovariance:

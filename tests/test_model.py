@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from svdet.audio import FrameGrid
 from svdet.errors import DataError, DivergenceError
-from svdet.features import FeatureMatrix
+from svdet.features import FeatureMatrix, blockify
 from svdet.model import (LrcnConfig, TrainConfig, bce_loss, binary_f1,
                          forward_blocks, init_params, lrcn_backward,
-                         lrcn_cell_step, lrcn_forward_block, load_checkpoint,
-                         param_shapes, params_to_vector, predict_track,
-                         save_checkpoint, train_lrcn, train_linear_baseline,
-                         vector_to_params, zero_params)
+                         lrcn_cell_step, load_checkpoint, param_shapes,
+                         params_to_vector, predict_track, save_checkpoint,
+                         train_lrcn, train_linear_baseline, vector_to_params,
+                         zero_params)
 
 SMALL = LrcnConfig(input_dim=6, block_len=5, n_filters=8, hidden_size=8,
                    dense_sizes=(4,))
@@ -231,25 +231,25 @@ class TestForwardBlock:
     def test_zero_params_posterior_half(self, rng):
         p = zero_params(SMALL)
         block = rng.standard_normal((5, 6))
-        assert lrcn_forward_block(block, p, SMALL) == pytest.approx(0.5)
+        assert forward_blocks(block[None], p, SMALL)[0] == pytest.approx(0.5)
 
     def test_posterior_in_open_interval(self, rng):
         p = small_params(seed=2)
         block = 10.0 * rng.standard_normal((5, 6))
-        post = lrcn_forward_block(block, p, SMALL)
+        post = forward_blocks(block[None], p, SMALL)[0]
         assert 0.0 < post < 1.0
 
     def test_deterministic(self, rng):
         p = small_params(seed=9)
         block = rng.standard_normal((5, 6))
-        a = lrcn_forward_block(block, p, SMALL)
-        b = lrcn_forward_block(block, p, SMALL)
+        a = forward_blocks(block[None], p, SMALL)[0]
+        b = forward_blocks(block[None], p, SMALL)[0]
         assert a == b
 
     def test_wrong_block_length(self, rng):
         p = small_params()
         with pytest.raises(DataError):
-            lrcn_forward_block(rng.standard_normal((7, 6)), p, SMALL)
+            forward_blocks(rng.standard_normal((7, 6))[None], p, SMALL)
 
 
 class TestBackward:
@@ -370,7 +370,7 @@ class TestPredictTrack:
         for i in range(9):
             block = padded[i : i + SMALL.block_len]
             assert abs(track.posteriors[i]
-                       - lrcn_forward_block(block, p, SMALL)) < 1e-12
+                       - forward_blocks(block[None], p, SMALL)[0]) < 1e-12
 
 
     def test_batches_match_stacked_blocks(self, rng):
@@ -383,6 +383,35 @@ class TestPredictTrack:
         blocks = np.stack([values[row] for row in idx])
         assert np.abs(track.posteriors
                       - forward_blocks(blocks, p, SMALL)).max() <= 1e-12
+
+    def test_window_view_matches_contiguous_copy(self, rng):
+        p = small_params(seed=14)
+        x = blockify(rng.standard_normal((40, 6)), block_len=SMALL.block_len,
+                     pad=True)
+        assert x.strides[0] == x.strides[1]
+        assert np.array_equal(forward_blocks(x, p, SMALL),
+                              forward_blocks(np.ascontiguousarray(x), p, SMALL))
+
+    @pytest.mark.parametrize("n_frames", [1, 3, 29, 600])
+    def test_equals_stacked_blocks_bitwise(self, n_frames):
+        cfg = LrcnConfig(input_dim=6, n_filters=4, hidden_size=8,
+                         dense_sizes=(4,))
+        p = init_params(cfg, seed=15)
+        values = np.random.default_rng(n_frames).standard_normal((n_frames, 6))
+        half = cfg.block_len // 2
+        idx = np.clip(np.arange(n_frames)[:, None]
+                      + np.arange(cfg.block_len) - half, 0, n_frames - 1)
+        blocks = values[idx]
+        for batch_size in (1, 4, 512):
+            # the same batches of stacked blocks: a batch of a few blocks
+            # can differ from a larger one in the last bit (the matmuls
+            # round differently by row count), so batches must match
+            ref = np.concatenate([
+                forward_blocks(blocks[s : s + batch_size], p, cfg)
+                for s in range(0, n_frames, batch_size)])
+            track = predict_track(self._feat(values), p, cfg,
+                                  batch_size=batch_size)
+            assert np.array_equal(track.posteriors, ref)
 
 
 class TestCheckpoint:
@@ -397,6 +426,44 @@ class TestCheckpoint:
                               forward_blocks(x, p2, cfg2))
         for name, _ in param_shapes(SMALL):
             assert np.array_equal(p[name], p2[name])
+
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, small_params(seed=8), SMALL)
+        return path
+
+    def test_truncated_file(self, saved):
+        data = saved.read_bytes()
+        saved.write_bytes(data[: len(data) // 2])
+        with pytest.raises(DataError, match="unreadable checkpoint"):
+            load_checkpoint(saved)
+
+    def test_garbage_file(self, saved):
+        saved.write_bytes(b"not a checkpoint\n" * 8)
+        with pytest.raises(DataError, match="unreadable checkpoint"):
+            load_checkpoint(saved)
+
+    def test_pickled_array_not_loaded(self, tmp_path):
+        path = tmp_path / "model.npz"
+        np.savez(path, __meta__=np.array([{"format_version": 1}], dtype=object))
+        with pytest.raises(DataError, match="unreadable checkpoint"):
+            load_checkpoint(path)
+
+    def test_bad_meta_json(self, tmp_path):
+        path = tmp_path / "model.npz"
+        np.savez(path, __meta__=np.frombuffer(b"{not json", dtype=np.uint8),
+                 **small_params())
+        with pytest.raises(DataError, match="unreadable checkpoint"):
+            load_checkpoint(path)
+
+    def test_missing_parameter(self, saved):
+        with np.load(saved) as data:
+            arrays = {k: data[k] for k in data.files if k != "out_b"}
+        np.savez(saved, **arrays)
+        with pytest.raises(DataError, match="out_b"):
+            load_checkpoint(saved)
 
 
 class TestLinearBaseline:
