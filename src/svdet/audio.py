@@ -87,7 +87,7 @@ def load_wav(path, target_rate: int | None = None) -> AudioClip:
 
     Stereo is downmixed by channel mean and samples are scaled by
     1/32768. If target_rate is given and differs from the file rate,
-    the signal is resampled by linear interpolation.
+    the signal is resampled by an anti-aliased polyphase filter.
     """
     try:
         with wave.open(str(path), "rb") as wf:
@@ -95,8 +95,8 @@ def load_wav(path, target_rate: int | None = None) -> AudioClip:
             sampwidth = wf.getsampwidth()
             rate = wf.getframerate()
             raw = wf.readframes(wf.getnframes())
-    except wave.Error as exc:
-        raise DataError(f"unsupported encoding: {exc}") from exc
+    except (wave.Error, EOFError) as exc:
+        raise DataError(f"unsupported encoding: {str(exc) or 'truncated file'}") from exc
     if sampwidth != 2:
         raise DataError(f"unsupported encoding: {8 * sampwidth}-bit PCM (need 16-bit)")
     if n_channels not in (1, 2):
@@ -104,8 +104,9 @@ def load_wav(path, target_rate: int | None = None) -> AudioClip:
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / INT16_SCALE
     if n_channels == 2:
         data = data.reshape(-1, 2).mean(axis=1)
-    if target_rate is not None and target_rate != rate:
-        data = _resample_linear(data, rate, target_rate)
+    if target_rate is not None and target_rate != rate and rate > 0:
+        g = np.gcd(rate, target_rate)
+        data = scipy.signal.resample_poly(data, target_rate // g, rate // g)
         rate = target_rate
     return AudioClip(samples=data, sample_rate=rate, source_id=str(path))
 
@@ -120,13 +121,6 @@ def save_wav(path, clip: AudioClip) -> None:
         wf.writeframes(pcm.tobytes())
 
 
-def _resample_linear(x: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray:
-    n_out = int(round(len(x) * rate_out / rate_in))
-    t_in = np.arange(len(x)) / rate_in
-    t_out = np.arange(n_out) / rate_out
-    return np.interp(t_out, t_in, x)
-
-
 def frame_signal(clip: AudioClip, frame_ms: float = 40.0, hop_ms: float = 20.0) -> FrameGrid:
     """Lay out overlapping frames; the trailing remainder is dropped."""
     frame_len = int(round(clip.sample_rate * frame_ms / 1000.0))
@@ -135,15 +129,16 @@ def frame_signal(clip: AudioClip, frame_ms: float = 40.0, hop_ms: float = 20.0) 
         raise DataError(
             f"clip of {len(clip.samples)} samples shorter than one frame ({frame_len})"
         )
-    n_frames = (len(clip.samples) - frame_len) // hop + 1
+    # a hop below one sample is left to FrameGrid to reject
+    n_frames = (len(clip.samples) - frame_len) // max(hop, 1) + 1
     return FrameGrid(frame_len=frame_len, hop=hop, n_frames=n_frames,
                      sample_rate=clip.sample_rate)
 
 
 def frame_matrix(clip: AudioClip, grid: FrameGrid) -> np.ndarray:
-    """Stack the grid's frames into an (n_frames, frame_len) array."""
-    idx = np.arange(grid.n_frames)[:, None] * grid.hop + np.arange(grid.frame_len)
-    return clip.samples[idx]
+    """The grid's frames as a read-only (n_frames, frame_len) view."""
+    windows = np.lib.stride_tricks.sliding_window_view(clip.samples, grid.frame_len)
+    return windows[:: grid.hop][: grid.n_frames]
 
 
 def _window(grid: FrameGrid) -> np.ndarray:

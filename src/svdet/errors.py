@@ -8,5 +8,9 @@ class DataError(ValueError):
     """Malformed or contract-violating input data."""
 
 
+class ClipTooShortError(DataError):
+    """A clip too short for the stage asked of it."""
+
+
 class DivergenceError(RuntimeError):
     """Numerical divergence during iterative fitting."""

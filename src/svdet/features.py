@@ -247,8 +247,8 @@ def plp(spec: Spectrogram, order: int = 12, n_coeffs: int = 13) -> FeatureMatrix
     # duplicate edge bands to flatten the spectrum ends before the IDFT
     bands[:, 0] = bands[:, 1]
     bands[:, -1] = bands[:, -2]
-    full = np.concatenate([bands, bands[:, -2:0:-1]], axis=1)
-    r = np.fft.ifft(full, axis=1).real[:, : order + 1]
+    # IDFT of the even extension of the bands
+    r = np.fft.irfft(bands, n=2 * (bands.shape[1] - 1), axis=1)[:, : order + 1]
     values, degenerate = _lpc_cepstra(r, order, n_coeffs)
     return FeatureMatrix(values=values, feature_tag="plp", grid=spec.grid,
                          degenerate_frames=degenerate)

@@ -7,6 +7,7 @@ everything is deterministic given the config seed.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import evaluation, features, model, separation, smoothing
 from .audio import AudioClip, frame_signal, load_wav, stft
-from .errors import DataError
+from .errors import ClipTooShortError, DataError
 from .features import FEATURE_SETS, FeatureMatrix, NormStats
 from .tracks import LabelTrack, PredictionTrack
 
@@ -54,6 +55,11 @@ class PipelineConfig:
         if self.smoothing_method not in smoothing.SMOOTHING_METHODS:
             raise DataError(
                 f"unknown smoothing method {self.smoothing_method!r}")
+        hop, frame = np.round(np.multiply([self.hop_ms, self.frame_ms],
+                                          self.sample_rate) / 1000.0)
+        if not (self.sample_rate > 0 and 0 < hop <= frame < np.inf):
+            raise DataError(f"need 0 < hop <= frame in samples, got hop/frame "
+                            f"{self.hop_ms}/{self.frame_ms} ms at {self.sample_rate} Hz")
         if self.folds < 2:
             raise DataError(f"folds must be at least 2, got {self.folds}")
         object.__setattr__(self, "dense_sizes", tuple(self.dense_sizes))
@@ -79,7 +85,11 @@ class PipelineConfig:
 def clip_features(clip: AudioClip, cfg: PipelineConfig) -> FeatureMatrix:
     """Optionally separate, then extract the configured raw feature set."""
     if cfg.separate:
-        clip, _ = separation.separate(clip, cfg.frame_ms, cfg.hop_ms, cfg.n_fft)
+        try:
+            clip, _ = separation.separate(clip, cfg.frame_ms, cfg.hop_ms, cfg.n_fft)
+        except ClipTooShortError as exc:
+            logging.getLogger(__name__).warning(
+                "%s: %s; using the unseparated mixture", clip.source_id, exc)
     grid = frame_signal(clip, cfg.frame_ms, cfg.hop_ms)
     spec = stft(clip, grid, cfg.n_fft)
     parts = features.extract_features(spec, cfg.feature_tag)

@@ -3,7 +3,8 @@
 The accompaniment is modelled as the element-wise median of the
 magnitude spectrogram over repetitions of its repeating period; the
 residual (non-repeating) energy is routed to the vocal estimate via a
-complementary soft mask applied with the mixture phase.
+complementary soft mask applied with the mixture phase. The
+accompaniment estimate is the mixture minus the vocal estimate.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioClip, Spectrogram, frame_signal, istft, stft
-from .errors import DataError
+from .errors import ClipTooShortError, DataError
 
 MASK_EPS = 1e-10
 
@@ -57,7 +58,7 @@ def beat_spectrum(mag: np.ndarray, max_lag: int | None = None) -> BeatSpectrum:
     if max_lag is None:
         max_lag = n_frames - 1
     max_lag = min(max_lag, n_frames - 1)
-    x = mag.T  # rows = frequency bins
+    x = np.ascontiguousarray(mag.T)  # rows = frequency bins
     # FFT-based linear autocorrelation of every row
     n = 1
     while n < 2 * n_frames:
@@ -65,14 +66,14 @@ def beat_spectrum(mag: np.ndarray, max_lag: int | None = None) -> BeatSpectrum:
     spec = np.fft.rfft(x, n=n, axis=1)
     ac = np.fft.irfft(np.abs(spec) ** 2, n=n, axis=1)[:, : max_lag + 1]
     cum = np.cumsum(x ** 2, axis=1)
-    total = cum[:, -1:]
-    lags = np.arange(max_lag + 1)
-    e_head = cum[:, n_frames - 1 - lags]              # energy of x[0 : T-l]
-    e_tail = total - np.concatenate(
-        [np.zeros((x.shape[0], 1)), cum[:, lags[1:] - 1]], axis=1
-    )                                                 # energy of x[l : T]
-    norm = np.sqrt(e_head * e_tail)
-    ac = ac / np.maximum(norm, 1e-300)
+    # norm[:, l] = sqrt(energy of x[l : T] * energy of x[0 : T-l])
+    norm = np.empty_like(ac)
+    norm[:, 0] = cum[:, -1]
+    np.subtract(cum[:, -1:], cum[:, :max_lag], out=norm[:, 1:])
+    norm *= cum[:, n_frames - 1 - max_lag :][:, ::-1]
+    np.sqrt(norm, out=norm)
+    np.maximum(norm, 1e-300, out=norm)
+    ac /= norm
     # per row ac[l] <= ac[0] by Cauchy-Schwarz, so lag 0 stays the maximum
     values = ac.mean(axis=0)
     return BeatSpectrum(values=values)
@@ -108,11 +109,14 @@ def repet_mask(mag: np.ndarray, period: int) -> SoftMask:
     """
     if period < 1:
         raise DataError("period must be >= 1")
-    n_frames = mag.shape[0]
-    model = np.empty_like(mag)
-    for j in range(min(period, n_frames)):
-        seg = mag[j::period]
-        model[j::period] = np.median(seg, axis=0)
+    q, r = divmod(mag.shape[0], period)
+    model = mag  # period >= n_frames: each offset holds one frame
+    if q:  # offsets below r also see the trailing partial period
+        reps = mag[: q * period].reshape(q, period, -1)
+        low = np.concatenate([reps[:, :r], mag[None, q * period :]])
+        per_offset = np.concatenate([np.median(low, axis=0),
+                                     np.median(reps[:, r:], axis=0)])
+        model = np.concatenate([np.tile(per_offset, (q, 1)), per_offset[:r]])
     w = np.minimum(model, mag)
     weights = w / (mag + MASK_EPS)
     return SoftMask(weights=np.clip(weights, 0.0, 1.0))
@@ -135,16 +139,17 @@ def separate(clip: AudioClip, frame_ms: float = 40.0, hop_ms: float = 20.0,
                                                     DEFAULT_MAX_PERIOD_S)):
     """Split a mixture into (vocal, accompaniment) estimates.
 
-    Masks are applied to the complex STFT with the mixture phase, so the
-    two estimates sum to the (re-synthesized) mixture.
+    Only the vocal mask is inverted (with the mixture phase). The masks
+    sum to one, so the accompaniment is the mixture minus the vocal where
+    frames cover it and zero after.
     """
     try:
         grid = frame_signal(clip, frame_ms, hop_ms)
     except DataError as exc:
-        raise DataError(f"clip too short to separate: {exc}") from exc
+        raise ClipTooShortError(f"clip too short to separate: {exc}") from exc
     lo, hi = period_search_range(grid, *period_range_s)
     if grid.n_frames < 3 * lo:
-        raise DataError(
+        raise ClipTooShortError(
             f"clip too short: {grid.n_frames} frames < 3 periods of {lo}"
         )
     hi = min(hi, grid.n_frames // 3)
@@ -154,17 +159,12 @@ def separate(clip: AudioClip, frame_ms: float = 40.0, hop_ms: float = 20.0,
     period = estimate_period(bs, (lo, hi))
     acc = repet_mask(mag, period)
     voc = vocal_mask(acc)
-    acc_clip = istft(Spectrogram(bins=spec.bins * acc.weights, grid=grid,
-                                 n_fft=n_fft))
     voc_clip = istft(Spectrogram(bins=spec.bins * voc.weights, grid=grid,
                                  n_fft=n_fft))
-    n = len(clip.samples)
-
-    def _fit(c):
-        samples = c.samples
-        if len(samples) < n:
-            samples = np.pad(samples, (0, n - len(samples)))
-        return AudioClip(samples=samples[:n], sample_rate=clip.sample_rate,
-                         source_id=clip.source_id)
-
-    return _fit(voc_clip), _fit(acc_clip)
+    n, span = len(clip.samples), len(voc_clip.samples)
+    vocal, accompaniment = np.zeros(n), np.zeros(n)
+    vocal[:span] = voc_clip.samples
+    accompaniment[:span] = clip.samples[:span] - voc_clip.samples
+    return tuple(AudioClip(samples=s, sample_rate=clip.sample_rate,
+                           source_id=clip.source_id)
+                 for s in (vocal, accompaniment))

@@ -68,6 +68,27 @@ class TestLoadWav:
         assert clip.sample_rate == 16000
         assert len(clip.samples) == 16000
 
+    def test_resample_suppresses_aliasing(self, tmp_path):
+        # a 12 kHz tone is above the 8 kHz Nyquist frequency of 16 kHz
+        # audio; without a low-pass it would fold back to 4 kHz
+        t = np.arange(44100) / 44100.0
+        tone = np.round(0.5 * np.sin(2 * np.pi * 12000.0 * t) * 32767)
+        path = tmp_path / "tone.wav"
+        write_pcm16(path, tone.astype(np.int16), sample_rate=44100)
+        clip = load_wav(path, target_rate=16000)
+        assert clip.sample_rate == 16000
+        assert len(clip.samples) == 16000
+        rms_in = np.sqrt(np.mean((tone / 32768.0) ** 2))
+        rms_out = np.sqrt(np.mean(clip.samples ** 2))
+        assert 20 * np.log10(rms_out / rms_in) <= -40.0
+
+    def test_truncated_file(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        write_pcm16(path, np.zeros(100, dtype=np.int16))
+        path.write_bytes(path.read_bytes()[:30])
+        with pytest.raises(DataError, match="unsupported encoding"):
+            load_wav(path)
+
     def test_save_load_roundtrip(self, tmp_path, rng):
         clip = AudioClip(samples=rng.uniform(-0.9, 0.9, 4000),
                          sample_rate=16000)
@@ -94,6 +115,11 @@ class TestFrameSignal:
         with pytest.raises(DataError):
             frame_signal(clip)
 
+    @pytest.mark.parametrize("hop_ms", [0.0, 0.01, -20.0, 80.0])
+    def test_bad_hop(self, random_clip, hop_ms):
+        with pytest.raises(DataError, match="hop"):
+            frame_signal(random_clip, 40.0, hop_ms)
+
     def test_deterministic(self, random_clip):
         g1 = frame_signal(random_clip)
         g2 = frame_signal(random_clip)
@@ -107,6 +133,21 @@ class TestFrameSignal:
         clip = AudioClip(samples=np.zeros(n), sample_rate=16000)
         grid = frame_signal(clip)
         assert grid.n_frames == (n - 640) // 320 + 1
+
+
+class TestFrameMatrix:
+    @pytest.mark.parametrize("frame_ms,hop_ms,n", [(40.0, 20.0, 16000),
+                                                   (40.0, 10.0, 16317),
+                                                   (40.0, 40.0, 640)])
+    def test_matches_index_gather(self, rng, frame_ms, hop_ms, n):
+        clip = AudioClip(samples=rng.standard_normal(n), sample_rate=16000)
+        grid = frame_signal(clip, frame_ms, hop_ms)
+        idx = (np.arange(grid.n_frames)[:, None] * grid.hop
+               + np.arange(grid.frame_len))
+        frames = frame_matrix(clip, grid)
+        assert frames.shape == (grid.n_frames, grid.frame_len)
+        assert np.array_equal(frames, clip.samples[idx])
+        assert np.shares_memory(frames, clip.samples)
 
 
 class TestStft:

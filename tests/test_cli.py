@@ -1,11 +1,17 @@
 import csv
 import json
+import logging
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svdet import pipeline
-from svdet.audio import FrameGrid, load_wav
+from svdet.audio import AudioClip, FrameGrid, load_wav, save_wav
 from svdet.cli import UsageError, main, resolve_config, save_bundle
 from svdet.errors import DataError
 from svdet.features import FeatureMatrix, NormStats
@@ -82,6 +88,18 @@ class TestResolveConfig:
         err = capsys.readouterr().err
         assert "folds must be at least 2" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("item", ["sample_rate=0", "sample_rate=-16000",
+                                      "hop_ms=0", "hop_ms=0.01", "hop_ms=80",
+                                      "frame_ms=nan", "frame_ms=inf"])
+    def test_bad_frame_layout_data_error(self, item, capsys, tmp_path):
+        lab = tmp_path / "t.lab"
+        lab.write_text("0.0 2.0 sing\n")
+        rc = main(["--set", item, "evaluate", "--pred", str(lab),
+                   "--truth", str(lab), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: need 0 < hop") and err.count("\n") == 1
 
     def test_missing_config_file(self, capsys):
         assert main(["--config", "/nonexistent.conf", "evaluate",
@@ -283,3 +301,97 @@ class TestPipelineCommand:
         assert main(FAST + ["pipeline", "--audio-dir", str(tmp_path / "audio"),
                             "--label-dir", str(tmp_path / "labels"),
                             "--out-dir", str(tmp_path / "out")]) == 2
+
+
+class TestShortClipFallback:
+    def test_predict_on_2s_clip_uses_mixture(self, trained, tmp_path, rng,
+                                             caplog):
+        wav = tmp_path / "short.wav"
+        save_wav(wav, AudioClip(samples=0.3 * rng.standard_normal(32000),
+                                sample_rate=16000))
+        out = tmp_path / "pred.csv"
+        with caplog.at_level(logging.WARNING, logger="svdet"):
+            rc = main(FAST + ["--set", "separate=true", "predict", str(wav),
+                              "--checkpoint", str(trained / "checkpoint.npz"),
+                              "--out", str(out)])
+        assert rc == 0
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "short.wav" in warnings[0].getMessage()
+        assert "unseparated" in warnings[0].getMessage()
+        with open(out) as fh:
+            assert len(list(csv.DictReader(fh))) == (32000 - 640) // 320 + 1
+
+
+# Per-key values that reach every config and front-end check without
+# asking for large arrays (n_fft <= 1024, hop >= 1 ms), plus garbage.
+FUZZ_VALUES = {
+    "sample_rate": ["16000", "8000", "1000", "3", "0", "-16000"],
+    "frame_ms": ["40", "20", "64", "0.5", "0", "-40", "nan", "inf", "1e300"],
+    "hop_ms": ["20", "10", "15", "40", "80", "1", "0", "nan", "-inf"],
+    "n_fft": ["1024", "512", "1000", "64", "0", "-2"],
+    "separate": ["true", "false", "2"],
+    "feature_tag": ["mfcc", "plp", "lpcc", "lpcc_mfcc_plp", "mfcc_plp", ""],
+    "smoothing_method": ["median", "hmm", "none", "viterbi"],
+    "median_window": ["9", "1", "2", "0", "-3", "1001"],
+}
+OTHER_KEYS = sorted({f.name for f in fields(PipelineConfig)} - set(FUZZ_VALUES))
+GARBAGE = st.one_of(st.sampled_from(["0", "-1", "nan", "inf", "1e300", "4,x"]),
+                    st.text(alphabet="abc=,.-_ 0", max_size=4))
+FUZZ_SETS = st.lists(
+    st.one_of(
+        st.sampled_from(sorted(FUZZ_VALUES)).flatmap(
+            lambda k: st.one_of(st.sampled_from(FUZZ_VALUES[k]), GARBAGE)
+            .map(lambda v: f"{k}={v}")),
+        st.tuples(st.sampled_from(OTHER_KEYS), GARBAGE)
+        .map(lambda kv: f"{kv[0]}={kv[1]}")),
+    max_size=3)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(trained, tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(7)
+    good = root / "good.wav"
+    save_wav(good, AudioClip(samples=0.3 * rng.standard_normal(48000),
+                             sample_rate=16000))
+    data = good.read_bytes()
+    (root / "truncated.wav").write_bytes(data[:30])
+    (root / "garbage.wav").write_bytes(b"RIFF\x00\x01WAVEjunk" * 8)
+    ckpt = (trained / "checkpoint.npz").read_bytes()
+    (root / "good.npz").write_bytes(ckpt)
+    (root / "truncated.npz").write_bytes(ckpt[: len(ckpt) // 3])
+    (root / "garbage.npz").write_bytes(b"PK\x03\x04" + b"\x00" * 60)
+    (root / "good.lab").write_text("0.0 1.5 sing\n1.5 3.0 nosing\n")
+    (root / "garbage.lab").write_text("1.0 x\n")
+    return root
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(sets=FUZZ_SETS,
+           command=st.sampled_from(["separate", "features", "predict",
+                                    "evaluate"]),
+           wav=st.sampled_from(["good", "truncated", "garbage"]),
+           ckpt=st.sampled_from(["good", "truncated", "garbage"]),
+           lab=st.sampled_from(["good", "garbage"]))
+    def test_main_returns_an_exit_code(self, fuzz_inputs, sets, command, wav,
+                                       ckpt, lab):
+        """Any config and any corrupted input ends in 0-3, never a raise."""
+        root = fuzz_inputs
+        argv = [a for kv in sets for a in ("--set", kv)] + [command]
+        with tempfile.TemporaryDirectory(dir=root) as out:
+            out = Path(out)
+            argv += {
+                "separate": [str(root / f"{wav}.wav"), "--out-dir", str(out)],
+                "features": [str(root / f"{wav}.wav"), "--out",
+                             str(out / "f.csv")],
+                "predict": [str(root / f"{wav}.wav"), "--checkpoint",
+                            str(root / f"{ckpt}.npz"), "--out",
+                            str(out / "p.csv"), "--label-out",
+                            str(out / "p.lab")],
+                "evaluate": ["--pred", str(root / f"{lab}.lab"), "--truth",
+                             str(root / "good.lab"), "--out",
+                             str(out / "r.json")],
+            }[command]
+            assert main(argv) in (0, 1, 2, 3)

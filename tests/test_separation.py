@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from svdet.audio import AudioClip, frame_signal, istft, stft
-from svdet.errors import DataError
-from svdet.separation import (BeatSpectrum, beat_spectrum, estimate_period,
+from svdet.audio import AudioClip, Spectrogram, frame_signal, istft, stft
+from svdet.errors import ClipTooShortError, DataError
+from svdet.separation import (MASK_EPS, BeatSpectrum, beat_spectrum,
+                              estimate_period, period_search_range,
                               repet_mask, separate, vocal_mask)
 from svdet.synth import repeating_loop
 
@@ -14,7 +15,43 @@ def periodic_magnitude(period, reps, n_bins, seed=0):
     return np.tile(base, (reps, 1))
 
 
+def reference_beat_spectrum(mag, max_lag=None):
+    """Per-lag gather of the window energies, as first written."""
+    n_frames = mag.shape[0]
+    max_lag = n_frames - 1 if max_lag is None else min(max_lag, n_frames - 1)
+    x = mag.T
+    n = 1
+    while n < 2 * n_frames:
+        n *= 2
+    spec = np.fft.rfft(x, n=n, axis=1)
+    ac = np.fft.irfft(np.abs(spec) ** 2, n=n, axis=1)[:, : max_lag + 1]
+    cum = np.cumsum(x ** 2, axis=1)
+    lags = np.arange(max_lag + 1)
+    e_head = cum[:, n_frames - 1 - lags]
+    e_tail = cum[:, -1:] - np.concatenate(
+        [np.zeros((x.shape[0], 1)), cum[:, lags[1:] - 1]], axis=1)
+    return (ac / np.maximum(np.sqrt(e_head * e_tail), 1e-300)).mean(axis=0)
+
+
+def reference_repet_mask(mag, period):
+    """One median per offset within the period, as first written."""
+    model = np.empty_like(mag)
+    for j in range(min(period, mag.shape[0])):
+        model[j::period] = np.median(mag[j::period], axis=0)
+    return np.clip(np.minimum(model, mag) / (mag + MASK_EPS), 0.0, 1.0)
+
+
 class TestBeatSpectrum:
+    @pytest.mark.parametrize("n_frames", [2, 3, 37, 128, 250])
+    @pytest.mark.parametrize("max_lag", [None, 0, 1, 20, 400])
+    def test_matches_gather_reference(self, rng, n_frames, max_lag):
+        mag = rng.uniform(0.0, 1.0, size=(n_frames, 9))
+        mag[:, 4] = 0.0  # a silent bin exercises the norm floor
+        got = beat_spectrum(mag, max_lag).values
+        want = reference_beat_spectrum(mag, max_lag)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
     def test_periodic_peaks_at_multiples(self):
         mag = periodic_magnitude(8, 8, 16)
         bs = beat_spectrum(mag)
@@ -55,6 +92,17 @@ class TestEstimatePeriod:
 
 
 class TestRepetMask:
+    @pytest.mark.parametrize("n_frames", [1, 12, 37, 100])
+    def test_matches_per_offset_reference(self, rng, n_frames):
+        mag = rng.uniform(0.0, 1.0, size=(n_frames, 7))
+        mag[::3, 2] = 0.0
+        # 1, a divisor of T, non-divisors, above T/2, T and beyond
+        periods = {1, 2, 3, 4, 5, 7, n_frames // 2 + 1, n_frames - 1,
+                   n_frames, n_frames + 5}
+        for period in sorted(p for p in periods if p >= 1):
+            got = repet_mask(mag, period).weights
+            assert np.array_equal(got, reference_repet_mask(mag, period)), period
+
     def test_purely_periodic_vocal_mask_near_zero(self):
         mag = periodic_magnitude(6, 5, 8)
         acc = repet_mask(mag, 6)
@@ -93,7 +141,41 @@ class TestRepetMask:
         assert np.all(np.isfinite(acc.weights))
 
 
+def reference_separate(clip):
+    """Both estimates through their own ISTFT, padded and cut to the clip."""
+    grid = frame_signal(clip)
+    lo, hi = period_search_range(grid)
+    spec = stft(clip, grid)
+    mag = spec.magnitude()
+    period = estimate_period(beat_spectrum(mag),
+                             (lo, min(hi, grid.n_frames // 3)))
+    acc = repet_mask(mag, period)
+    n = len(clip.samples)
+    out = []
+    for mask in (vocal_mask(acc), acc):
+        rec = istft(Spectrogram(bins=spec.bins * mask.weights, grid=grid,
+                                n_fft=spec.n_fft)).samples
+        out.append(np.pad(rec, (0, max(0, n - len(rec))))[:n])
+    return out, len(rec)
+
+
 class TestSeparate:
+    @pytest.mark.parametrize("extra", [0, 123, 319])
+    def test_one_istft_matches_two(self, rng, extra):
+        loop = repeating_loop(rng, 6.0, 16000)
+        samples = 0.5 * loop + 0.05 * rng.standard_normal(len(loop))
+        clip = AudioClip(samples=np.concatenate(
+            [samples, 0.3 * rng.standard_normal(extra)]), sample_rate=16000)
+        voc, acc = separate(clip)
+        (ref_voc, ref_acc), span = reference_separate(clip)
+        assert len(voc.samples) == len(acc.samples) == len(clip.samples)
+        assert np.array_equal(voc.samples, ref_voc)
+        assert np.abs(acc.samples - ref_acc).max() <= 1e-12
+        # past the last frame nothing is reconstructed
+        assert span == len(clip.samples) - extra
+        assert np.all(acc.samples[span:] == 0.0)
+        assert np.all(voc.samples[span:] == 0.0)
+
     def test_reconstruction_sums_to_mixture(self, rng):
         loop = repeating_loop(rng, 8.0, 16000)
         clip = AudioClip(samples=0.5 * loop + 0.05 * rng.standard_normal(len(loop)),
@@ -126,4 +208,9 @@ class TestSeparate:
     def test_too_short_clip(self):
         clip = AudioClip(samples=np.zeros(1600), sample_rate=16000)  # 0.1 s
         with pytest.raises(DataError, match="too short"):
+            separate(clip)
+
+    def test_shorter_than_three_periods(self):
+        clip = AudioClip(samples=np.zeros(32000), sample_rate=16000)  # 2 s
+        with pytest.raises(ClipTooShortError, match="3 periods"):
             separate(clip)
