@@ -10,8 +10,8 @@ from .audio import AudioClip, FrameGrid, Spectrogram, frame_signal, istft, \
 from .errors import DataError, DivergenceError
 from .evaluation import EvalReport, confusion_counts, kfold_split, \
     load_labels, metrics
-from .features import FeatureMatrix, NormStats, blockify, concat_normalize, \
-    lpcc, mfcc, plp
+from .features import FeatureMatrix, NormStats, apply_norm, blockify, \
+    fit_norm_stats, lpcc, mfcc, plp
 from .model import LrcnConfig, TrainConfig, lrcn_backward, lrcn_cell_step, \
     predict_track, train_lrcn
 from .separation import beat_spectrum, estimate_period, repet_mask, separate

@@ -66,7 +66,6 @@ class Spectrogram:
     bins: np.ndarray  # complex, (n_frames, n_fft // 2 + 1)
     grid: FrameGrid
     n_fft: int
-    window: str = "hamming"
 
     def __post_init__(self):
         if self.bins.shape != (self.grid.n_frames, self.n_fft // 2 + 1):
@@ -77,9 +76,6 @@ class Spectrogram:
 
     def power(self) -> np.ndarray:
         return np.abs(self.bins) ** 2
-
-    def bin_freqs(self) -> np.ndarray:
-        return np.fft.rfftfreq(self.n_fft, d=1.0 / self.grid.sample_rate)
 
 
 def load_wav(path, target_rate: int | None = None) -> AudioClip:
@@ -121,18 +117,23 @@ def save_wav(path, clip: AudioClip) -> None:
         wf.writeframes(pcm.tobytes())
 
 
-def frame_signal(clip: AudioClip, frame_ms: float = 40.0, hop_ms: float = 20.0) -> FrameGrid:
-    """Lay out overlapping frames; the trailing remainder is dropped."""
-    frame_len = int(round(clip.sample_rate * frame_ms / 1000.0))
-    hop = int(round(clip.sample_rate * hop_ms / 1000.0))
-    if len(clip.samples) < frame_len:
-        raise DataError(
-            f"clip of {len(clip.samples)} samples shorter than one frame ({frame_len})"
-        )
+def frame_grid(n_samples: int, sample_rate: int, frame_ms: float,
+               hop_ms: float) -> FrameGrid:
+    """Overlapping frames over n_samples; the trailing remainder is dropped."""
+    frame_len = int(round(sample_rate * frame_ms / 1000.0))
+    hop = int(round(sample_rate * hop_ms / 1000.0))
+    if n_samples < frame_len:
+        raise DataError(f"span of {n_samples} samples is shorter than one frame "
+                        f"({frame_len})")
     # a hop below one sample is left to FrameGrid to reject
-    n_frames = (len(clip.samples) - frame_len) // max(hop, 1) + 1
+    n_frames = (n_samples - frame_len) // max(hop, 1) + 1
     return FrameGrid(frame_len=frame_len, hop=hop, n_frames=n_frames,
-                     sample_rate=clip.sample_rate)
+                     sample_rate=sample_rate)
+
+
+def frame_signal(clip: AudioClip, frame_ms: float = 40.0, hop_ms: float = 20.0) -> FrameGrid:
+    """The frame grid of a clip (see frame_grid)."""
+    return frame_grid(len(clip.samples), clip.sample_rate, frame_ms, hop_ms)
 
 
 def frame_matrix(clip: AudioClip, grid: FrameGrid) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import evaluation, features, model, pipeline, separation, smoothing
-from .audio import frame_signal, load_wav, save_wav, stft
+from .audio import frame_grid, load_wav, save_wav
 from .errors import DataError, DivergenceError
 from .pipeline import PipelineConfig
 
@@ -128,9 +128,9 @@ def cmd_separate(args, cfg, writer):
 def cmd_features(args, cfg, writer):
     clip = load_wav(args.input, target_rate=cfg.sample_rate)
     raw = pipeline.clip_features(clip, cfg)
-    normalized, _ = features.concat_normalize([raw])
     out = writer.register(args.out)
-    features.features_to_csv(out, normalized)
+    features.features_to_csv(
+        out, features.apply_norm(raw, features.fit_norm_stats([raw])))
     write_manifest(writer, Path(args.out).parent, "features", cfg,
                    {"input": str(args.input)})
 
@@ -138,21 +138,11 @@ def cmd_features(args, cfg, writer):
 def cmd_train(args, cfg, writer):
     stems, feats, labels = pipeline.load_corpus(args.audio_dir, args.label_dir,
                                                 cfg)
-    n_val = max(1, len(stems) // 5) if len(stems) > 1 else 0
-    valid = stems[-n_val:] if n_val else []
-    train = stems[:-n_val] if n_val else stems
-    stats = pipeline.fit_norm_stats([feats[s] for s in train])
-    x_tr, y_tr = pipeline._training_arrays(train, feats, labels, stats, cfg)
-    lrcn_cfg = cfg.lrcn_config(input_dim=x_tr.shape[2])
-    if valid:
-        x_va, y_va = pipeline._training_arrays(valid, feats, labels, stats, cfg)
-    else:
-        x_va = y_va = None
-    params, history = model.train_lrcn(x_tr, y_tr, lrcn_cfg, cfg.train_config(),
-                                       valid_x=x_va, valid_y=y_va)
+    params, lrcn_cfg, stats, history = pipeline.train_classifier(
+        stems, feats, labels, cfg)
     out_dir = Path(args.out_dir)
     ckpt = writer.register(out_dir / "checkpoint.npz")
-    save_bundle(ckpt, params, lrcn_cfg, stats)
+    model.save_checkpoint(ckpt, params, lrcn_cfg, stats, cfg.front_end())
     hist_path = writer.register(out_dir / "history.csv")
     with open(hist_path, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=["epoch", "train_loss", "valid_f1"])
@@ -164,26 +154,15 @@ def cmd_train(args, cfg, writer):
                     "label_dir": str(args.label_dir), "stems": stems})
 
 
-def save_bundle(path, params, lrcn_cfg, stats):
-    """Checkpoint plus the normalization statistics it was trained with."""
-    model.save_checkpoint(path, {**params, "__norm_min__": stats.col_min,
-                                 "__norm_max__": stats.col_max}, lrcn_cfg)
-
-
-def load_bundle(path):
-    params, lrcn_cfg, arrays = model.read_checkpoint(path)
-    if "__norm_min__" not in arrays or "__norm_max__" not in arrays:
-        raise DataError(f"checkpoint {path} carries no normalization statistics")
-    stats = features.NormStats(col_min=arrays["__norm_min__"],
-                               col_max=arrays["__norm_max__"])
-    return params, lrcn_cfg, stats
-
-
 def cmd_predict(args, cfg, writer):
-    params, lrcn_cfg, stats = load_bundle(args.checkpoint)
+    params, lrcn_cfg, stats, front_end = model.read_checkpoint(args.checkpoint)
+    for key, value in cfg.front_end().items():
+        if front_end.get(key) != value:
+            raise DataError(f"checkpoint was trained with {key}="
+                            f"{front_end.get(key)!r}, the config has {value!r}")
     clip = load_wav(args.input, target_rate=cfg.sample_rate)
     raw = pipeline.clip_features(clip, cfg)
-    feat = pipeline.apply_norm(raw, stats)
+    feat = features.apply_norm(raw, stats)
     track = model.predict_track(feat, params, lrcn_cfg)
     smoothed = smoothing.smooth(track, cfg.smoothing_config())
     out = writer.register(args.out)
@@ -206,12 +185,7 @@ def cmd_evaluate(args, cfg, writer):
     if end <= 0.0:
         raise DataError("label files contain no segments")
     sr = cfg.sample_rate
-    frame_len = int(round(sr * cfg.frame_ms / 1000.0))
-    hop = int(round(sr * cfg.hop_ms / 1000.0))
-    n_frames = max(1, (int(round(end * sr)) - frame_len) // hop + 1)
-    from .audio import FrameGrid
-    grid = FrameGrid(frame_len=frame_len, hop=hop, n_frames=n_frames,
-                     sample_rate=sr)
+    grid = frame_grid(round(end * sr), sr, cfg.frame_ms, cfg.hop_ms)
     pred = evaluation.load_labels(args.pred, grid)
     truth = evaluation.load_labels(args.truth, grid)
     report = evaluation.metrics(evaluation.confusion_counts(pred, truth))

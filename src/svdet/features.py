@@ -1,8 +1,9 @@
 """Per-frame acoustic features: MFCC, LPCC, PLP, and block packing.
 
 All extractors return a FeatureMatrix aligned to the spectrogram's
-frame grid, computed for all frames at once. Combinations and min-max
-normalization follow the feature set tags in FEATURE_SETS.
+frame grid, computed for all frames at once. Combinations follow the
+feature set tags in FEATURE_SETS; fit_norm_stats and apply_norm
+min-max scale the columns with statistics fit on training data.
 """
 
 from __future__ import annotations
@@ -63,6 +64,28 @@ class NormStats:
     def __post_init__(self):
         if np.any(self.col_min > self.col_max):
             raise DataError("NormStats requires min <= max per column")
+
+
+def fit_norm_stats(mats) -> NormStats:
+    """Per-column min/max over the rows of all given feature matrices."""
+    stacked = np.concatenate([m.values for m in mats], axis=0)
+    return NormStats(col_min=stacked.min(axis=0), col_max=stacked.max(axis=0))
+
+
+def apply_norm(feat: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
+    """Min-max scale each column; constant columns map to 0.
+
+    Rows outside the fitted range leave [0, 1] and are not clipped.
+    """
+    if len(stats.col_min) != feat.dim:
+        raise DataError(f"normalization statistics are for {len(stats.col_min)} "
+                        f"feature columns, the features have {feat.dim}")
+    span = stats.col_max - stats.col_min
+    scaled = np.zeros_like(feat.values)
+    nz = span > 0
+    scaled[:, nz] = (feat.values[:, nz] - stats.col_min[nz]) / span[nz]
+    return FeatureMatrix(values=scaled, feature_tag=feat.feature_tag,
+                         grid=feat.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -173,25 +196,15 @@ def autocorr_from_spectrogram(spec: Spectrogram, max_lag: int) -> np.ndarray:
     return np.fft.irfft(spec.power(), n=spec.n_fft, axis=1)[:, : max_lag + 1]
 
 
-def lpcc(source, order: int = 12, n_coeffs: int = 13) -> FeatureMatrix:
+def lpcc(spec: Spectrogram, order: int = 12, n_coeffs: int = 13) -> FeatureMatrix:
     """Linear-prediction cepstra per frame, solved for all frames at once.
 
-    Accepts a Spectrogram (autocorrelation from the power spectrum) or a
-    (frames, grid) pair of time-domain frames. All-zero frames produce
-    all-zero coefficients rather than an error.
+    The autocorrelation comes from the power spectrum. All-zero frames
+    produce all-zero coefficients rather than an error.
     """
-    if isinstance(source, Spectrogram):
-        grid = source.grid
-        r = autocorr_from_spectrogram(source, order)
-    else:
-        frames, grid = source
-        n = frames.shape[1]
-        if n <= order:
-            raise DataError("frame length must exceed LPC order")
-        r = np.stack([np.einsum("fj,fj->f", frames[:, lag:], frames[:, : n - lag])
-                      for lag in range(order + 1)], axis=1)
+    r = autocorr_from_spectrogram(spec, order)
     values, degenerate = _lpc_cepstra(r, order, n_coeffs)
-    return FeatureMatrix(values=values, feature_tag="lpcc", grid=grid,
+    return FeatureMatrix(values=values, feature_tag="lpcc", grid=spec.grid,
                          degenerate_frames=degenerate)
 
 
@@ -255,7 +268,7 @@ def plp(spec: Spectrogram, order: int = 12, n_coeffs: int = 13) -> FeatureMatrix
 
 
 # ---------------------------------------------------------------------------
-# Combination, normalization, blocking
+# Combination, blocking
 
 def extract_features(spec: Spectrogram, tag: str) -> list[FeatureMatrix]:
     """Base feature matrices for a feature set tag, in tag order."""
@@ -263,31 +276,6 @@ def extract_features(spec: Spectrogram, tag: str) -> list[FeatureMatrix]:
         raise DataError(f"unknown feature set {tag!r}")
     extractors = {"mfcc": mfcc, "lpcc": lpcc, "plp": plp}
     return [extractors[name](spec) for name in FEATURE_SETS[tag]]
-
-
-def concat_normalize(parts, stats: NormStats | None = None):
-    """Concatenate feature matrices column-wise and min-max scale to [0,1].
-
-    With stats=None the scaling statistics are fit on the input (train
-    time) and returned; otherwise the given stats are applied (test
-    time; values may leave [0,1] and are not clipped). Constant columns
-    map to 0.
-    """
-    if not parts:
-        raise DataError("no feature matrices to combine")
-    n_frames = parts[0].n_frames
-    for p in parts[1:]:
-        if p.n_frames != n_frames:
-            raise DataError("frame-count mismatch between feature matrices")
-    values = np.concatenate([p.values for p in parts], axis=1)
-    tag = "_".join(p.feature_tag for p in parts)
-    if stats is None:
-        stats = NormStats(col_min=values.min(axis=0), col_max=values.max(axis=0))
-    span = stats.col_max - stats.col_min
-    scaled = np.zeros_like(values)
-    nz = span > 0
-    scaled[:, nz] = (values[:, nz] - stats.col_min[nz]) / span[nz]
-    return FeatureMatrix(values=scaled, feature_tag=tag, grid=parts[0].grid), stats
 
 
 def blockify(values: np.ndarray, block_len: int = 29, stride: int = 5,

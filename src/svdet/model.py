@@ -25,17 +25,17 @@ Everything is float64 numpy; forward/backward are batched over blocks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from zipfile import BadZipFile
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import DataError, DivergenceError
-from .features import FeatureMatrix, blockify
+from .features import FeatureMatrix, NormStats, blockify
 from .tracks import PredictionTrack
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -330,6 +330,7 @@ def lrcn_backward(x: np.ndarray, y: np.ndarray, params: dict, cfg: LrcnConfig):
 # ---------------------------------------------------------------------------
 # Training / prediction
 
+# not evaluation.metrics' F1: 2PR/(P+R) differs in the last bit and is 0.0, not 1.0, with no positives
 def binary_f1(pred: np.ndarray, truth: np.ndarray) -> float:
     tp = int(np.sum((pred == 1) & (truth == 1)))
     fp = int(np.sum((pred == 1) & (truth == 0)))
@@ -446,18 +447,24 @@ def train_linear_baseline(x: np.ndarray, y: np.ndarray, learning_rate: float = 0
 # ---------------------------------------------------------------------------
 # Checkpoints
 
-def save_checkpoint(path, params: dict, cfg: LrcnConfig) -> None:
-    """npz container: format version, config JSON, one array per parameter."""
-    meta = {"format_version": CHECKPOINT_VERSION, "config": asdict(cfg)}
+def save_checkpoint(path, params: dict, cfg: LrcnConfig, stats: NormStats,
+                    front_end: dict) -> None:
+    """npz container: a __meta__ JSON (format version, model config and
+    the front-end settings the features were made with), one array per
+    parameter and the normalization statistics."""
+    meta = {"format_version": CHECKPOINT_VERSION, "config": asdict(cfg),
+            "front_end": front_end}
     np.savez(path, __meta__=np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8), **params)
+        json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8), **params,
+        __norm_min__=stats.col_min, __norm_max__=stats.col_max)
 
 
 def read_checkpoint(path):
-    """(params, cfg, other arrays) from a checkpoint file.
+    """(params, cfg, stats, front_end) from a checkpoint file.
 
     A file that is missing, truncated, not an npz, holds pickled data or
-    lacks a well-formed __meta__ or parameter is a DataError.
+    lacks a well-formed __meta__, parameter or normalization statistic
+    is a DataError.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -468,14 +475,11 @@ def read_checkpoint(path):
             c = meta["config"]
             c["dense_sizes"] = tuple(c["dense_sizes"])
             cfg = LrcnConfig(**c)
-            arrays = {k: data[k] for k in data.files if k != "__meta__"}
-            params = {n: arrays.pop(n) for n, _ in param_shapes(cfg)}
+            params = {n: data[n] for n, _ in param_shapes(cfg)}
+            stats = NormStats(col_min=data["__norm_min__"],
+                              col_max=data["__norm_max__"])
+            front_end = dict(meta["front_end"])
     except (BadZipFile, EOFError, KeyError, OSError, TypeError,
             ValueError) as exc:
         raise DataError(f"unreadable checkpoint {path}: {exc}") from None
-    return params, cfg, arrays
-
-
-def load_checkpoint(path):
-    params, cfg, _ = read_checkpoint(path)
-    return params, cfg
+    return params, cfg, stats, front_end

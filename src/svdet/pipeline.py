@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +16,7 @@ import numpy as np
 from . import evaluation, features, model, separation, smoothing
 from .audio import AudioClip, frame_signal, load_wav, stft
 from .errors import ClipTooShortError, DataError
-from .features import FEATURE_SETS, FeatureMatrix, NormStats
-from .tracks import LabelTrack, PredictionTrack
+from .features import FEATURE_SETS, FeatureMatrix, apply_norm, fit_norm_stats
 
 
 @dataclass
@@ -64,6 +63,12 @@ class PipelineConfig:
             raise DataError(f"folds must be at least 2, got {self.folds}")
         object.__setattr__(self, "dense_sizes", tuple(self.dense_sizes))
 
+    def front_end(self) -> dict:
+        """The settings that shape the features; a checkpoint records them."""
+        return {"sample_rate": self.sample_rate, "frame_ms": self.frame_ms,
+                "hop_ms": self.hop_ms, "n_fft": self.n_fft,
+                "separate": self.separate, "feature_tag": self.feature_tag}
+
     def lrcn_config(self, input_dim: int) -> model.LrcnConfig:
         return model.LrcnConfig(input_dim=input_dim, block_len=self.block_len,
                                 n_filters=self.n_filters,
@@ -97,23 +102,6 @@ def clip_features(clip: AudioClip, cfg: PipelineConfig) -> FeatureMatrix:
     return FeatureMatrix(values=values, feature_tag=cfg.feature_tag, grid=grid)
 
 
-def fit_norm_stats(mats) -> NormStats:
-    stacked = np.concatenate([m.values for m in mats], axis=0)
-    return NormStats(col_min=stacked.min(axis=0), col_max=stacked.max(axis=0))
-
-
-def apply_norm(feat: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
-    if len(stats.col_min) != feat.dim:
-        raise DataError(f"normalization statistics are for {len(stats.col_min)} "
-                        f"feature columns, the features have {feat.dim}")
-    span = stats.col_max - stats.col_min
-    scaled = np.zeros_like(feat.values)
-    nz = span > 0
-    scaled[:, nz] = (feat.values[:, nz] - stats.col_min[nz]) / span[nz]
-    return FeatureMatrix(values=scaled, feature_tag=feat.feature_tag,
-                         grid=feat.grid)
-
-
 def _training_arrays(stems, feats, labels, stats, cfg: PipelineConfig):
     xs, ys = [], []
     for stem in stems:
@@ -123,6 +111,26 @@ def _training_arrays(stems, feats, labels, stats, cfg: PipelineConfig):
         xs.append(x)
         ys.append(labels[stem].labels[centers].astype(np.float64))
     return np.concatenate(xs), np.concatenate(ys)
+
+
+def train_classifier(stems, feats, labels, cfg: PipelineConfig):
+    """Train on stems; returns (params, lrcn_cfg, stats, history).
+
+    The last fifth of the stems (at least one) is held out for
+    validation and early stopping; the normalization statistics are fit
+    on the rest. A single stem trains without validation and keeps the
+    final parameters.
+    """
+    n_val = max(1, len(stems) // 5) if len(stems) > 1 else 0
+    fit, valid = stems[:len(stems) - n_val], stems[len(stems) - n_val:]
+    stats = fit_norm_stats([feats[s] for s in fit])
+    x_tr, y_tr = _training_arrays(fit, feats, labels, stats, cfg)
+    x_va, y_va = (_training_arrays(valid, feats, labels, stats, cfg) if valid
+                  else (None, None))
+    lrcn_cfg = cfg.lrcn_config(input_dim=x_tr.shape[2])
+    params, history = model.train_lrcn(x_tr, y_tr, lrcn_cfg, cfg.train_config(),
+                                       valid_x=x_va, valid_y=y_va)
+    return params, lrcn_cfg, stats, history
 
 
 @dataclass
@@ -159,16 +167,8 @@ def run_kfold(stems, feats, labels, cfg: PipelineConfig) -> CorpusRun:
     histories = []
     for fi, test_stems in enumerate(folds):
         train_stems = [s for s in stems if s not in test_stems]
-        n_val = max(1, len(train_stems) // 5)
-        valid_stems = train_stems[-n_val:]
-        fit_stems = train_stems[:-n_val] or train_stems
-        stats = fit_norm_stats([feats[s] for s in fit_stems])
-        x_tr, y_tr = _training_arrays(fit_stems, feats, labels, stats, cfg)
-        x_va, y_va = _training_arrays(valid_stems, feats, labels, stats, cfg)
-        lrcn_cfg = cfg.lrcn_config(input_dim=x_tr.shape[2])
-        params, history = model.train_lrcn(x_tr, y_tr, lrcn_cfg,
-                                           cfg.train_config(),
-                                           valid_x=x_va, valid_y=y_va)
+        params, lrcn_cfg, stats, history = train_classifier(
+            train_stems, feats, labels, cfg)
         histories.append(history)
         fold_counts = {}
         scfg = cfg.smoothing_config()
@@ -178,9 +178,7 @@ def run_kfold(stems, feats, labels, cfg: PipelineConfig) -> CorpusRun:
                                              params, lrcn_cfg)
                          for s in train_stems]
             hmm = smoothing.fit_hmm_gmm(tr_tracks,
-                                        [labels[s] for s in train_stems],
-                                        n_components=scfg.n_components,
-                                        config=scfg)
+                                        [labels[s] for s in train_stems], scfg)
         for stem in test_stems:
             track = model.predict_track(apply_norm(feats[stem], stats),
                                         params, lrcn_cfg)

@@ -8,7 +8,7 @@ State order is fixed: 0 = non-vocal, 1 = vocal (ties fall to 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -139,10 +139,9 @@ def fit_gmm_1d(x: np.ndarray, n_components: int, max_iter: int = 200,
         ll_history, bool(degenerate)
 
 
-def fit_hmm_gmm(tracks, labels, n_components: int = DEFAULT_N_COMPONENTS,
-                config: SmoothingConfig | None = None) -> HmmGmmModel:
+def fit_hmm_gmm(tracks, labels, config: SmoothingConfig) -> HmmGmmModel:
     """Transitions/initials by ML counts; per-state GMMs by EM."""
-    cfg = config or SmoothingConfig(method="hmm", n_components=n_components)
+    n_components = config.n_components
     if len(tracks) != len(labels) or not tracks:
         raise DataError("need matching, non-empty track and label lists")
     counts = np.zeros((2, 2))
@@ -170,8 +169,8 @@ def fit_hmm_gmm(tracks, labels, n_components: int = DEFAULT_N_COMPONENTS,
     degenerate = []
     for s in (0, 1):
         gmm, _, degen = fit_gmm_1d(samples[s], n_components,
-                                   max_iter=cfg.em_max_iter, tol=cfg.em_tol,
-                                   var_floor=cfg.var_floor)
+                                   max_iter=config.em_max_iter, tol=config.em_tol,
+                                   var_floor=config.var_floor)
         mixtures.append(gmm)
         if degen:
             degenerate.append(s)

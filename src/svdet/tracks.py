@@ -16,7 +16,6 @@ class PredictionTrack:
 
     posteriors: np.ndarray
     grid: FrameGrid
-    threshold: float = 0.5
 
     def __post_init__(self):
         p = np.asarray(self.posteriors, dtype=np.float64)
@@ -27,7 +26,7 @@ class PredictionTrack:
             raise DataError("posteriors must be finite and lie in [0, 1]")
 
     def binarize(self) -> "LabelTrack":
-        labels = (self.posteriors >= self.threshold).astype(np.int8)
+        labels = (self.posteriors >= 0.5).astype(np.int8)
         return LabelTrack(labels=labels, grid=self.grid)
 
 

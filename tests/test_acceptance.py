@@ -250,6 +250,7 @@ def desk_scale_runs(tmp_path_factory):
     return results
 
 
+@pytest.mark.slow
 def test_10_desk_scale_pipeline(announce, desk_scale_runs):
     f1_on = desk_scale_runs[True]
     f1_off = desk_scale_runs[False]

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from svdet import pipeline
 from svdet.audio import AudioClip, FrameGrid, load_wav, save_wav
-from svdet.cli import UsageError, main, resolve_config, save_bundle
+from svdet.cli import UsageError, main, resolve_config
 from svdet.errors import DataError
-from svdet.features import FeatureMatrix, NormStats
-from svdet.model import LrcnConfig, zero_params
+from svdet.features import (FeatureMatrix, NormStats, apply_norm,
+                            features_to_csv, fit_norm_stats)
+from svdet.model import LrcnConfig, save_checkpoint, zero_params
 from svdet.pipeline import PipelineConfig
 from svdet.synth import write_corpus
 
@@ -31,6 +32,15 @@ def corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
     write_corpus(root, n_clips=4, seed=3, duration=6.0)
     return root
+
+
+def zero_checkpoint(path, **config):
+    """An all-zero MFCC model (posterior 0.5 everywhere) with unit stats."""
+    cfg = LrcnConfig(input_dim=13, n_filters=4, hidden_size=4, dense_sizes=(4,))
+    stats = NormStats(col_min=np.zeros(13), col_max=np.ones(13))
+    save_checkpoint(path, zero_params(cfg), cfg, stats,
+                    PipelineConfig(**config).front_end())
+    return path
 
 
 class TestResolveConfig:
@@ -155,6 +165,16 @@ class TestFeaturesCommand:
         feats = body[:, 1:]
         assert feats.min() >= 0.0 and feats.max() <= 1.0
 
+    def test_csv_is_fit_and_applied_normalization(self, corpus, tmp_path):
+        wav = sorted((corpus / "audio").glob("*.wav"))[0]
+        out = tmp_path / "feat.csv"
+        assert main(FAST + ["features", str(wav), "--out", str(out)]) == 0
+        cfg = resolve_config(None, FAST[1::2])
+        raw = pipeline.clip_features(load_wav(wav, cfg.sample_rate), cfg)
+        features_to_csv(tmp_path / "ref.csv",
+                        apply_norm(raw, fit_norm_stats([raw])))
+        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
 
 @pytest.fixture(scope="module")
 def trained(corpus, tmp_path_factory):
@@ -171,6 +191,21 @@ class TestTrainPredictEvaluate:
         assert (trained / "checkpoint.npz").exists()
         assert (trained / "history.csv").exists()
         assert (trained / "manifest.json").exists()
+
+    def test_train_one_clip_without_validation(self, corpus, tmp_path):
+        audio, labels = tmp_path / "audio", tmp_path / "labels"
+        audio.mkdir()
+        labels.mkdir()
+        for src, dst in ((corpus / "audio" / "clip000.wav", audio),
+                         (corpus / "labels" / "clip000.lab", labels)):
+            (dst / src.name).write_bytes(src.read_bytes())
+        out = tmp_path / "run"
+        assert main(FAST + ["train", "--audio-dir", str(audio),
+                            "--label-dir", str(labels), "--out-dir", str(out)]) == 0
+        with open(out / "history.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3
+        assert all(r["valid_f1"] == "" for r in rows)
 
     def test_predict_csv(self, corpus, trained, tmp_path):
         wav = sorted((corpus / "audio").glob("*.wav"))[0]
@@ -209,6 +244,17 @@ class TestTrainPredictEvaluate:
         assert "precision" not in report["zero_division_flags"]
         assert "recall" in report["zero_division_flags"]
 
+    def test_evaluate_labels_shorter_than_one_frame(self, tmp_path, capsys):
+        lab = tmp_path / "t.lab"
+        lab.write_text("0.0 0.02 sing\n")
+        out = tmp_path / "r.json"
+        assert main(["evaluate", "--pred", str(lab), "--truth", str(lab),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and err.count("\n") == 1
+        assert "shorter than one frame" in err
+        assert not out.exists()
+
 
 class TestPredictDataErrors:
     """Checkpoint and feature problems exit 2 with one line and no outputs."""
@@ -230,13 +276,34 @@ class TestPredictDataErrors:
         out = tmp_path / "out"
         rc = self._predict(corpus, trained / "checkpoint.npz", out,
                            ["--set", "feature_tag=mfcc_plp"])
-        self._assert_clean_data_error(rc, capsys, out, "13")
+        self._assert_clean_data_error(rc, capsys, out,
+                                      "checkpoint was trained with feature_tag")
         with pytest.raises(DataError, match="26"):
             pipeline.apply_norm(
                 FeatureMatrix(values=np.zeros((3, 26)), feature_tag="mfcc_plp",
                               grid=FrameGrid(frame_len=640, hop=320, n_frames=3,
                                              sample_rate=16000)),
                 NormStats(col_min=np.zeros(13), col_max=np.ones(13)))
+
+    @pytest.mark.parametrize("item, message", [
+        ("feature_tag=plp", "feature_tag='mfcc', the config has 'plp'"),
+        ("hop_ms=10", "hop_ms=20.0, the config has 10.0"),
+        ("separate=true", "separate=False, the config has True")])
+    def test_front_end_mismatch(self, corpus, trained, tmp_path, capsys, item,
+                                message):
+        out = tmp_path / "out"
+        rc = self._predict(corpus, trained / "checkpoint.npz", out,
+                           ["--set", item])
+        self._assert_clean_data_error(
+            rc, capsys, out, f"checkpoint was trained with {message}")
+
+    def test_front_end_checked_before_audio(self, trained, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(FAST + ["--set", "hop_ms=10", "predict",
+                          str(tmp_path / "missing.wav"), "--checkpoint",
+                          str(trained / "checkpoint.npz"),
+                          "--out", str(out / "pred.csv")])
+        self._assert_clean_data_error(rc, capsys, out, "hop_ms=20.0")
 
     def test_truncated_checkpoint(self, corpus, trained, tmp_path, capsys):
         ckpt = tmp_path / "checkpoint.npz"
@@ -257,11 +324,7 @@ class TestPredictDataErrors:
 class TestZeroWeightCheckpoint:
     def test_constant_half_posterior(self, corpus, tmp_path):
         wav = sorted((corpus / "audio").glob("*.wav"))[0]
-        cfg = LrcnConfig(input_dim=13, n_filters=4, hidden_size=4,
-                         dense_sizes=(4,))
-        stats = NormStats(col_min=np.zeros(13), col_max=np.ones(13))
-        ckpt = tmp_path / "zero.npz"
-        save_bundle(ckpt, zero_params(cfg), cfg, stats)
+        ckpt = zero_checkpoint(tmp_path / "zero.npz", separate=False)
         out = tmp_path / "pred.csv"
         rc = main(FAST + ["predict", str(wav), "--checkpoint", str(ckpt),
                           "--out", str(out)])
@@ -304,16 +367,15 @@ class TestPipelineCommand:
 
 
 class TestShortClipFallback:
-    def test_predict_on_2s_clip_uses_mixture(self, trained, tmp_path, rng,
-                                             caplog):
+    def test_predict_on_2s_clip_uses_mixture(self, tmp_path, rng, caplog):
         wav = tmp_path / "short.wav"
         save_wav(wav, AudioClip(samples=0.3 * rng.standard_normal(32000),
                                 sample_rate=16000))
+        ckpt = zero_checkpoint(tmp_path / "zero.npz", separate=True)
         out = tmp_path / "pred.csv"
         with caplog.at_level(logging.WARNING, logger="svdet"):
             rc = main(FAST + ["--set", "separate=true", "predict", str(wav),
-                              "--checkpoint", str(trained / "checkpoint.npz"),
-                              "--out", str(out)])
+                              "--checkpoint", str(ckpt), "--out", str(out)])
         assert rc == 0
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1

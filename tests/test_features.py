@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from svdet import features
 from svdet.audio import AudioClip, FrameGrid, Spectrogram, frame_signal, stft
 from svdet.errors import DataError
-from svdet.features import (FeatureMatrix, NormStats, autocorr_from_spectrogram,
-                            bark_filterbank, blockify,
-                            cepstra_from_log_energies, concat_normalize,
-                            equal_loudness, extract_features, hz_to_bark,
-                            levinson_durbin, lpc_to_cepstrum, lpcc,
+from svdet.features import (FeatureMatrix, NormStats, apply_norm,
+                            autocorr_from_spectrogram, bark_filterbank,
+                            blockify, cepstra_from_log_energies,
+                            equal_loudness, extract_features, fit_norm_stats,
+                            hz_to_bark, levinson_durbin, lpc_to_cepstrum, lpcc,
                             mel_filterbank, mfcc, plp)
 from svdet.pipeline import PipelineConfig, _training_arrays
 from svdet.tracks import LabelTrack
@@ -208,13 +208,6 @@ class TestLevinsonLpcc:
     def test_lpcc_dim_default_13(self, random_spectrogram):
         assert lpcc(random_spectrogram).dim == 13
 
-    def test_from_time_domain_frames(self, rng):
-        frames = rng.standard_normal((3, 640))
-        grid = FrameGrid(frame_len=640, hop=320, n_frames=3, sample_rate=16000)
-        feat = lpcc((frames, grid))
-        assert feat.values.shape == (3, 13)
-        assert not feat.degenerate_frames
-
 
 class TestBatchedLpc:
     """The batched LPC path against the per-frame reference loop."""
@@ -256,17 +249,6 @@ class TestBatchedLpc:
         r = autocorr_from_spectrogram(random_spectrogram, 12)
         assert r.shape == ref.shape
         assert np.abs(r - ref).max() <= 1e-14 * np.abs(ref).max()
-
-    def test_time_domain_autocorrelation(self, rng):
-        frames = rng.standard_normal((4, 640))
-        frames[2] = 0.0
-        grid = FrameGrid(frame_len=640, hop=320, n_frames=4, sample_rate=16000)
-        feat = lpcc((frames, grid))
-        r = np.stack([np.correlate(f, f, mode="full")[639 : 639 + 13]
-                      for f in frames])
-        expected, degenerate = lpc_cepstra_loop(r)
-        assert np.abs(feat.values - expected).max() <= 1e-12
-        assert feat.degenerate_frames == degenerate == (2,)
 
     def test_levinson_rows_match_single_calls(self, rng):
         x = rng.standard_normal((6, 256))
@@ -314,47 +296,43 @@ class TestPlp:
             assert np.abs(feat.values[t] - expected).max() < 1e-6
 
 
+def fit_apply(feat):
+    return apply_norm(feat, fit_norm_stats([feat]))
+
+
 class TestConcatNormalize:
+    """Min-max normalization: fit_norm_stats, then apply_norm."""
+
     def test_table_dims(self, random_spectrogram):
-        parts = extract_features(random_spectrogram, "mfcc_plp")
-        feat, _ = concat_normalize(parts)
-        assert feat.dim == 26
-        parts = extract_features(random_spectrogram, "lpcc_mfcc_plp")
-        feat, _ = concat_normalize(parts)
-        assert feat.dim == 39
+        for tag, dim in (("mfcc_plp", 26), ("lpcc_mfcc_plp", 39)):
+            parts = extract_features(random_spectrogram, tag)
+            feat = FeatureMatrix(
+                values=np.concatenate([p.values for p in parts], axis=1),
+                feature_tag=tag, grid=random_spectrogram.grid)
+            assert fit_apply(feat).dim == dim
 
     def test_constant_column_maps_to_zero(self):
         grid = FrameGrid(frame_len=640, hop=320, n_frames=3, sample_rate=16000)
         fm = FeatureMatrix(values=np.array([[5.0], [5.0], [5.0]]),
                            feature_tag="mfcc", grid=grid)
-        feat, _ = concat_normalize([fm])
-        assert np.all(feat.values == 0.0)
+        assert np.all(fit_apply(fm).values == 0.0)
 
     def test_affine_map(self):
         grid = FrameGrid(frame_len=640, hop=320, n_frames=3, sample_rate=16000)
         fm = FeatureMatrix(values=np.array([[2.0], [4.0], [6.0]]),
                            feature_tag="mfcc", grid=grid)
-        feat, stats = concat_normalize([fm])
-        assert np.allclose(feat.values.ravel(), [0.0, 0.5, 1.0])
+        assert np.allclose(fit_apply(fm).values.ravel(), [0.0, 0.5, 1.0])
 
     def test_train_fit_in_unit_interval_test_not_clipped(self, rng):
         grid = FrameGrid(frame_len=640, hop=320, n_frames=10, sample_rate=16000)
         train = FeatureMatrix(values=rng.standard_normal((10, 4)),
                               feature_tag="mfcc", grid=grid)
-        scaled, stats = concat_normalize([train])
+        stats = fit_norm_stats([train])
+        scaled = apply_norm(train, stats)
         assert scaled.values.min() >= 0.0 and scaled.values.max() <= 1.0
         test = FeatureMatrix(values=train.values + 5.0, feature_tag="mfcc",
                              grid=grid)
-        scaled2, _ = concat_normalize([test], stats=stats)
-        assert scaled2.values.max() > 1.0  # not clipped
-
-    def test_frame_count_mismatch(self, rng):
-        g1 = FrameGrid(frame_len=640, hop=320, n_frames=3, sample_rate=16000)
-        g2 = FrameGrid(frame_len=640, hop=320, n_frames=4, sample_rate=16000)
-        a = FeatureMatrix(values=np.zeros((3, 2)), feature_tag="mfcc", grid=g1)
-        b = FeatureMatrix(values=np.zeros((4, 2)), feature_tag="plp", grid=g2)
-        with pytest.raises(DataError):
-            concat_normalize([a, b])
+        assert apply_norm(test, stats).values.max() > 1.0  # not clipped
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
@@ -363,7 +341,7 @@ class TestConcatNormalize:
         grid = FrameGrid(frame_len=640, hop=320, n_frames=8, sample_rate=16000)
         fm = FeatureMatrix(values=r.normal(scale=10.0, size=(8, 3)),
                            feature_tag="mfcc", grid=grid)
-        scaled, _ = concat_normalize([fm])
+        scaled = fit_apply(fm)
         assert scaled.values.min() >= 0.0
         assert scaled.values.max() <= 1.0 + 1e-12
 

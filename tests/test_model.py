@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,13 +9,14 @@ from hypothesis import strategies as st
 
 from svdet.audio import FrameGrid
 from svdet.errors import DataError, DivergenceError
-from svdet.features import FeatureMatrix, blockify
+from svdet.features import FeatureMatrix, NormStats, blockify
 from svdet.model import (LrcnConfig, TrainConfig, bce_loss, binary_f1,
                          forward_blocks, init_params, lrcn_backward,
-                         lrcn_cell_step, load_checkpoint, param_shapes,
-                         params_to_vector, predict_track, save_checkpoint,
+                         lrcn_cell_step, param_shapes, params_to_vector,
+                         predict_track, read_checkpoint, save_checkpoint,
                          train_lrcn, train_linear_baseline, vector_to_params,
                          zero_params)
+from svdet.pipeline import PipelineConfig
 
 SMALL = LrcnConfig(input_dim=6, block_len=5, n_filters=8, hidden_size=8,
                    dense_sizes=(4,))
@@ -415,12 +418,18 @@ class TestPredictTrack:
 
 
 class TestCheckpoint:
+    STATS = NormStats(col_min=np.arange(6.0), col_max=np.arange(6.0) + 2.0)
+    FRONT_END = PipelineConfig(feature_tag="plp", hop_ms=10.0).front_end()
+
     def test_roundtrip_bit_identical_posteriors(self, tmp_path, rng):
         p = small_params(seed=8)
         path = tmp_path / "model.npz"
-        save_checkpoint(path, p, SMALL)
-        p2, cfg2 = load_checkpoint(path)
+        save_checkpoint(path, p, SMALL, self.STATS, self.FRONT_END)
+        p2, cfg2, stats2, front_end2 = read_checkpoint(path)
         assert cfg2 == SMALL
+        assert front_end2 == self.FRONT_END
+        assert np.array_equal(stats2.col_min, self.STATS.col_min)
+        assert np.array_equal(stats2.col_max, self.STATS.col_max)
         x = rng.standard_normal((4, 5, 6))
         assert np.array_equal(forward_blocks(x, p, SMALL),
                               forward_blocks(x, p2, cfg2))
@@ -431,39 +440,59 @@ class TestCheckpoint:
     @pytest.fixture
     def saved(self, tmp_path):
         path = tmp_path / "model.npz"
-        save_checkpoint(path, small_params(seed=8), SMALL)
+        save_checkpoint(path, small_params(seed=8), SMALL, self.STATS,
+                        self.FRONT_END)
         return path
+
+    def _drop(self, saved, key):
+        with np.load(saved) as data:
+            arrays = {k: data[k] for k in data.files if k != key}
+        np.savez(saved, **arrays)
 
     def test_truncated_file(self, saved):
         data = saved.read_bytes()
         saved.write_bytes(data[: len(data) // 2])
         with pytest.raises(DataError, match="unreadable checkpoint"):
-            load_checkpoint(saved)
+            read_checkpoint(saved)
 
     def test_garbage_file(self, saved):
         saved.write_bytes(b"not a checkpoint\n" * 8)
         with pytest.raises(DataError, match="unreadable checkpoint"):
-            load_checkpoint(saved)
+            read_checkpoint(saved)
 
     def test_pickled_array_not_loaded(self, tmp_path):
         path = tmp_path / "model.npz"
         np.savez(path, __meta__=np.array([{"format_version": 1}], dtype=object))
         with pytest.raises(DataError, match="unreadable checkpoint"):
-            load_checkpoint(path)
+            read_checkpoint(path)
 
     def test_bad_meta_json(self, tmp_path):
         path = tmp_path / "model.npz"
         np.savez(path, __meta__=np.frombuffer(b"{not json", dtype=np.uint8),
                  **small_params())
         with pytest.raises(DataError, match="unreadable checkpoint"):
-            load_checkpoint(path)
+            read_checkpoint(path)
 
     def test_missing_parameter(self, saved):
-        with np.load(saved) as data:
-            arrays = {k: data[k] for k in data.files if k != "out_b"}
-        np.savez(saved, **arrays)
+        self._drop(saved, "out_b")
         with pytest.raises(DataError, match="out_b"):
-            load_checkpoint(saved)
+            read_checkpoint(saved)
+
+    @pytest.mark.parametrize("key", ["__norm_min__", "__norm_max__"])
+    def test_missing_norm_stats(self, saved, key):
+        self._drop(saved, key)
+        with pytest.raises(DataError, match=key):
+            read_checkpoint(saved)
+
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "model.npz"
+        meta = {"format_version": 1, "config": asdict(SMALL)}
+        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(),
+                                              dtype=np.uint8),
+                 **small_params(), __norm_min__=self.STATS.col_min,
+                 __norm_max__=self.STATS.col_max)
+        with pytest.raises(DataError, match="unsupported checkpoint version 1"):
+            read_checkpoint(path)
 
 
 class TestLinearBaseline:

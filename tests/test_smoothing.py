@@ -143,7 +143,8 @@ class TestFitHmm:
     def test_transition_counts(self):
         lab = np.array([0, 0, 1, 1, 1, 0])
         track = make_track(np.where(lab == 1, 0.9, 0.1))
-        model = fit_hmm_gmm([track], [make_labels(lab)], n_components=1)
+        model = fit_hmm_gmm([track], [make_labels(lab)],
+                            SmoothingConfig(method="hmm", n_components=1))
         # transitions observed: 0->0, 0->1, 1->1, 1->1, 1->0
         assert model.transition[0] == pytest.approx([0.5, 0.5])
         assert model.transition[1] == pytest.approx([1 / 3, 2 / 3])
@@ -153,11 +154,13 @@ class TestFitHmm:
         lab = np.array([0] * 50 + [1] * 2)
         track = make_track(np.where(lab == 1, 0.9, 0.1))
         with pytest.raises(DataError):
-            fit_hmm_gmm([track], [make_labels(lab)], n_components=5)
+            fit_hmm_gmm([track], [make_labels(lab)],
+                        SmoothingConfig(method="hmm", n_components=5))
 
     def test_decoding_recovers_clean_labels(self, rng):
         tracks, labels = self._toy_corpus(rng)
-        model = fit_hmm_gmm(tracks, labels, n_components=3)
+        model = fit_hmm_gmm(tracks, labels,
+                            SmoothingConfig(method="hmm", n_components=3))
         decoded = viterbi_decode(model, tracks[0])
         agree = np.mean(decoded.labels == labels[0].labels)
         assert agree > 0.95
