@@ -155,6 +155,9 @@ def cmd_train(args, cfg, writer):
 
 
 def cmd_predict(args, cfg, writer):
+    if cfg.smoothing_method == "hmm":
+        raise DataError("hmm smoothing requires a fitted model, and a "
+                        "checkpoint carries none; use median or none")
     params, lrcn_cfg, stats, front_end = model.read_checkpoint(args.checkpoint)
     for key, value in cfg.front_end().items():
         if front_end.get(key) != value:

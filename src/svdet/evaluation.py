@@ -75,17 +75,12 @@ def save_labels(path, track: LabelTrack) -> None:
     # back onto the same grid reproduces the track exactly
     centers = track.grid.frame_times()
     hop_s = track.grid.hop / track.grid.sample_rate
-    lines = []
     labels = track.labels
-    i = 0
-    while i < len(labels):
-        j = i
-        while j + 1 < len(labels) and labels[j + 1] == labels[i]:
-            j += 1
-        token = "sing" if labels[i] == 1 else "nosing"
-        lines.append(f"{centers[i] - hop_s / 2:.6f} "
-                     f"{centers[j] + hop_s / 2:.6f} {token}")
-        i = j + 1
+    # runs are labels[i:j] between consecutive cuts; an empty track has none
+    cuts = np.r_[0, np.flatnonzero(labels[1:] != labels[:-1]) + 1, len(labels)]
+    lines = [f"{centers[i] - hop_s / 2:.6f} {centers[j - 1] + hop_s / 2:.6f} "
+             f"{'sing' if labels[i] == 1 else 'nosing'}"
+             for i, j in zip(cuts[:-1], cuts[1:]) if i < j]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
 

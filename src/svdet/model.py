@@ -40,13 +40,15 @@ CHECKPOINT_VERSION = 2
 
 @dataclass(frozen=True)
 class LrcnConfig:
+    """Model shape; PipelineConfig holds the defaults of the free fields."""
+
     input_dim: int
-    block_len: int = 29
-    n_filters: int = 256
+    block_len: int
+    n_filters: int
+    hidden_size: int
+    dense_sizes: tuple
     kernel_width: int = 4
-    hidden_size: int = 32
     pool_len: int = 2
-    dense_sizes: tuple = (64,)
 
     def __post_init__(self):
         if self.hidden_size % self.pool_len:
@@ -60,12 +62,14 @@ class LrcnConfig:
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 1e-3
-    momentum: float = 0.9
-    epochs: int = 50
-    batch_size: int = 32
-    seed: int = 0
-    patience: int = 10
+    """Optimizer settings; PipelineConfig holds their defaults."""
+
+    learning_rate: float
+    momentum: float
+    epochs: int
+    batch_size: int
+    seed: int
+    patience: int
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -413,38 +417,6 @@ def predict_track(feat: FeatureMatrix, params: dict, cfg: LrcnConfig,
 
 
 # ---------------------------------------------------------------------------
-# Linear baseline (stand-in for a linear-kernel SVM)
-
-@dataclass
-class LinearBaseline:
-    w: np.ndarray
-    b: float
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return expit(x @ self.w + self.b)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(x) >= 0.5).astype(np.int8)
-
-
-def train_linear_baseline(x: np.ndarray, y: np.ndarray, learning_rate: float = 0.5,
-                          epochs: int = 500) -> LinearBaseline:
-    """Full-batch gradient descent on the logistic loss."""
-    y = np.asarray(y, dtype=np.float64)
-    if len(np.unique(y)) < 2:
-        raise DataError("baseline needs both classes in the training data")
-    w = np.zeros(x.shape[1])
-    b = 0.0
-    n = len(x)
-    for _ in range(epochs):
-        p = expit(x @ w + b)
-        err = (p - y) / n
-        w -= learning_rate * (x.T @ err)
-        b -= learning_rate * err.sum()
-    return LinearBaseline(w=w, b=b)
-
-
-# ---------------------------------------------------------------------------
 # Checkpoints
 
 def save_checkpoint(path, params: dict, cfg: LrcnConfig, stats: NormStats,
@@ -469,17 +441,19 @@ def read_checkpoint(path):
     try:
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(bytes(data["__meta__"]).decode())
-            if meta["format_version"] != CHECKPOINT_VERSION:
-                raise DataError(f"unsupported checkpoint version "
-                                f"{meta['format_version']}")
-            c = meta["config"]
-            c["dense_sizes"] = tuple(c["dense_sizes"])
-            cfg = LrcnConfig(**c)
-            params = {n: data[n] for n, _ in param_shapes(cfg)}
-            stats = NormStats(col_min=data["__norm_min__"],
-                              col_max=data["__norm_max__"])
-            front_end = dict(meta["front_end"])
+            version = meta["format_version"]
+            if version == CHECKPOINT_VERSION:
+                c = meta["config"]
+                c["dense_sizes"] = tuple(c["dense_sizes"])
+                cfg = LrcnConfig(**c)
+                params = {n: data[n] for n, _ in param_shapes(cfg)}
+                stats = NormStats(col_min=data["__norm_min__"],
+                                  col_max=data["__norm_max__"])
+                front_end = dict(meta["front_end"])
     except (BadZipFile, EOFError, KeyError, OSError, TypeError,
             ValueError) as exc:
         raise DataError(f"unreadable checkpoint {path}: {exc}") from None
+    # outside the try: a DataError is a ValueError and would be re-wrapped
+    if version != CHECKPOINT_VERSION:
+        raise DataError(f"unsupported checkpoint version {version}")
     return params, cfg, stats, front_end

@@ -18,19 +18,9 @@ from .errors import ClipTooShortError, DataError
 
 MASK_EPS = 1e-10
 
-DEFAULT_MIN_PERIOD_S = 0.8
-DEFAULT_MAX_PERIOD_S = 8.0
-
-
-@dataclass(frozen=True)
-class BeatSpectrum:
-    """Lag-domain self-similarity of a magnitude spectrogram."""
-
-    values: np.ndarray  # (max_lag + 1,), values[0] is the global max
-
-    @property
-    def max_lag(self) -> int:
-        return len(self.values) - 1
+# the REPET period search range in seconds
+MIN_PERIOD_S = 0.8
+MAX_PERIOD_S = 8.0
 
 
 @dataclass(frozen=True)
@@ -45,12 +35,13 @@ class SoftMask:
             raise DataError("mask weights must lie in [0, 1]")
 
 
-def beat_spectrum(mag: np.ndarray, max_lag: int | None = None) -> BeatSpectrum:
+def beat_spectrum(mag: np.ndarray, max_lag: int | None = None) -> np.ndarray:
     """Normalized per-row autocorrelation over time, averaged across rows.
 
-    mag is (n_frames, n_bins); lags run over the frame axis. Each lag is
-    normalized by the energies of the two windows it correlates, which
-    keeps every value in [-1, 1] with lag 0 at the global maximum.
+    mag is (n_frames, n_bins); lags run over the frame axis. Returns the
+    (max_lag + 1,) lag-domain self-similarity. Each lag is normalized by
+    the energies of the two windows it correlates, which keeps every
+    value in [-1, 1] with lag 0 at the global maximum.
     """
     n_frames = mag.shape[0]
     if n_frames < 2:
@@ -75,25 +66,26 @@ def beat_spectrum(mag: np.ndarray, max_lag: int | None = None) -> BeatSpectrum:
     np.maximum(norm, 1e-300, out=norm)
     ac /= norm
     # per row ac[l] <= ac[0] by Cauchy-Schwarz, so lag 0 stays the maximum
-    values = ac.mean(axis=0)
-    return BeatSpectrum(values=values)
+    return ac.mean(axis=0)
 
 
-def estimate_period(bs: BeatSpectrum, search_range: tuple[int, int]) -> int:
+def estimate_period(bs: np.ndarray, search_range: tuple[int, int]) -> int:
     """Lag whose integer multiples carry the most beat-spectrum mass.
 
-    Scores are means over the multiples within [1, max_lag]; ties break
-    toward the smaller lag.
+    bs is a beat_spectrum; its last index is the max lag. Scores are
+    means over the multiples within [1, max lag]; ties break toward the
+    smaller lag.
     """
+    max_lag = len(bs) - 1
     lo, hi = search_range
     lo = max(lo, 1)
-    hi = min(hi, bs.max_lag)
+    hi = min(hi, max_lag)
     if lo > hi:
         raise DataError(f"empty period search range [{search_range[0]}, "
-                        f"{search_range[1]}] for max lag {bs.max_lag}")
+                        f"{search_range[1]}] for max lag {max_lag}")
     best_lag, best_score = lo, -np.inf
     for p in range(lo, hi + 1):
-        mult = bs.values[p :: p]
+        mult = bs[p :: p]
         score = mult.mean()
         if score > best_score + 1e-12:
             best_lag, best_score = p, score
@@ -126,17 +118,15 @@ def vocal_mask(acc_mask: SoftMask) -> SoftMask:
     return SoftMask(weights=1.0 - acc_mask.weights)
 
 
-def period_search_range(grid, min_s: float = DEFAULT_MIN_PERIOD_S,
-                        max_s: float = DEFAULT_MAX_PERIOD_S) -> tuple[int, int]:
+def period_search_range(grid) -> tuple[int, int]:
+    """The REPET period search range in frames of grid."""
     frames_per_s = grid.sample_rate / grid.hop
-    return (max(1, int(round(min_s * frames_per_s))),
-            int(round(max_s * frames_per_s)))
+    return (max(1, int(round(MIN_PERIOD_S * frames_per_s))),
+            int(round(MAX_PERIOD_S * frames_per_s)))
 
 
 def separate(clip: AudioClip, frame_ms: float = 40.0, hop_ms: float = 20.0,
-             n_fft: int = 1024,
-             period_range_s: tuple[float, float] = (DEFAULT_MIN_PERIOD_S,
-                                                    DEFAULT_MAX_PERIOD_S)):
+             n_fft: int = 1024):
     """Split a mixture into (vocal, accompaniment) estimates.
 
     Only the vocal mask is inverted (with the mixture phase). The masks
@@ -147,7 +137,7 @@ def separate(clip: AudioClip, frame_ms: float = 40.0, hop_ms: float = 20.0,
         grid = frame_signal(clip, frame_ms, hop_ms)
     except DataError as exc:
         raise ClipTooShortError(f"clip too short to separate: {exc}") from exc
-    lo, hi = period_search_range(grid, *period_range_s)
+    lo, hi = period_search_range(grid)
     if grid.n_frames < 3 * lo:
         raise ClipTooShortError(
             f"clip too short: {grid.n_frames} frames < 3 periods of {lo}"

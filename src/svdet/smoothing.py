@@ -67,9 +67,6 @@ class SmoothingConfig:
     method: str = "median"       # one of SMOOTHING_METHODS
     median_window: int = DEFAULT_MEDIAN_WINDOW
     n_components: int = DEFAULT_N_COMPONENTS
-    var_floor: float = DEFAULT_VAR_FLOOR
-    em_max_iter: int = 200
-    em_tol: float = 1e-6
 
     def __post_init__(self):
         if self.method not in SMOOTHING_METHODS:
@@ -94,21 +91,21 @@ def median_filter(track: PredictionTrack, window: int = DEFAULT_MEDIAN_WINDOW) -
 # GMM fitting (EM)
 
 def fit_gmm_1d(x: np.ndarray, n_components: int, max_iter: int = 200,
-               tol: float = 1e-6, var_floor: float = DEFAULT_VAR_FLOOR):
+               tol: float = 1e-6):
     """EM fit of a 1-D GMM; means initialized at data quantiles.
 
     Returns (Gmm1d, log-likelihood history, degenerate flag). The
-    variance floor acts as a constrained M-step, so the observed
-    log-likelihood stays non-decreasing.
+    variance floor DEFAULT_VAR_FLOOR acts as a constrained M-step, so the
+    observed log-likelihood stays non-decreasing.
     """
     x = np.asarray(x, dtype=np.float64)
     if len(x) < n_components:
         raise DataError(f"{len(x)} samples < {n_components} components")
     means = np.quantile(x, (np.arange(n_components) + 0.5) / n_components)
-    var0 = max(np.var(x), var_floor)
+    var0 = max(np.var(x), DEFAULT_VAR_FLOOR)
     variances = np.full(n_components, var0)
     weights = np.full(n_components, 1.0 / n_components)
-    degenerate = np.var(x) < var_floor
+    degenerate = np.var(x) < DEFAULT_VAR_FLOOR
     ll_history = []
     for _ in range(max_iter):
         log_comp = (np.log(np.maximum(weights, LOG_EPS))[None, :]
@@ -125,7 +122,8 @@ def fit_gmm_1d(x: np.ndarray, n_components: int, max_iter: int = 200,
         sq = resp.T @ (x ** 2)
         variances = np.where(
             alive,
-            np.maximum(sq / np.maximum(nk, LOG_EPS) - means ** 2, var_floor),
+            np.maximum(sq / np.maximum(nk, LOG_EPS) - means ** 2,
+                       DEFAULT_VAR_FLOOR),
             variances,
         )
         if ll_history and ll - ll_history[-1] < tol * max(1.0, abs(ll)):
@@ -168,9 +166,7 @@ def fit_hmm_gmm(tracks, labels, config: SmoothingConfig) -> HmmGmmModel:
     mixtures = []
     degenerate = []
     for s in (0, 1):
-        gmm, _, degen = fit_gmm_1d(samples[s], n_components,
-                                   max_iter=config.em_max_iter, tol=config.em_tol,
-                                   var_floor=config.var_floor)
+        gmm, _, degen = fit_gmm_1d(samples[s], n_components)
         mixtures.append(gmm)
         if degen:
             degenerate.append(s)

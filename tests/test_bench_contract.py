@@ -1,0 +1,50 @@
+"""The svdet names the benchmark's tracer wraps must keep existing.
+
+perfbench/ traces svdet functions by module attribute and binds some of
+their parameters by name; a refactor that renames one fails the
+benchmark's correctness check. These tests catch it in the fast loop.
+The perfbench files are loaded by path and only read.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def svdet_function(name):
+    mod_name, _, attr = name.rpartition(".")
+    return getattr(importlib.import_module(f"svdet.{mod_name}"), attr, None)
+
+
+# the parameters each counter hook in perfbench/tracer.py reads by name
+HOOK_PARAMS = {
+    "smoothing.fit_gmm_1d": ("max_iter", "tol"),
+    "model.lrcn_backward": ("x",),
+}
+
+
+@pytest.mark.parametrize("name", [layer.name for layer in load("layers").FUNCTIONS])
+def test_traced_function_exists(name):
+    assert callable(svdet_function(name)), f"svdet.{name} is not a function"
+
+
+@pytest.mark.parametrize("name", sorted(load("tracer").HOOKS))
+def test_hooked_function_keeps_bound_parameters(name):
+    params = inspect.signature(svdet_function(name)).parameters
+    for param in HOOK_PARAMS.get(name, ()):
+        assert param in params, f"svdet.{name} lost parameter {param!r}"

@@ -36,7 +36,8 @@ def corpus(tmp_path_factory):
 
 def zero_checkpoint(path, **config):
     """An all-zero MFCC model (posterior 0.5 everywhere) with unit stats."""
-    cfg = LrcnConfig(input_dim=13, n_filters=4, hidden_size=4, dense_sizes=(4,))
+    cfg = LrcnConfig(input_dim=13, block_len=29, n_filters=4, hidden_size=4,
+                     dense_sizes=(4,))
     stats = NormStats(col_min=np.zeros(13), col_max=np.ones(13))
     save_checkpoint(path, zero_params(cfg), cfg, stats,
                     PipelineConfig(**config).front_end())
@@ -304,6 +305,17 @@ class TestPredictDataErrors:
                           str(trained / "checkpoint.npz"),
                           "--out", str(out / "pred.csv")])
         self._assert_clean_data_error(rc, capsys, out, "hop_ms=20.0")
+
+    def test_hmm_rejected_before_audio(self, trained, tmp_path, capsys):
+        # a checkpoint carries no fitted HMM, so fail before any work
+        out = tmp_path / "out"
+        rc = main(FAST + ["--set", "smoothing_method=hmm", "predict",
+                          str(tmp_path / "missing.wav"), "--checkpoint",
+                          str(trained / "checkpoint.npz"),
+                          "--out", str(out / "pred.csv"),
+                          "--label-out", str(out / "pred.lab")])
+        self._assert_clean_data_error(rc, capsys, out,
+                                      "hmm smoothing requires a fitted model")
 
     def test_truncated_checkpoint(self, corpus, trained, tmp_path, capsys):
         ckpt = tmp_path / "checkpoint.npz"

@@ -100,6 +100,38 @@ class TestLoadLabels:
         assert np.array_equal(back.labels, labels)
 
 
+def loop_save_labels(path, track):
+    """The per-frame run scan save_labels replaced, kept as its reference."""
+    centers = track.grid.frame_times()
+    hop_s = track.grid.hop / track.grid.sample_rate
+    lines = []
+    labels = track.labels
+    i = 0
+    while i < len(labels):
+        j = i
+        while j + 1 < len(labels) and labels[j + 1] == labels[i]:
+            j += 1
+        token = "sing" if labels[i] == 1 else "nosing"
+        lines.append(f"{centers[i] - hop_s / 2:.6f} "
+                     f"{centers[j] + hop_s / 2:.6f} {token}")
+        i = j + 1
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + ("\n" if lines else ""))
+
+
+class TestSaveLabels:
+    @pytest.mark.parametrize("p_vocal", [0.02, 0.5, 0.98])
+    def test_matches_loop_reference_bytes(self, tmp_path, p_vocal):
+        r = np.random.default_rng(int(p_vocal * 100))
+        lengths = [0, 1, 2, 999] + list(r.integers(3, 3001, size=12))
+        for n in lengths:
+            t = track((r.random(n) < p_vocal).astype(np.int8))
+            save_labels(tmp_path / "got.lab", t)
+            loop_save_labels(tmp_path / "want.lab", t)
+            assert ((tmp_path / "got.lab").read_bytes()
+                    == (tmp_path / "want.lab").read_bytes()), n
+
+
 class TestConfusionAndMetrics:
     def test_hand_counts(self):
         pred = track([1, 1, 0, 0, 1, 0])

@@ -14,8 +14,7 @@ from svdet.model import (LrcnConfig, TrainConfig, bce_loss, binary_f1,
                          forward_blocks, init_params, lrcn_backward,
                          lrcn_cell_step, param_shapes, params_to_vector,
                          predict_track, read_checkpoint, save_checkpoint,
-                         train_lrcn, train_linear_baseline, vector_to_params,
-                         zero_params)
+                         train_lrcn, vector_to_params, zero_params)
 from svdet.pipeline import PipelineConfig
 
 SMALL = LrcnConfig(input_dim=6, block_len=5, n_filters=8, hidden_size=8,
@@ -310,14 +309,16 @@ class TestTraining:
 
     def test_overfits_separable_blocks(self, rng):
         x, y = self._separable(rng)
-        cfg = TrainConfig(learning_rate=0.05, epochs=200, batch_size=8, seed=0)
+        cfg = TrainConfig(learning_rate=0.05, momentum=0.9, epochs=200,
+                          batch_size=8, seed=0, patience=10)
         params, history = train_lrcn(x, y, SMALL, cfg)
         post = forward_blocks(x, params, SMALL)
         assert np.all((post >= 0.5) == (y == 1.0))
 
     def test_zero_learning_rate_no_change(self, rng):
         x, y = self._separable(rng)
-        cfg = TrainConfig(learning_rate=0.0, epochs=5, batch_size=4, seed=1)
+        cfg = TrainConfig(learning_rate=0.0, momentum=0.9, epochs=5,
+                          batch_size=4, seed=1, patience=10)
         params, history = train_lrcn(x, y, SMALL, cfg)
         init = init_params(SMALL, seed=1)
         assert np.array_equal(params_to_vector(params, SMALL),
@@ -327,7 +328,8 @@ class TestTraining:
 
     def test_same_seed_identical_history(self, rng):
         x, y = self._separable(rng)
-        cfg = TrainConfig(learning_rate=0.01, epochs=10, batch_size=4, seed=7)
+        cfg = TrainConfig(learning_rate=0.01, momentum=0.9, epochs=10,
+                          batch_size=4, seed=7, patience=10)
         _, h1 = train_lrcn(x, y, SMALL, cfg)
         _, h2 = train_lrcn(x, y, SMALL, cfg)
         assert h1 == h2
@@ -335,13 +337,15 @@ class TestTraining:
     def test_divergence_aborts(self, rng):
         x, y = self._separable(rng)
         x[0, 0, 0] = np.nan  # poisons the posterior, so the loss goes non-finite
-        cfg = TrainConfig(learning_rate=0.01, epochs=5, batch_size=8, seed=0)
+        cfg = TrainConfig(learning_rate=0.01, momentum=0.9, epochs=5,
+                          batch_size=8, seed=0, patience=10)
         with pytest.raises(DivergenceError):
             train_lrcn(x, y, SMALL, cfg)
 
     def test_empty_training_set(self):
         with pytest.raises(DataError):
-            train_lrcn(np.zeros((0, 5, 6)), np.zeros(0), SMALL, TrainConfig())
+            train_lrcn(np.zeros((0, 5, 6)), np.zeros(0), SMALL,
+                       PipelineConfig().train_config())
 
 
 class TestPredictTrack:
@@ -397,8 +401,8 @@ class TestPredictTrack:
 
     @pytest.mark.parametrize("n_frames", [1, 3, 29, 600])
     def test_equals_stacked_blocks_bitwise(self, n_frames):
-        cfg = LrcnConfig(input_dim=6, n_filters=4, hidden_size=8,
-                         dense_sizes=(4,))
+        cfg = LrcnConfig(input_dim=6, block_len=29, n_filters=4,
+                         hidden_size=8, dense_sizes=(4,))
         p = init_params(cfg, seed=15)
         values = np.random.default_rng(n_frames).standard_normal((n_frames, 6))
         half = cfg.block_len // 2
@@ -491,36 +495,6 @@ class TestCheckpoint:
                                               dtype=np.uint8),
                  **small_params(), __norm_min__=self.STATS.col_min,
                  __norm_max__=self.STATS.col_max)
-        with pytest.raises(DataError, match="unsupported checkpoint version 1"):
+        with pytest.raises(DataError) as info:
             read_checkpoint(path)
-
-
-class TestLinearBaseline:
-    def test_separable_2d(self, rng):
-        x = np.concatenate([rng.normal(-2.0, 0.3, size=(50, 2)),
-                            rng.normal(2.0, 0.3, size=(50, 2))])
-        y = np.concatenate([np.zeros(50), np.ones(50)])
-        clf = train_linear_baseline(x, y)
-        assert np.mean(clf.predict(x) == y) == 1.0
-
-    def test_zero_weights_half(self):
-        from svdet.model import LinearBaseline
-        clf = LinearBaseline(w=np.zeros(3), b=0.0)
-        assert np.allclose(clf.predict_proba(np.ones((4, 3))), 0.5)
-
-    def test_single_class_error(self, rng):
-        with pytest.raises(DataError):
-            train_linear_baseline(rng.standard_normal((10, 2)), np.ones(10))
-
-    def test_shared_scale_after_refit_same_decisions(self, rng):
-        x = np.concatenate([rng.normal(-1.0, 0.4, size=(40, 2)),
-                            rng.normal(1.0, 0.4, size=(40, 2))])
-        y = np.concatenate([np.zeros(40), np.ones(40)])
-
-        def minmax(v):
-            lo, hi = v.min(axis=0), v.max(axis=0)
-            return (v - lo) / (hi - lo)
-
-        d1 = train_linear_baseline(minmax(x), y).predict(minmax(x))
-        d2 = train_linear_baseline(minmax(3.0 * x), y).predict(minmax(3.0 * x))
-        assert np.array_equal(d1, d2)
+        assert str(info.value) == "unsupported checkpoint version 1"
