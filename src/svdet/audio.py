@@ -16,6 +16,13 @@ from .errors import DataError
 
 INT16_SCALE = 32768.0
 
+# Rows of a full-spectrogram intermediate built at a time. stft, istft,
+# the LPC autocorrelation and the beat spectrum fill one preallocated
+# result chunk by chunk, so their temporaries are this many rows long
+# whatever the clip length. FFT rows do not depend on the rows computed
+# with them, so every value is the same for any chunk size.
+CHUNK_ROWS = 32
+
 
 @dataclass(frozen=True)
 class AudioClip:
@@ -117,6 +124,12 @@ def save_wav(path, clip: AudioClip) -> None:
         wf.writeframes(pcm.tobytes())
 
 
+def row_chunks(n_rows: int):
+    """Consecutive slices of at most CHUNK_ROWS rows covering n_rows."""
+    return [slice(start, min(start + CHUNK_ROWS, n_rows))
+            for start in range(0, n_rows, CHUNK_ROWS)]
+
+
 def frame_grid(n_samples: int, sample_rate: int, frame_ms: float,
                hop_ms: float) -> FrameGrid:
     """Overlapping frames over n_samples; the trailing remainder is dropped."""
@@ -153,8 +166,11 @@ def stft(clip: AudioClip, grid: FrameGrid, n_fft: int = 1024) -> Spectrogram:
         raise DataError(f"n_fft {n_fft} smaller than frame length {grid.frame_len}")
     if n_fft & (n_fft - 1):
         raise DataError(f"n_fft {n_fft} is not a power of two")
-    frames = frame_matrix(clip, grid) * _window(grid)
-    bins = np.fft.rfft(frames, n=n_fft, axis=1)
+    frames = frame_matrix(clip, grid)
+    win = _window(grid)
+    bins = np.empty((grid.n_frames, n_fft // 2 + 1), dtype=np.complex128)
+    for rows in row_chunks(grid.n_frames):
+        np.fft.rfft(frames[rows] * win, n=n_fft, axis=1, out=bins[rows])
     return Spectrogram(bins=bins, grid=grid, n_fft=n_fft)
 
 
@@ -167,17 +183,21 @@ def istft(spec: Spectrogram) -> AudioClip:
         raise DataError(
             f"hop {grid.hop} violates constant overlap-add for the window"
         )
-    frames = np.fft.irfft(spec.bins, n=spec.n_fft, axis=1)[:, : grid.frame_len]
-    frames *= win
-    # Hamming is COLA only for hops dividing the frame: chunk c of frame i
-    # lands on output chunk i + c, the largest c first as in frame order.
+    # Hamming is COLA only for hops dividing the frame: piece c of frame i
+    # lands on output piece i + c. Frames are added in frame order, a
+    # chunk of frames at a time, each chunk with the largest c first.
     m = grid.frame_len // grid.hop
-    chunks = frames.reshape(grid.n_frames, m, grid.hop)
     wsq = (win ** 2).reshape(m, grid.hop)
     num = np.zeros((grid.n_frames + m - 1, grid.hop))
     den = np.zeros_like(num)
+    for rows in row_chunks(grid.n_frames):
+        frames = np.fft.irfft(spec.bins[rows], n=spec.n_fft, axis=1)
+        pieces = (frames[:, : grid.frame_len] * win).reshape(-1, m, grid.hop)
+        for c in range(m - 1, -1, -1):
+            num[rows.start + c : rows.stop + c] += pieces[:, c]
     for c in range(m - 1, -1, -1):
-        num[c : c + grid.n_frames] += chunks[:, c]
         den[c : c + grid.n_frames] += wsq[c]
-    out = np.divide(num, den, out=np.zeros_like(num), where=den > 1e-12).ravel()
-    return AudioClip(samples=out, sample_rate=grid.sample_rate)
+    covered = den > 1e-12
+    np.divide(num, den, out=num, where=covered)
+    num[~covered] = 0.0
+    return AudioClip(samples=num.ravel(), sample_rate=grid.sample_rate)

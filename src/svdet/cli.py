@@ -261,10 +261,20 @@ COMMANDS = {
 }
 
 
+def _configure_logging():
+    """Set the root log level from SVDET_LOG, a level name (default WARNING)."""
+    name = os.environ.get("SVDET_LOG", "WARNING").upper()
+    level = logging.getLevelNamesMapping().get(name)
+    if level is None:
+        raise UsageError(f"SVDET_LOG: unknown log level {name!r}, expected "
+                         "DEBUG, INFO, WARNING, ERROR or CRITICAL")
+    logging.basicConfig(level=level)
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("SVDET_LOG", "WARNING").upper())
     writer = ArtifactWriter()
     try:
+        _configure_logging()
         args = build_parser().parse_args(argv)
         cfg = resolve_config(args.config, args.overrides)
         COMMANDS[args.command](args, cfg, writer)
@@ -272,7 +282,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing input or an unwritable output path
         writer.cleanup()
         print(f"error: data: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dct
 
-from .audio import FrameGrid, Spectrogram
+from .audio import FrameGrid, Spectrogram, row_chunks
 from .errors import DataError
 
 LOG_FLOOR = 1e-10
@@ -192,8 +192,16 @@ def _lpc_cepstra(r: np.ndarray, order: int, n_coeffs: int):
 
 
 def autocorr_from_spectrogram(spec: Spectrogram, max_lag: int) -> np.ndarray:
-    """Autocorrelation of each windowed frame via its power spectrum."""
-    return np.fft.irfft(spec.power(), n=spec.n_fft, axis=1)[:, : max_lag + 1]
+    """Autocorrelation of each windowed frame via its power spectrum.
+
+    Runs a chunk of frames at a time and keeps lags 0..max_lag of each.
+    """
+    n_lags = min(max_lag + 1, spec.n_fft)
+    r = np.empty((spec.grid.n_frames, n_lags))
+    for rows in row_chunks(spec.grid.n_frames):
+        power = np.abs(spec.bins[rows]) ** 2
+        r[rows] = np.fft.irfft(power, n=spec.n_fft, axis=1)[:, :n_lags]
+    return r
 
 
 def lpcc(spec: Spectrogram, order: int = 12, n_coeffs: int = 13) -> FeatureMatrix:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioClip, Spectrogram, frame_signal, istft, stft
+from .audio import AudioClip, frame_signal, istft, row_chunks, stft
 from .errors import ClipTooShortError, DataError
 
 MASK_EPS = 1e-10
@@ -49,22 +49,25 @@ def beat_spectrum(mag: np.ndarray, max_lag: int | None = None) -> np.ndarray:
     if max_lag is None:
         max_lag = n_frames - 1
     max_lag = min(max_lag, n_frames - 1)
-    x = np.ascontiguousarray(mag.T)  # rows = frequency bins
-    # FFT-based linear autocorrelation of every row
     n = 1
     while n < 2 * n_frames:
         n *= 2
-    spec = np.fft.rfft(x, n=n, axis=1)
-    ac = np.fft.irfft(np.abs(spec) ** 2, n=n, axis=1)[:, : max_lag + 1]
-    cum = np.cumsum(x ** 2, axis=1)
-    # norm[:, l] = sqrt(energy of x[l : T] * energy of x[0 : T-l])
-    norm = np.empty_like(ac)
-    norm[:, 0] = cum[:, -1]
-    np.subtract(cum[:, -1:], cum[:, :max_lag], out=norm[:, 1:])
-    norm *= cum[:, n_frames - 1 - max_lag :][:, ::-1]
-    np.sqrt(norm, out=norm)
-    np.maximum(norm, 1e-300, out=norm)
-    ac /= norm
+    # one chunk of frequency bins at a time, each bin a row
+    ac = np.empty((mag.shape[1], max_lag + 1))
+    for rows in row_chunks(mag.shape[1]):
+        x = np.ascontiguousarray(mag[:, rows].T)
+        # FFT-based linear autocorrelation of every row
+        spec = np.fft.rfft(x, n=n, axis=1)
+        acc = np.fft.irfft(np.abs(spec) ** 2, n=n, axis=1)[:, : max_lag + 1]
+        cum = np.cumsum(x ** 2, axis=1)
+        # norm[:, l] = sqrt(energy of x[l : T] * energy of x[0 : T-l])
+        norm = np.empty_like(acc)
+        norm[:, 0] = cum[:, -1]
+        np.subtract(cum[:, -1:], cum[:, :max_lag], out=norm[:, 1:])
+        norm *= cum[:, n_frames - 1 - max_lag :][:, ::-1]
+        np.sqrt(norm, out=norm)
+        np.maximum(norm, 1e-300, out=norm)
+        np.divide(acc, norm, out=ac[rows])
     # per row ac[l] <= ac[0] by Cauchy-Schwarz, so lag 0 stays the maximum
     return ac.mean(axis=0)
 
@@ -102,16 +105,21 @@ def repet_mask(mag: np.ndarray, period: int) -> SoftMask:
     if period < 1:
         raise DataError("period must be >= 1")
     q, r = divmod(mag.shape[0], period)
-    model = mag  # period >= n_frames: each offset holds one frame
-    if q:  # offsets below r also see the trailing partial period
+    if q:
         reps = mag[: q * period].reshape(q, period, -1)
-        low = np.concatenate([reps[:, :r], mag[None, q * period :]])
-        per_offset = np.concatenate([np.median(low, axis=0),
-                                     np.median(reps[:, r:], axis=0)])
-        model = np.concatenate([np.tile(per_offset, (q, 1)), per_offset[:r]])
-    w = np.minimum(model, mag)
-    weights = w / (mag + MASK_EPS)
-    return SoftMask(weights=np.clip(weights, 0.0, 1.0))
+        # offsets below r also see the trailing partial period; their
+        # stack is a copy, so its median may partition it in place
+        low = np.median(np.concatenate([reps[:, :r], mag[None, q * period :]]),
+                        axis=0, overwrite_input=True)
+        per_offset = np.concatenate([low, np.median(reps[:, r:], axis=0)])
+        weights = np.empty_like(mag)
+        weights[: q * period].reshape(reps.shape)[:] = per_offset
+        weights[q * period :] = per_offset[:r]
+        np.minimum(weights, mag, out=weights)
+    else:  # period >= n_frames: each offset holds one frame
+        weights = mag.copy()
+    weights /= mag + MASK_EPS
+    return SoftMask(weights=np.clip(weights, 0.0, 1.0, out=weights))
 
 
 def vocal_mask(acc_mask: SoftMask) -> SoftMask:
@@ -147,10 +155,16 @@ def separate(clip: AudioClip, frame_ms: float = 40.0, hop_ms: float = 20.0,
     mag = spec.magnitude()
     bs = beat_spectrum(mag)
     period = estimate_period(bs, (lo, hi))
+    # each full-size array is dropped after its last use, and the mixture
+    # STFT becomes the vocal's in place
     acc = repet_mask(mag, period)
+    del mag
     voc = vocal_mask(acc)
-    voc_clip = istft(Spectrogram(bins=spec.bins * voc.weights, grid=grid,
-                                 n_fft=n_fft))
+    del acc
+    np.multiply(spec.bins, voc.weights, out=spec.bins)
+    del voc
+    voc_clip = istft(spec)
+    del spec
     n, span = len(clip.samples), len(voc_clip.samples)
     vocal, accompaniment = np.zeros(n), np.zeros(n)
     vocal[:span] = voc_clip.samples

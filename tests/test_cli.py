@@ -128,6 +128,47 @@ class TestExitCodes:
         assert main(["separate", str(tmp_path / "missing.wav"),
                      "--out-dir", str(tmp_path / "out")]) == 2
 
+    def test_unknown_log_level_usage(self, monkeypatch, capsys):
+        monkeypatch.setenv("SVDET_LOG", "verbose")
+        assert main(["evaluate", "--pred", "a", "--truth", "b",
+                     "--out", "c"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "SVDET_LOG" in err
+
+    def test_features_out_is_a_directory(self, corpus, tmp_path, capsys):
+        wav = sorted((corpus / "audio").glob("*.wav"))[0]
+        out = tmp_path / "existing"
+        out.mkdir()
+        assert main(FAST + ["features", str(wav), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Is a directory" in err
+        assert out.is_dir() and not any(out.iterdir())
+        assert [p.name for p in tmp_path.iterdir()] == ["existing"]
+
+    def test_separate_out_dir_under_a_file(self, corpus, tmp_path, capsys):
+        wav = sorted((corpus / "audio").glob("*.wav"))[0]
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        assert main(["separate", str(wav), "--out-dir",
+                     str(blocker / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Not a directory" in err
+        assert blocker.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+
+    def test_unwritable_label_out_removes_the_csv(self, corpus, tmp_path,
+                                                  capsys):
+        wav = sorted((corpus / "audio").glob("*.wav"))[0]
+        ckpt = zero_checkpoint(tmp_path / "zero.npz", separate=False)
+        (tmp_path / "labels").mkdir()
+        assert main(FAST + ["predict", str(wav), "--checkpoint", str(ckpt),
+                            "--out", str(tmp_path / "pred.csv"),
+                            "--label-out", str(tmp_path / "labels")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Is a directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["labels",
+                                                              "zero.npz"]
+
 
 class TestSeparateCommand:
     def test_writes_both_stems_and_manifest(self, corpus, tmp_path):
