@@ -170,7 +170,7 @@ def stft(clip: AudioClip, grid: FrameGrid, n_fft: int = 1024) -> Spectrogram:
     win = _window(grid)
     bins = np.empty((grid.n_frames, n_fft // 2 + 1), dtype=np.complex128)
     for rows in row_chunks(grid.n_frames):
-        np.fft.rfft(frames[rows] * win, n=n_fft, axis=1, out=bins[rows])
+        bins[rows] = np.fft.rfft(frames[rows] * win, n=n_fft, axis=1)
     return Spectrogram(bins=bins, grid=grid, n_fft=n_fft)
 
 

@@ -264,8 +264,8 @@ COMMANDS = {
 def _configure_logging():
     """Set the root log level from SVDET_LOG, a level name (default WARNING)."""
     name = os.environ.get("SVDET_LOG", "WARNING").upper()
-    level = logging.getLevelNamesMapping().get(name)
-    if level is None:
+    level = logging.getLevelName(name)  # an int for a level name
+    if not isinstance(level, int):
         raise UsageError(f"SVDET_LOG: unknown log level {name!r}, expected "
                          "DEBUG, INFO, WARNING, ERROR or CRITICAL")
     logging.basicConfig(level=level)

@@ -112,7 +112,8 @@ def repet_mask(mag: np.ndarray, period: int) -> SoftMask:
         low = np.median(np.concatenate([reps[:, :r], mag[None, q * period :]]),
                         axis=0, overwrite_input=True)
         per_offset = np.concatenate([low, np.median(reps[:, r:], axis=0)])
-        weights = np.empty_like(mag)
+        # C order, so the reshape below is a view whatever mag's layout
+        weights = np.empty(mag.shape)
         weights[: q * period].reshape(reps.shape)[:] = per_offset
         weights[q * period :] = per_offset[:r]
         np.minimum(weights, mag, out=weights)

@@ -102,6 +102,12 @@ class TestRepetMask:
             got = repet_mask(mag, period).weights
             assert np.array_equal(got, reference_repet_mask(mag, period)), period
 
+    def test_fortran_ordered_input(self, rng):
+        mag = np.asfortranarray(rng.uniform(0.0, 1.0, size=(37, 7)))
+        for period in (1, 5, 7, 19, 37, 40):
+            got = repet_mask(mag, period).weights
+            assert np.array_equal(got, reference_repet_mask(mag, period)), period
+
     def test_purely_periodic_vocal_mask_near_zero(self):
         mag = periodic_magnitude(6, 5, 8)
         acc = repet_mask(mag, 6)
