@@ -12,11 +12,11 @@ from .evaluation import EvalReport, confusion_counts, kfold_split, \
     load_labels, metrics
 from .features import FeatureMatrix, NormStats, apply_norm, blockify, \
     fit_norm_stats, lpcc, mfcc, plp
-from .model import LrcnConfig, TrainConfig, lrcn_backward, lrcn_cell_step, \
-    predict_track, train_lrcn
+from .model import LrcnConfig, lrcn_backward, lrcn_cell_step, predict_track, \
+    train_lrcn
 from .separation import beat_spectrum, estimate_period, repet_mask, separate
-from .smoothing import HmmGmmModel, SmoothingConfig, fit_hmm_gmm, \
-    median_filter, viterbi_decode
+from .smoothing import HmmGmmModel, fit_hmm_gmm, median_filter, \
+    viterbi_decode
 from .tracks import LabelTrack, PredictionTrack
 
 __version__ = "0.1.0"

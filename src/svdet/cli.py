@@ -167,7 +167,8 @@ def cmd_predict(args, cfg, writer):
     raw = pipeline.clip_features(clip, cfg)
     feat = features.apply_norm(raw, stats)
     track = model.predict_track(feat, params, lrcn_cfg)
-    smoothed = smoothing.smooth(track, cfg.smoothing_config())
+    smoothed = smoothing.smooth(track, cfg.smoothing_method,
+                                cfg.median_window)
     out = writer.register(args.out)
     times = feat.grid.frame_times()
     with open(out, "w", newline="") as fh:

@@ -164,7 +164,7 @@ def pooled_report(per_file_counts: dict) -> EvalReport:
     return report
 
 
-def kfold_split(items, k: int = 5, seed: int = 0):
+def kfold_split(items, k: int, seed: int):
     """Deterministic shuffled partition into k folds of near-equal size.
 
     Splitting is always by whole item (file), never by frame.

@@ -286,7 +286,7 @@ def extract_features(spec: Spectrogram, tag: str) -> list[FeatureMatrix]:
     return [extractors[name](spec) for name in FEATURE_SETS[tag]]
 
 
-def blockify(values: np.ndarray, block_len: int = 29, stride: int = 5,
+def blockify(values: np.ndarray, block_len: int, stride: int = 1,
              pad: bool = False) -> np.ndarray:
     """Fixed-length blocks of frames as one (n_blocks, block_len, dim) view.
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict
+from typing import TYPE_CHECKING
 from zipfile import BadZipFile
 
 import numpy as np
@@ -35,7 +36,11 @@ from .errors import DataError, DivergenceError
 from .features import FeatureMatrix, NormStats, blockify
 from .tracks import PredictionTrack
 
+if TYPE_CHECKING:  # pipeline imports this module
+    from .pipeline import PipelineConfig
+
 CHECKPOINT_VERSION = 2
+PREDICT_BATCH = 512  # blocks per forward_blocks call in predict_track
 
 
 @dataclass(frozen=True)
@@ -58,22 +63,6 @@ class LrcnConfig:
     @property
     def conv_dim(self) -> int:
         return self.n_filters * self.input_dim
-
-
-@dataclass
-class TrainConfig:
-    """Optimizer settings; PipelineConfig holds their defaults."""
-
-    learning_rate: float
-    momentum: float
-    epochs: int
-    batch_size: int
-    seed: int
-    patience: int
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise DataError("learning rate must be >= 0")
 
 
 def param_shapes(cfg: LrcnConfig):
@@ -99,7 +88,7 @@ def param_shapes(cfg: LrcnConfig):
     return shapes
 
 
-def init_params(cfg: LrcnConfig, seed: int = 0) -> dict:
+def init_params(cfg: LrcnConfig, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     params = {}
     for name, shape in param_shapes(cfg):
@@ -344,18 +333,19 @@ def binary_f1(pred: np.ndarray, truth: np.ndarray) -> float:
     return 2.0 * tp / (2 * tp + fp + fn)
 
 
-def train_lrcn(train_x, train_y, cfg: LrcnConfig, tcfg: TrainConfig,
+def train_lrcn(train_x, train_y, cfg: LrcnConfig, pcfg: PipelineConfig,
                valid_x=None, valid_y=None):
     """Mini-batch gradient descent with momentum.
 
-    Returns (best params, history). With a validation set, the params
-    with the best validation F1 are kept and early stopping uses the
-    configured patience; otherwise the final params are returned.
+    Reads learning_rate, momentum, epochs, batch_size, seed and patience
+    from pcfg. Returns (best params, history). With a validation set, the
+    params with the best validation F1 are kept and early stopping uses
+    the patience; otherwise the final params are returned.
     """
     if len(train_x) == 0:
         raise DataError("empty training set")
-    rng = np.random.default_rng(tcfg.seed)
-    params = init_params(cfg, seed=tcfg.seed)
+    rng = np.random.default_rng(pcfg.seed)
+    params = init_params(cfg, seed=pcfg.seed)
     theta = params_to_vector(params, cfg)
     velocity = np.zeros_like(theta)
     history = []
@@ -363,12 +353,12 @@ def train_lrcn(train_x, train_y, cfg: LrcnConfig, tcfg: TrainConfig,
     best_score = -np.inf
     stale = 0
     n = len(train_x)
-    for epoch in range(tcfg.epochs):
+    for epoch in range(pcfg.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         n_batches = 0
-        for start in range(0, n, tcfg.batch_size):
-            idx = order[start : start + tcfg.batch_size]
+        for start in range(0, n, pcfg.batch_size):
+            idx = order[start : start + pcfg.batch_size]
             params = vector_to_params(theta, cfg)
             loss, grads = lrcn_backward(train_x[idx], train_y[idx], params, cfg)
             if not np.isfinite(loss):
@@ -376,7 +366,7 @@ def train_lrcn(train_x, train_y, cfg: LrcnConfig, tcfg: TrainConfig,
                     f"non-finite loss at epoch {epoch}, batch {n_batches}"
                 )
             gvec = params_to_vector(grads, cfg)
-            velocity = tcfg.momentum * velocity - tcfg.learning_rate * gvec
+            velocity = pcfg.momentum * velocity - pcfg.learning_rate * gvec
             theta = theta + velocity
             epoch_loss += loss
             n_batches += 1
@@ -392,7 +382,7 @@ def train_lrcn(train_x, train_y, cfg: LrcnConfig, tcfg: TrainConfig,
                 stale = 0
             else:
                 stale += 1
-            if stale > tcfg.patience:
+            if stale > pcfg.patience:
                 history.append(entry)
                 break
         else:
@@ -401,8 +391,8 @@ def train_lrcn(train_x, train_y, cfg: LrcnConfig, tcfg: TrainConfig,
     return vector_to_params(best_theta, cfg), history
 
 
-def predict_track(feat: FeatureMatrix, params: dict, cfg: LrcnConfig,
-                  batch_size: int = 512) -> PredictionTrack:
+def predict_track(feat: FeatureMatrix, params: dict,
+                  cfg: LrcnConfig) -> PredictionTrack:
     """One posterior per frame via stride-1 blocks with edge replication.
 
     The blocks are a window view of one padded matrix, so forward_blocks
@@ -410,9 +400,9 @@ def predict_track(feat: FeatureMatrix, params: dict, cfg: LrcnConfig,
     """
     x = blockify(feat.values, block_len=cfg.block_len, pad=True)
     post = np.empty(len(x))
-    for start in range(0, len(x), batch_size):
-        post[start : start + batch_size] = forward_blocks(
-            x[start : start + batch_size], params, cfg)
+    for start in range(0, len(x), PREDICT_BATCH):
+        post[start : start + PREDICT_BATCH] = forward_blocks(
+            x[start : start + PREDICT_BATCH], params, cfg)
     return PredictionTrack(posteriors=post, grid=feat.grid)
 
 

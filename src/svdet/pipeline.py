@@ -30,8 +30,8 @@ class PipelineConfig:
     separate: bool = True
     feature_tag: str = "mfcc"
     smoothing_method: str = "median"
-    median_window: int = smoothing.DEFAULT_MEDIAN_WINDOW
-    hmm_components: int = smoothing.DEFAULT_N_COMPONENTS
+    median_window: int = 87
+    hmm_components: int = 45
     # classifier
     block_len: int = 29
     n_filters: int = 16
@@ -59,9 +59,20 @@ class PipelineConfig:
         if not (self.sample_rate > 0 and 0 < hop <= frame < np.inf):
             raise DataError(f"need 0 < hop <= frame in samples, got hop/frame "
                             f"{self.hop_ms}/{self.frame_ms} ms at {self.sample_rate} Hz")
-        if self.folds < 2:
-            raise DataError(f"folds must be at least 2, got {self.folds}")
+        for name, low in (("folds", 2), ("block_len", 1), ("train_stride", 1),
+                          ("n_filters", 1), ("hidden_size", 1),
+                          ("batch_size", 1), ("hmm_components", 1),
+                          ("learning_rate", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not value >= low:  # also rejects a NaN learning rate
+                raise DataError(f"{name} must be at least {low}, got {value}")
         object.__setattr__(self, "dense_sizes", tuple(self.dense_sizes))
+        if min(self.dense_sizes, default=1) < 1:
+            raise DataError(f"dense_sizes must all be at least 1, "
+                            f"got {self.dense_sizes}")
+        if self.median_window < 1 or self.median_window % 2 == 0:
+            raise DataError(f"median_window must be odd and at least 1, "
+                            f"got {self.median_window}")
 
     def front_end(self) -> dict:
         """The settings that shape the features; a checkpoint records them."""
@@ -74,17 +85,6 @@ class PipelineConfig:
                                 n_filters=self.n_filters,
                                 hidden_size=self.hidden_size,
                                 dense_sizes=self.dense_sizes)
-
-    def train_config(self) -> model.TrainConfig:
-        return model.TrainConfig(learning_rate=self.learning_rate,
-                                 momentum=self.momentum, epochs=self.epochs,
-                                 batch_size=self.batch_size, seed=self.seed,
-                                 patience=self.patience)
-
-    def smoothing_config(self) -> smoothing.SmoothingConfig:
-        return smoothing.SmoothingConfig(method=self.smoothing_method,
-                                         median_window=self.median_window,
-                                         n_components=self.hmm_components)
 
 
 def clip_features(clip: AudioClip, cfg: PipelineConfig) -> FeatureMatrix:
@@ -128,7 +128,7 @@ def train_classifier(stems, feats, labels, cfg: PipelineConfig):
     x_va, y_va = (_training_arrays(valid, feats, labels, stats, cfg) if valid
                   else (None, None))
     lrcn_cfg = cfg.lrcn_config(input_dim=x_tr.shape[2])
-    params, history = model.train_lrcn(x_tr, y_tr, lrcn_cfg, cfg.train_config(),
+    params, history = model.train_lrcn(x_tr, y_tr, lrcn_cfg, cfg,
                                        valid_x=x_va, valid_y=y_va)
     return params, lrcn_cfg, stats, history
 
@@ -171,18 +171,19 @@ def run_kfold(stems, feats, labels, cfg: PipelineConfig) -> CorpusRun:
             train_stems, feats, labels, cfg)
         histories.append(history)
         fold_counts = {}
-        scfg = cfg.smoothing_config()
         hmm = None
-        if scfg.method == "hmm":
+        if cfg.smoothing_method == "hmm":
             tr_tracks = [model.predict_track(apply_norm(feats[s], stats),
                                              params, lrcn_cfg)
                          for s in train_stems]
             hmm = smoothing.fit_hmm_gmm(tr_tracks,
-                                        [labels[s] for s in train_stems], scfg)
+                                        [labels[s] for s in train_stems],
+                                        cfg.hmm_components)
         for stem in test_stems:
             track = model.predict_track(apply_norm(feats[stem], stats),
                                         params, lrcn_cfg)
-            pred = smoothing.smooth(track, scfg, model=hmm)
+            pred = smoothing.smooth(track, cfg.smoothing_method,
+                                    cfg.median_window, model=hmm)
             counts = evaluation.confusion_counts(pred, labels[stem])
             per_file_counts[stem] = counts
             fold_counts[stem] = counts

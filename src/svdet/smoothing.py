@@ -16,8 +16,6 @@ from scipy.special import logsumexp
 from .errors import DataError
 from .tracks import LabelTrack, PredictionTrack
 
-DEFAULT_MEDIAN_WINDOW = 87
-DEFAULT_N_COMPONENTS = 45
 DEFAULT_VAR_FLOOR = 1e-4
 WEIGHT_FLOOR = 1e-8
 LOG_EPS = 1e-300
@@ -62,20 +60,7 @@ class HmmGmmModel:
 SMOOTHING_METHODS = ("none", "median", "hmm")
 
 
-@dataclass
-class SmoothingConfig:
-    method: str = "median"       # one of SMOOTHING_METHODS
-    median_window: int = DEFAULT_MEDIAN_WINDOW
-    n_components: int = DEFAULT_N_COMPONENTS
-
-    def __post_init__(self):
-        if self.method not in SMOOTHING_METHODS:
-            raise DataError(f"unknown smoothing method {self.method!r}")
-        if self.median_window < 1 or self.median_window % 2 == 0:
-            raise DataError("median window must be odd and >= 1")
-
-
-def median_filter(track: PredictionTrack, window: int = DEFAULT_MEDIAN_WINDOW) -> LabelTrack:
+def median_filter(track: PredictionTrack, window: int) -> LabelTrack:
     """Threshold at 0.5, then sliding binary median with edge replication."""
     if window % 2 == 0 or window < 1:
         raise DataError("median window must be odd and >= 1")
@@ -137,9 +122,8 @@ def fit_gmm_1d(x: np.ndarray, n_components: int, max_iter: int = 200,
         ll_history, bool(degenerate)
 
 
-def fit_hmm_gmm(tracks, labels, config: SmoothingConfig) -> HmmGmmModel:
+def fit_hmm_gmm(tracks, labels, n_components: int) -> HmmGmmModel:
     """Transitions/initials by ML counts; per-state GMMs by EM."""
-    n_components = config.n_components
     if len(tracks) != len(labels) or not tracks:
         raise DataError("need matching, non-empty track and label lists")
     counts = np.zeros((2, 2))
@@ -201,13 +185,15 @@ def viterbi_decode(model: HmmGmmModel, track: PredictionTrack) -> LabelTrack:
     return LabelTrack(labels=path, grid=track.grid)
 
 
-def smooth(track: PredictionTrack, config: SmoothingConfig,
+def smooth(track: PredictionTrack, method: str, median_window: int,
            model: HmmGmmModel | None = None) -> LabelTrack:
-    """Apply the configured smoothing method to a posterior track."""
-    if config.method == "none":
+    """Apply a method of SMOOTHING_METHODS to a posterior track."""
+    if method == "none":
         return track.binarize()
-    if config.method == "median":
-        return median_filter(track, config.median_window)
+    if method == "median":
+        return median_filter(track, median_window)
+    if method != "hmm":
+        raise DataError(f"unknown smoothing method {method!r}")
     if model is None:
         raise DataError("hmm smoothing requires a fitted model")
     return viterbi_decode(model, track)

@@ -112,6 +112,34 @@ class TestResolveConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: data: need 0 < hop") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("item, message", [
+        ("batch_size=0", "batch_size must be at least 1"),
+        ("train_stride=0", "train_stride must be at least 1"),
+        ("block_len=0", "block_len must be at least 1"),
+        ("hmm_components=0", "hmm_components must be at least 1"),
+        ("median_window=4", "median_window must be odd"),
+        ("learning_rate=-1", "learning_rate must be at least 0"),
+        # found by the train fuzz below
+        ("seed=-1", "seed must be at least 0"),
+        ("n_filters=-1", "n_filters must be at least 1"),
+        ("hidden_size=-2", "hidden_size must be at least 1"),
+        ("dense_sizes=4,-1", "dense_sizes must all be at least 1"),
+    ])
+    def test_out_of_range_value_rejected_before_audio(
+            self, item, message, corpus, tmp_path, capsys, monkeypatch):
+        def no_audio(*args, **kwargs):
+            raise AssertionError("audio read before the config was checked")
+
+        monkeypatch.setattr(pipeline, "load_wav", no_audio)
+        rc = main(FAST + ["--set", "smoothing_method=hmm", "--set", item,
+                          "pipeline", "--audio-dir", str(corpus / "audio"),
+                          "--label-dir", str(corpus / "labels"),
+                          "--out-dir", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data: {message}")
+        assert err.count("\n") == 1
+
     def test_missing_config_file(self, capsys):
         assert main(["--config", "/nonexistent.conf", "evaluate",
                      "--pred", "a", "--truth", "b", "--out", "c"]) == 2
@@ -438,8 +466,9 @@ class TestShortClipFallback:
             assert len(list(csv.DictReader(fh))) == (32000 - 640) // 320 + 1
 
 
-# Per-key values that reach every config and front-end check without
-# asking for large arrays (n_fft <= 1024, hop >= 1 ms), plus garbage.
+# Per-key values that reach every config, front-end and training check
+# without asking for large arrays (n_fft <= 1024, hop >= 1 ms), plus
+# garbage.
 FUZZ_VALUES = {
     "sample_rate": ["16000", "8000", "1000", "3", "0", "-16000"],
     "frame_ms": ["40", "20", "64", "0.5", "0", "-40", "nan", "inf", "1e300"],
@@ -449,6 +478,14 @@ FUZZ_VALUES = {
     "feature_tag": ["mfcc", "plp", "lpcc", "lpcc_mfcc_plp", "mfcc_plp", ""],
     "smoothing_method": ["median", "hmm", "none", "viterbi"],
     "median_window": ["9", "1", "2", "0", "-3", "1001"],
+    "block_len": ["29", "5", "1", "0", "-1"],
+    "train_stride": ["5", "1", "0"],
+    "batch_size": ["32", "1", "0"],
+    "n_filters": ["4", "1", "0", "-1"],
+    "hidden_size": ["4", "2", "1", "0", "-2"],
+    "dense_sizes": ["4", "4,2", "", "0", "-1"],
+    "learning_rate": ["0.01", "0", "-1", "nan"],
+    "seed": ["0", "3", "-1"],
 }
 OTHER_KEYS = sorted({f.name for f in fields(PipelineConfig)} - set(FUZZ_VALUES))
 GARBAGE = st.one_of(st.sampled_from(["0", "-1", "nan", "inf", "1e300", "4,x"]),
@@ -479,14 +516,18 @@ def fuzz_inputs(trained, tmp_path_factory):
     (root / "garbage.npz").write_bytes(b"PK\x03\x04" + b"\x00" * 60)
     (root / "good.lab").write_text("0.0 1.5 sing\n1.5 3.0 nosing\n")
     (root / "garbage.lab").write_text("1.0 x\n")
+    # a one-clip corpus for train: garbage.wav above has a .lab beside it
+    for sub, name in (("audio", "good.wav"), ("labels", "good.lab")):
+        (root / "corpus" / sub).mkdir(parents=True)
+        (root / "corpus" / sub / name).write_bytes((root / name).read_bytes())
     return root
 
 
 class TestExitCodeFuzz:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(sets=FUZZ_SETS,
-           command=st.sampled_from(["separate", "features", "predict",
-                                    "evaluate"]),
+           command=st.sampled_from(["separate", "features", "train",
+                                    "predict", "evaluate"]),
            wav=st.sampled_from(["good", "truncated", "garbage"]),
            ckpt=st.sampled_from(["good", "truncated", "garbage"]),
            lab=st.sampled_from(["good", "garbage"]))
@@ -494,13 +535,18 @@ class TestExitCodeFuzz:
                                        ckpt, lab):
         """Any config and any corrupted input ends in 0-3, never a raise."""
         root = fuzz_inputs
-        argv = [a for kv in sets for a in ("--set", kv)] + [command]
+        # one epoch keeps a train example fast; a fuzzed epochs= overrides it
+        argv = ((["--set", "epochs=1"] if command == "train" else [])
+                + [a for kv in sets for a in ("--set", kv)] + [command])
         with tempfile.TemporaryDirectory(dir=root) as out:
             out = Path(out)
             argv += {
                 "separate": [str(root / f"{wav}.wav"), "--out-dir", str(out)],
                 "features": [str(root / f"{wav}.wav"), "--out",
                              str(out / "f.csv")],
+                "train": ["--audio-dir", str(root / "corpus" / "audio"),
+                          "--label-dir", str(root / "corpus" / "labels"),
+                          "--out-dir", str(out)],
                 "predict": [str(root / f"{wav}.wav"), "--checkpoint",
                             str(root / f"{ckpt}.npz"), "--out",
                             str(out / "p.csv"), "--label-out",

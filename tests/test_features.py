@@ -402,13 +402,13 @@ class TestBlockify:
 
     def test_fewer_frames_than_one_block(self):
         with pytest.raises(DataError, match="fewer frames"):
-            blockify(self._values(28), block_len=29)
+            blockify(self._values(28), block_len=29, stride=5)
         assert len(blockify(self._values(28), block_len=29, pad=True)) == 28
 
     def test_empty_matrix(self):
         for pad in (False, True):
             with pytest.raises(DataError):
-                blockify(np.zeros((0, 2)), pad=pad)
+                blockify(np.zeros((0, 2)), block_len=29, stride=5, pad=pad)
 
 
 class TestShiftCovariance:

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svdet import model
 from svdet.audio import FrameGrid
 from svdet.errors import DataError, DivergenceError
 from svdet.features import FeatureMatrix, NormStats, blockify
-from svdet.model import (LrcnConfig, TrainConfig, bce_loss, binary_f1,
-                         forward_blocks, init_params, lrcn_backward,
-                         lrcn_cell_step, param_shapes, params_to_vector,
-                         predict_track, read_checkpoint, save_checkpoint,
-                         train_lrcn, vector_to_params, zero_params)
+from svdet.model import (LrcnConfig, bce_loss, binary_f1, forward_blocks,
+                         init_params, lrcn_backward, lrcn_cell_step,
+                         param_shapes, params_to_vector, predict_track,
+                         read_checkpoint, save_checkpoint, train_lrcn,
+                         vector_to_params, zero_params)
 from svdet.pipeline import PipelineConfig
 
 SMALL = LrcnConfig(input_dim=6, block_len=5, n_filters=8, hidden_size=8,
@@ -309,16 +310,16 @@ class TestTraining:
 
     def test_overfits_separable_blocks(self, rng):
         x, y = self._separable(rng)
-        cfg = TrainConfig(learning_rate=0.05, momentum=0.9, epochs=200,
-                          batch_size=8, seed=0, patience=10)
+        cfg = PipelineConfig(learning_rate=0.05, momentum=0.9, epochs=200,
+                             batch_size=8, seed=0, patience=10)
         params, history = train_lrcn(x, y, SMALL, cfg)
         post = forward_blocks(x, params, SMALL)
         assert np.all((post >= 0.5) == (y == 1.0))
 
     def test_zero_learning_rate_no_change(self, rng):
         x, y = self._separable(rng)
-        cfg = TrainConfig(learning_rate=0.0, momentum=0.9, epochs=5,
-                          batch_size=4, seed=1, patience=10)
+        cfg = PipelineConfig(learning_rate=0.0, momentum=0.9, epochs=5,
+                             batch_size=4, seed=1, patience=10)
         params, history = train_lrcn(x, y, SMALL, cfg)
         init = init_params(SMALL, seed=1)
         assert np.array_equal(params_to_vector(params, SMALL),
@@ -328,8 +329,8 @@ class TestTraining:
 
     def test_same_seed_identical_history(self, rng):
         x, y = self._separable(rng)
-        cfg = TrainConfig(learning_rate=0.01, momentum=0.9, epochs=10,
-                          batch_size=4, seed=7, patience=10)
+        cfg = PipelineConfig(learning_rate=0.01, momentum=0.9, epochs=10,
+                             batch_size=4, seed=7, patience=10)
         _, h1 = train_lrcn(x, y, SMALL, cfg)
         _, h2 = train_lrcn(x, y, SMALL, cfg)
         assert h1 == h2
@@ -337,15 +338,15 @@ class TestTraining:
     def test_divergence_aborts(self, rng):
         x, y = self._separable(rng)
         x[0, 0, 0] = np.nan  # poisons the posterior, so the loss goes non-finite
-        cfg = TrainConfig(learning_rate=0.01, momentum=0.9, epochs=5,
-                          batch_size=8, seed=0, patience=10)
+        cfg = PipelineConfig(learning_rate=0.01, momentum=0.9, epochs=5,
+                             batch_size=8, seed=0, patience=10)
         with pytest.raises(DivergenceError):
             train_lrcn(x, y, SMALL, cfg)
 
     def test_empty_training_set(self):
         with pytest.raises(DataError):
             train_lrcn(np.zeros((0, 5, 6)), np.zeros(0), SMALL,
-                       PipelineConfig().train_config())
+                       PipelineConfig())
 
 
 class TestPredictTrack:
@@ -380,10 +381,11 @@ class TestPredictTrack:
                        - forward_blocks(block[None], p, SMALL)[0]) < 1e-12
 
 
-    def test_batches_match_stacked_blocks(self, rng):
+    def test_batches_match_stacked_blocks(self, rng, monkeypatch):
         p = small_params(seed=13)
         values = rng.standard_normal((9, 6))
-        track = predict_track(self._feat(values), p, SMALL, batch_size=4)
+        monkeypatch.setattr(model, "PREDICT_BATCH", 4)
+        track = predict_track(self._feat(values), p, SMALL)
         half = SMALL.block_len // 2
         idx = np.clip(np.arange(9)[:, None] + np.arange(SMALL.block_len) - half,
                       0, 8)
@@ -400,7 +402,7 @@ class TestPredictTrack:
                               forward_blocks(np.ascontiguousarray(x), p, SMALL))
 
     @pytest.mark.parametrize("n_frames", [1, 3, 29, 600])
-    def test_equals_stacked_blocks_bitwise(self, n_frames):
+    def test_equals_stacked_blocks_bitwise(self, n_frames, monkeypatch):
         cfg = LrcnConfig(input_dim=6, block_len=29, n_filters=4,
                          hidden_size=8, dense_sizes=(4,))
         p = init_params(cfg, seed=15)
@@ -416,8 +418,8 @@ class TestPredictTrack:
             ref = np.concatenate([
                 forward_blocks(blocks[s : s + batch_size], p, cfg)
                 for s in range(0, n_frames, batch_size)])
-            track = predict_track(self._feat(values), p, cfg,
-                                  batch_size=batch_size)
+            monkeypatch.setattr(model, "PREDICT_BATCH", batch_size)
+            track = predict_track(self._feat(values), p, cfg)
             assert np.array_equal(track.posteriors, ref)
 
 

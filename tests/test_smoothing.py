@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from svdet.audio import FrameGrid
 from svdet.errors import DataError
-from svdet.smoothing import (Gmm1d, HmmGmmModel, SmoothingConfig, fit_gmm_1d,
-                             fit_hmm_gmm, median_filter, smooth,
-                             viterbi_decode)
+from svdet.pipeline import PipelineConfig
+from svdet.smoothing import (Gmm1d, HmmGmmModel, fit_gmm_1d, fit_hmm_gmm,
+                             median_filter, smooth, viterbi_decode)
 from svdet.tracks import LabelTrack, PredictionTrack
 
 
@@ -143,8 +143,7 @@ class TestFitHmm:
     def test_transition_counts(self):
         lab = np.array([0, 0, 1, 1, 1, 0])
         track = make_track(np.where(lab == 1, 0.9, 0.1))
-        model = fit_hmm_gmm([track], [make_labels(lab)],
-                            SmoothingConfig(method="hmm", n_components=1))
+        model = fit_hmm_gmm([track], [make_labels(lab)], n_components=1)
         # transitions observed: 0->0, 0->1, 1->1, 1->1, 1->0
         assert model.transition[0] == pytest.approx([0.5, 0.5])
         assert model.transition[1] == pytest.approx([1 / 3, 2 / 3])
@@ -154,13 +153,11 @@ class TestFitHmm:
         lab = np.array([0] * 50 + [1] * 2)
         track = make_track(np.where(lab == 1, 0.9, 0.1))
         with pytest.raises(DataError):
-            fit_hmm_gmm([track], [make_labels(lab)],
-                        SmoothingConfig(method="hmm", n_components=5))
+            fit_hmm_gmm([track], [make_labels(lab)], n_components=5)
 
     def test_decoding_recovers_clean_labels(self, rng):
         tracks, labels = self._toy_corpus(rng)
-        model = fit_hmm_gmm(tracks, labels,
-                            SmoothingConfig(method="hmm", n_components=3))
+        model = fit_hmm_gmm(tracks, labels, n_components=3)
         decoded = viterbi_decode(model, tracks[0])
         agree = np.mean(decoded.labels == labels[0].labels)
         assert agree > 0.95
@@ -236,22 +233,22 @@ class TestViterbi:
 class TestSmoothDispatch:
     def test_none_is_threshold_only(self):
         track = make_track([0.4, 0.6, 0.5])
-        out = smooth(track, SmoothingConfig(method="none"))
+        out = smooth(track, "none", 3)
         assert out.labels.tolist() == [0, 1, 1]
 
     def test_median_dispatch(self):
         track = make_track([0.1, 0.9, 0.1, 0.1, 0.1])
-        out = smooth(track, SmoothingConfig(method="median", median_window=3))
+        out = smooth(track, "median", 3)
         assert out.labels.tolist() == [0, 0, 0, 0, 0]
 
     def test_hmm_without_model_error(self):
         with pytest.raises(DataError):
-            smooth(make_track([0.5]), SmoothingConfig(method="hmm"))
+            smooth(make_track([0.5]), "hmm", 3)
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(DataError):
-            SmoothingConfig(method="mode")
+        with pytest.raises(DataError, match="unknown smoothing method"):
+            smooth(make_track([0.5]), "mode", 3)
 
     def test_even_window_config_rejected(self):
-        with pytest.raises(DataError):
-            SmoothingConfig(method="median", median_window=86)
+        with pytest.raises(DataError, match="median_window"):
+            PipelineConfig(median_window=86)
