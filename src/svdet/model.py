@@ -19,12 +19,17 @@ reparameterizes the input projection. Stride-1 inference runs on a
 window view of one padded feature matrix, and forward_blocks projects
 each frame under such a view once, not once per block it falls in.
 
+Training keeps the parameters, gradients and momentum in flat vectors,
+reads params and grads as named views of them and updates all three in
+place, and each cell step writes straight into the forward cache.
+
 Everything is float64 numpy; forward/backward are batched over blocks.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 from typing import TYPE_CHECKING
 from zipfile import BadZipFile
@@ -103,23 +108,25 @@ def init_params(cfg: LrcnConfig, seed: int) -> dict:
     return params
 
 
-def zero_params(cfg: LrcnConfig) -> dict:
-    return {name: np.zeros(shape) for name, shape in param_shapes(cfg)}
-
-
-def params_to_vector(params: dict, cfg: LrcnConfig) -> np.ndarray:
-    return np.concatenate([np.ravel(params[n]) for n, _ in param_shapes(cfg)])
-
-
-def vector_to_params(vec: np.ndarray, cfg: LrcnConfig) -> dict:
+def param_views(vec: np.ndarray, cfg: LrcnConfig) -> dict:
+    """Named views of a flat parameter vector, in param_shapes order."""
     params, pos = {}, 0
     for name, shape in param_shapes(cfg):
-        size = int(np.prod(shape)) if shape else 1
-        params[name] = vec[pos : pos + size].reshape(shape).copy()
+        size = math.prod(shape)
+        params[name] = vec[pos : pos + size].reshape(shape)
         pos += size
     if pos != len(vec):
         raise DataError("parameter vector length mismatch")
     return params
+
+
+def zero_params(cfg: LrcnConfig) -> dict:
+    n = sum(math.prod(shape) for _, shape in param_shapes(cfg))
+    return param_views(np.zeros(n), cfg)
+
+
+def params_to_vector(params: dict, cfg: LrcnConfig) -> np.ndarray:
+    return np.concatenate([np.ravel(params[n]) for n, _ in param_shapes(cfg)])
 
 
 # ---------------------------------------------------------------------------
@@ -155,23 +162,28 @@ def _fuse_params(params: dict, cfg: LrcnConfig) -> dict:
             "Wo_c": params["Wo_c"]}
 
 
-def _cell_step(proj: np.ndarray, h: np.ndarray, c: np.ndarray, fused: dict):
+def _cell_step(proj: np.ndarray, h: np.ndarray, c: np.ndarray, fused: dict,
+               a: np.ndarray, h_new: np.ndarray, c_new: np.ndarray,
+               tanh_c: np.ndarray) -> None:
     """One fused LSTM step from the projected input proj (B, 4h).
 
-    Returns (h_new, c_new, gates, tanh(c_new)); gates (B, 4h) holds the
-    activated i, f, g and o side by side.
+    Writes the activated i, f, g and o side by side into a (B, 4h), and
+    the new hidden state, cell state and tanh(cell state) into h_new,
+    c_new and tanh_c (B, h); none of them may alias h or c.
     """
     n = h.shape[1]
-    a = proj + h @ fused["W_h"].T
+    np.matmul(h, fused["W_h"].T, out=a)
+    a += proj
     a[:, : 2 * n] += c @ fused["W_c"].T
     expit(a[:, : 2 * n], out=a[:, : 2 * n])
     np.tanh(a[:, 2 * n : 3 * n], out=a[:, 2 * n : 3 * n])
-    c_new = a[:, n : 2 * n] * c + a[:, :n] * a[:, 2 * n : 3 * n]
+    np.multiply(a[:, n : 2 * n], c, out=c_new)
+    c_new += a[:, :n] * a[:, 2 * n : 3 * n]
     # the output gate sees the freshly updated cell state
     a[:, 3 * n :] += c_new @ fused["Wo_c"].T
     expit(a[:, 3 * n :], out=a[:, 3 * n :])
-    tanh_c = np.tanh(c_new)
-    return a[:, 3 * n :] * tanh_c, c_new, a, tanh_c
+    np.tanh(c_new, out=tanh_c)
+    np.multiply(a[:, 3 * n :], tanh_c, out=h_new)
 
 
 def forward_blocks(x: np.ndarray, params: dict, cfg: LrcnConfig,
@@ -193,17 +205,17 @@ def forward_blocks(x: np.ndarray, params: dict, cfg: LrcnConfig,
     else:
         proj = (x.reshape(B * T, d) @ fused["A"].T
                 + fused["b"]).reshape(B, T, 4 * n)
-    h = np.zeros((B, n))
-    c = np.zeros((B, n))
-    if want_cache:
-        hs = np.zeros((T + 1, B, n))      # hs[t], cs[t]: state entering step t
-        cs = np.zeros((T + 1, B, n))
-        gates = np.empty((T, B, 4 * n))
-        tanh_cs = np.empty((T, B, n))
+    # hs[t], cs[t]: state entering step t. The cache keeps every step;
+    # inference alternates between two state slots and one gate slot.
+    S, G = (T + 1, T) if want_cache else (2, 1)
+    hs = np.zeros((S, B, n))
+    cs = np.zeros((S, B, n))
+    gates = np.empty((G, B, 4 * n))
+    tanh_cs = np.empty((G, B, n))
     for t in range(T):
-        h, c, a, tanh_c = _cell_step(proj[:, t], h, c, fused)
-        if want_cache:
-            hs[t + 1], cs[t + 1], gates[t], tanh_cs[t] = h, c, a, tanh_c
+        _cell_step(proj[:, t], hs[t % S], cs[t % S], fused, gates[t % G],
+                   hs[(t + 1) % S], cs[(t + 1) % S], tanh_cs[t % G])
+    h = hs[T % S]
     # head: max-pool pairs of hidden units, dense tanh stack, sigmoid
     L = cfg.pool_len
     hp = h.reshape(B, n // L, L)
@@ -227,8 +239,10 @@ def lrcn_cell_step(x_vec: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     """Single cell step on one frame vector; returns (h, c, gates dict)."""
     fused = _fuse_params(params, cfg)
     proj = x_vec[None] @ fused["A"].T + fused["b"]
-    h, c, a, _ = _cell_step(proj, h_prev[None], c_prev[None], fused)
     n = cfg.hidden_size
+    a = np.empty((1, 4 * n))
+    h, c, tanh_c = np.empty((3, 1, n))
+    _cell_step(proj, h_prev[None], c_prev[None], fused, a, h, c, tanh_c)
     gates = {"i": a[0, :n], "f": a[0, n : 2 * n], "o": a[0, 3 * n :]}
     return h[0], c[0], gates
 
@@ -241,8 +255,14 @@ def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(-y * np.log(pc) - (1.0 - y) * np.log(1.0 - pc)))
 
 
-def lrcn_backward(x: np.ndarray, y: np.ndarray, params: dict, cfg: LrcnConfig):
-    """Mean BCE loss and gradients for a batch of labelled blocks."""
+def lrcn_backward(x: np.ndarray, y: np.ndarray, params: dict, cfg: LrcnConfig,
+                  grads: dict | None = None):
+    """Mean BCE loss and gradients for a batch of labelled blocks.
+
+    The gradients are written into grads (arrays of param_shapes, such as
+    param_views of a flat vector), whatever they held; without grads they
+    go into new arrays. Returns (loss, grads).
+    """
     if len(x) == 0:
         raise DataError("empty batch")
     y = np.asarray(y, dtype=np.float64)
@@ -251,7 +271,13 @@ def lrcn_backward(x: np.ndarray, y: np.ndarray, params: dict, cfg: LrcnConfig):
     n = cfg.hidden_size
     fused = cache["fused"]
     loss = bce_loss(p, y)
-    grads = zero_params(cfg)
+    if grads is None:
+        grads = zero_params(cfg)
+    else:
+        # the head accumulates onto zeros, as a fresh gradient would
+        for name in ("out_w", "out_b", *(f"dense_{k}{li}" for li in
+                     range(len(cfg.dense_sizes)) for k in "Wb")):
+            grads[name][...] = 0.0
 
     dlogit = (p - y) / B
     u_last = cache["dense_us"][-1]
@@ -290,15 +316,16 @@ def lrcn_backward(x: np.ndarray, y: np.ndarray, params: dict, cfg: LrcnConfig):
         da = da.reshape(B, 4 * n)
         dh = da @ fused["W_h"]
         dc_carry = dc * f[t] + da[:, : 2 * n] @ fused["W_c"]
-    dpre = dpre.reshape(T, B, 4 * n)
 
-    over_steps = ([0, 1], [0, 1])
-    dA = np.tensordot(dpre, x.transpose(1, 0, 2), axes=over_steps)
-    db = dpre.sum(axis=(0, 1))
-    dW_h = np.tensordot(dpre, hs[:-1], axes=over_steps)
-    dW_c = np.tensordot(dpre[:, :, : 2 * n], cs[:-1], axes=over_steps)
-    grads["Wo_c"] = np.tensordot(dpre[:, :, 3 * n :], cs[1:], axes=over_steps)
-    grads["Wi_c"], grads["Wf_c"] = dW_c[:n], dW_c[n:]
+    # sums over all steps and blocks, with the np.dot np.tensordot would
+    # call (`@` rounds these transposed products differently at small h)
+    dpre = dpre.reshape(T * B, 4 * n)
+    dA = np.dot(dpre.T, x.transpose(1, 0, 2).reshape(T * B, d))
+    db = dpre.sum(axis=0)
+    dW_h = np.dot(dpre.T, hs[:-1].reshape(T * B, n))
+    dW_c = np.dot(dpre[:, : 2 * n].T, cs[:-1].reshape(T * B, n))
+    np.dot(dpre[:, 3 * n :].T, cs[1:].reshape(T * B, n), out=grads["Wo_c"])
+    grads["Wi_c"][...], grads["Wf_c"][...] = dW_c[:n], dW_c[n:]
 
     # chain dA and db back through the fold: dG[m, j, k] = dA_pad[m, j + k]
     # is the gradient of the G that _fuse_params sums into A
@@ -308,15 +335,15 @@ def lrcn_backward(x: np.ndarray, y: np.ndarray, params: dict, cfg: LrcnConfig):
     dA_pad = np.zeros((4 * n, d + kw - 1))
     dA_pad[:, pad_l : pad_l + d] = dA
     dG = np.lib.stride_tricks.sliding_window_view(dA_pad, kw, axis=1)
-    grads["conv_k"] = np.tensordot(W3, dG, axes=([0, 2], [0, 1]))
-    grads["conv_b"] = W3.sum(axis=2).T @ db
+    grads["conv_k"][...] = np.tensordot(W3, dG, axes=([0, 2], [0, 1]))
+    np.matmul(W3.sum(axis=2).T, db, out=grads["conv_b"])
     dW3 = (np.tensordot(dG, params["conv_k"], axes=([2], [1])).transpose(0, 2, 1)
            + np.outer(db, params["conv_b"])[:, :, None])
     for r, gate in enumerate(_GATES):
         rows = slice(r * n, (r + 1) * n)
-        grads[f"W{gate}_z"] = dW3[rows].reshape(n, cfg.conv_dim)
-        grads[f"W{gate}_h"] = dW_h[rows]
-        grads[f"b_{gate}"] = db[rows]
+        grads[f"W{gate}_z"][...] = dW3[rows].reshape(n, cfg.conv_dim)
+        grads[f"W{gate}_h"][...] = dW_h[rows]
+        grads[f"b_{gate}"][...] = db[rows]
     return loss, grads
 
 
@@ -345,8 +372,10 @@ def train_lrcn(train_x, train_y, cfg: LrcnConfig, pcfg: PipelineConfig,
     if len(train_x) == 0:
         raise DataError("empty training set")
     rng = np.random.default_rng(pcfg.seed)
-    params = init_params(cfg, seed=pcfg.seed)
-    theta = params_to_vector(params, cfg)
+    # params and grads are named views of theta and gvec, updated in place
+    theta = params_to_vector(init_params(cfg, seed=pcfg.seed), cfg)
+    gvec = np.empty_like(theta)
+    params, grads = param_views(theta, cfg), param_views(gvec, cfg)
     velocity = np.zeros_like(theta)
     history = []
     best_theta = theta.copy()
@@ -359,20 +388,23 @@ def train_lrcn(train_x, train_y, cfg: LrcnConfig, pcfg: PipelineConfig,
         n_batches = 0
         for start in range(0, n, pcfg.batch_size):
             idx = order[start : start + pcfg.batch_size]
-            params = vector_to_params(theta, cfg)
-            loss, grads = lrcn_backward(train_x[idx], train_y[idx], params, cfg)
+            loss, _ = lrcn_backward(train_x[idx], train_y[idx], params, cfg,
+                                    grads)
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, batch {n_batches}"
                 )
-            gvec = params_to_vector(grads, cfg)
-            velocity = pcfg.momentum * velocity - pcfg.learning_rate * gvec
-            theta = theta + velocity
+            # velocity = momentum * velocity - learning_rate * gvec
+            velocity *= pcfg.momentum
+            gvec *= pcfg.learning_rate
+            velocity -= gvec
+            theta += velocity
             epoch_loss += loss
             n_batches += 1
+        if not np.all(np.isfinite(theta)):
+            raise DivergenceError(f"non-finite parameters after epoch {epoch}")
         entry = {"epoch": epoch, "train_loss": epoch_loss / n_batches}
         if valid_x is not None and len(valid_x):
-            params = vector_to_params(theta, cfg)
             vp = forward_blocks(valid_x, params, cfg)
             score = binary_f1((vp >= 0.5).astype(int), valid_y.astype(int))
             entry["valid_f1"] = score
@@ -388,7 +420,7 @@ def train_lrcn(train_x, train_y, cfg: LrcnConfig, pcfg: PipelineConfig,
         else:
             best_theta = theta.copy()
         history.append(entry)
-    return vector_to_params(best_theta, cfg), history
+    return param_views(best_theta, cfg), history
 
 
 def predict_track(feat: FeatureMatrix, params: dict,

@@ -59,12 +59,16 @@ class PipelineConfig:
         if not (self.sample_rate > 0 and 0 < hop <= frame < np.inf):
             raise DataError(f"need 0 < hop <= frame in samples, got hop/frame "
                             f"{self.hop_ms}/{self.frame_ms} ms at {self.sample_rate} Hz")
+        for name in ("learning_rate", "momentum"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise DataError(f"{name} must be finite, got {value}")
         for name, low in (("folds", 2), ("block_len", 1), ("train_stride", 1),
                           ("n_filters", 1), ("hidden_size", 1),
                           ("batch_size", 1), ("hmm_components", 1),
-                          ("learning_rate", 0), ("seed", 0)):
+                          ("learning_rate", 0), ("momentum", 0), ("seed", 0)):
             value = getattr(self, name)
-            if not value >= low:  # also rejects a NaN learning rate
+            if not value >= low:
                 raise DataError(f"{name} must be at least {low}, got {value}")
         object.__setattr__(self, "dense_sizes", tuple(self.dense_sizes))
         if min(self.dense_sizes, default=1) < 1:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DataError
 from .tracks import LabelTrack, PredictionTrack
@@ -19,6 +18,31 @@ from .tracks import LabelTrack, PredictionTrack
 DEFAULT_VAR_FLOOR = 1e-4
 WEIGHT_FLOOR = 1e-8
 LOG_EPS = 1e-300
+
+
+def _logsumexp_rows(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """log(sum(b * exp(a), axis=1)) for a (N, K) and weights b (K,) >= 0.
+
+    Repeats scipy.special.logsumexp's arithmetic, so the result is
+    bitwise the same, without its array-API dispatch: zero-weight terms
+    drop out, the largest term of each row is split out of the sum, and
+    a row whose result is not finite falls back to the direct sum.
+    """
+    kept = a if b is None else np.where(b == 0, -np.inf, a)
+    a_max = kept.max(axis=1, keepdims=True)
+    top = kept == a_max
+    m = np.sum(top if b is None else b * top, axis=1, keepdims=True,
+               dtype=a.dtype)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.exp(np.where(top, -np.inf, kept) - a_max)
+        s = np.sum(e if b is None else b * e, axis=1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            e = np.exp(a[bad])
+            out[bad] = np.log(np.sum(e if b is None else b * e, axis=1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -40,7 +64,7 @@ class Gmm1d:
         comp = (-0.5 * np.log(2.0 * np.pi * self.variances)[None, :]
                 - 0.5 * (x[:, None] - self.means[None, :]) ** 2
                 / self.variances[None, :])
-        return logsumexp(comp, axis=1, b=self.weights[None, :])
+        return _logsumexp_rows(comp, self.weights)
 
 
 @dataclass(frozen=True)
@@ -97,7 +121,7 @@ def fit_gmm_1d(x: np.ndarray, n_components: int, max_iter: int = 200,
                     - 0.5 * np.log(2.0 * np.pi * variances)[None, :]
                     - 0.5 * (x[:, None] - means[None, :]) ** 2
                     / variances[None, :])
-        log_norm = logsumexp(log_comp, axis=1)
+        log_norm = _logsumexp_rows(log_comp)
         ll = float(log_norm.sum())
         resp = np.exp(log_comp - log_norm[:, None])
         nk = resp.sum(axis=0)

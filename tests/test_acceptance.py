@@ -14,8 +14,8 @@ import pytest
 from svdet.audio import AudioClip, frame_signal, istft, stft
 from svdet.evaluation import metrics
 from svdet.model import (LrcnConfig, bce_loss, forward_blocks, init_params,
-                         lrcn_backward, lrcn_cell_step, params_to_vector,
-                         vector_to_params, zero_params)
+                         lrcn_backward, lrcn_cell_step, param_views,
+                         params_to_vector, zero_params)
 from svdet.pipeline import PipelineConfig, load_corpus, run_kfold, run_corpus, \
     report_payload
 from svdet.separation import repet_mask, vocal_mask
@@ -76,8 +76,8 @@ def test_02_gradient_check(announce):
     for i in idx:
         tp = theta.copy(); tp[i] += delta
         tm = theta.copy(); tm[i] -= delta
-        lp = bce_loss(forward_blocks(x, vector_to_params(tp, cfg), cfg), y)
-        lm = bce_loss(forward_blocks(x, vector_to_params(tm, cfg), cfg), y)
+        lp = bce_loss(forward_blocks(x, param_views(tp, cfg), cfg), y)
+        lm = bce_loss(forward_blocks(x, param_views(tm, cfg), cfg), y)
         fd = (lp - lm) / (2 * delta)
         worst = max(worst, abs(fd - g[i]) / max(abs(fd), abs(g[i]), 1e-8))
     ok = worst < 1e-4

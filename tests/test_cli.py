@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svdet import pipeline
+from svdet import model, pipeline
 from svdet.audio import AudioClip, FrameGrid, load_wav, save_wav
 from svdet.cli import UsageError, main, resolve_config
 from svdet.errors import DataError
@@ -119,6 +119,11 @@ class TestResolveConfig:
         ("hmm_components=0", "hmm_components must be at least 1"),
         ("median_window=4", "median_window must be odd"),
         ("learning_rate=-1", "learning_rate must be at least 0"),
+        ("learning_rate=inf", "learning_rate must be finite"),
+        ("learning_rate=nan", "learning_rate must be finite"),
+        ("momentum=nan", "momentum must be finite"),
+        ("momentum=-inf", "momentum must be finite"),
+        ("momentum=-0.5", "momentum must be at least 0"),
         # found by the train fuzz below
         ("seed=-1", "seed must be at least 0"),
         ("n_filters=-1", "n_filters must be at least 1"),
@@ -196,6 +201,32 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "Is a directory" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["labels",
                                                               "zero.npz"]
+
+    def test_non_finite_parameters_exit_3_without_checkpoint(
+            self, corpus, tmp_path, capsys, monkeypatch):
+        # an inf gradient on the last batch leaves every loss finite, so
+        # only the parameter check after the epoch can catch it
+        backward = model.lrcn_backward
+        batches = []
+
+        def inf_gradient(x, y, params, cfg, grads=None):
+            loss, grads = backward(x, y, params, cfg, grads)
+            grads["Wo_c"][0, 0] = np.inf
+            batches.append(len(x))
+            return loss, grads
+
+        monkeypatch.setattr(model, "lrcn_backward", inf_gradient)
+        out = tmp_path / "run"
+        rc = main(FAST + ["--set", "epochs=1", "--set", "batch_size=100000",
+                          "train", "--audio-dir", str(corpus / "audio"),
+                          "--label-dir", str(corpus / "labels"),
+                          "--out-dir", str(out)])
+        assert len(batches) == 1  # one epoch of one batch: the last batch
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: divergence: non-finite parameters")
+        assert err.count("\n") == 1
+        assert not (out / "checkpoint.npz").exists()
 
 
 class TestSeparateCommand:

@@ -13,9 +13,9 @@ from svdet.errors import DataError, DivergenceError
 from svdet.features import FeatureMatrix, NormStats, blockify
 from svdet.model import (LrcnConfig, bce_loss, binary_f1, forward_blocks,
                          init_params, lrcn_backward, lrcn_cell_step,
-                         param_shapes, params_to_vector, predict_track,
-                         read_checkpoint, save_checkpoint, train_lrcn,
-                         vector_to_params, zero_params)
+                         param_shapes, param_views, params_to_vector,
+                         predict_track, read_checkpoint, save_checkpoint,
+                         train_lrcn, zero_params)
 from svdet.pipeline import PipelineConfig
 
 SMALL = LrcnConfig(input_dim=6, block_len=5, n_filters=8, hidden_size=8,
@@ -268,8 +268,8 @@ class TestBackward:
         for i in idx:
             tp = theta.copy(); tp[i] += delta
             tm = theta.copy(); tm[i] -= delta
-            lp = bce_loss(forward_blocks(x, vector_to_params(tp, SMALL), SMALL), y)
-            lm = bce_loss(forward_blocks(x, vector_to_params(tm, SMALL), SMALL), y)
+            lp = bce_loss(forward_blocks(x, param_views(tp, SMALL), SMALL), y)
+            lm = bce_loss(forward_blocks(x, param_views(tm, SMALL), SMALL), y)
             fd = (lp - lm) / (2 * delta)
             rel = abs(fd - g[i]) / max(abs(fd), abs(g[i]), 1e-8)
             assert rel < 1e-4
@@ -347,6 +347,86 @@ class TestTraining:
         with pytest.raises(DataError):
             train_lrcn(np.zeros((0, 5, 6)), np.zeros(0), SMALL,
                        PipelineConfig())
+
+
+def dict_loop_train(train_x, train_y, cfg, pcfg, valid_x=None, valid_y=None):
+    """Reference: train_lrcn's loop over parameter dicts and out-of-place
+    vectors, which rebuilt the dict, took fresh gradients and flattened
+    them again on every batch."""
+    rng = np.random.default_rng(pcfg.seed)
+    theta = params_to_vector(init_params(cfg, seed=pcfg.seed), cfg)
+    velocity = np.zeros_like(theta)
+    history, best_theta, best_score, stale = [], theta.copy(), -np.inf, 0
+    for epoch in range(pcfg.epochs):
+        order = rng.permutation(len(train_x))
+        epoch_loss, n_batches = 0.0, 0
+        for start in range(0, len(train_x), pcfg.batch_size):
+            idx = order[start : start + pcfg.batch_size]
+            params = param_views(theta.copy(), cfg)
+            loss, grads = lrcn_backward(train_x[idx], train_y[idx], params, cfg)
+            gvec = params_to_vector(grads, cfg)
+            velocity = pcfg.momentum * velocity - pcfg.learning_rate * gvec
+            theta = theta + velocity
+            epoch_loss += loss
+            n_batches += 1
+        entry = {"epoch": epoch, "train_loss": epoch_loss / n_batches}
+        if valid_x is not None:
+            vp = forward_blocks(valid_x, param_views(theta.copy(), cfg), cfg)
+            score = binary_f1((vp >= 0.5).astype(int), valid_y.astype(int))
+            entry["valid_f1"] = score
+            if score > best_score:
+                best_score, best_theta, stale = score, theta.copy(), 0
+            else:
+                stale += 1
+            if stale > pcfg.patience:
+                history.append(entry)
+                break
+        else:
+            best_theta = theta.copy()
+        history.append(entry)
+    return best_theta, history
+
+
+class TestFlatBufferTraining:
+    @pytest.mark.parametrize("n_train, batch_size, n_valid, patience", [
+        (11, 4, 4, 10),   # ragged last batch of 3
+        (16, 8, 6, 0),    # validation with early stopping
+        (12, 6, 0, 10),   # no validation set
+    ])
+    def test_matches_dict_loop_bitwise(self, n_train, batch_size, n_valid,
+                                       patience):
+        rng = np.random.default_rng(n_train)
+        x = rng.standard_normal((n_train + n_valid, 5, 6))
+        y = (rng.random(n_train + n_valid) < 0.5).astype(np.float64)
+        valid = (x[n_train:], y[n_train:]) if n_valid else ()
+        pcfg = PipelineConfig(learning_rate=0.3, momentum=0.9, epochs=8,
+                              batch_size=batch_size, seed=3, patience=patience)
+        params, history = train_lrcn(x[:n_train], y[:n_train], SMALL, pcfg,
+                                     *valid)
+        ref_theta, ref_history = dict_loop_train(x[:n_train], y[:n_train],
+                                                 SMALL, pcfg, *valid)
+        assert params_to_vector(params, SMALL).tobytes() == ref_theta.tobytes()
+        assert history == ref_history
+        if patience == 0:
+            assert len(history) < pcfg.epochs  # it did stop early
+
+    def test_backward_overwrites_nan_views(self, rng):
+        p = small_params(seed=5)
+        x = rng.standard_normal((3, 5, 6))
+        y = np.array([1.0, 0.0, 1.0])
+        loss, ref = lrcn_backward(x, y, p, SMALL)
+        gvec = np.full(len(params_to_vector(p, SMALL)), np.nan)
+        grads = param_views(gvec, SMALL)
+        loss_views, out = lrcn_backward(x, y, p, SMALL, grads)
+        assert out is grads and loss_views == loss
+        assert gvec.tobytes() == params_to_vector(ref, SMALL).tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 3, 17])
+    def test_inference_equals_cached_posteriors(self, batch, rng):
+        p = small_params(seed=8)
+        x = rng.standard_normal((batch, 5, 6))
+        cached, _ = forward_blocks(x, p, SMALL, want_cache=True)
+        assert forward_blocks(x, p, SMALL).tobytes() == cached.tobytes()
 
 
 class TestPredictTrack:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from svdet.audio import FrameGrid
 from svdet.errors import DataError
 from svdet.pipeline import PipelineConfig
-from svdet.smoothing import (Gmm1d, HmmGmmModel, fit_gmm_1d, fit_hmm_gmm,
-                             median_filter, smooth, viterbi_decode)
+from svdet.smoothing import (Gmm1d, HmmGmmModel, _logsumexp_rows, fit_gmm_1d,
+                             fit_hmm_gmm, median_filter, smooth, viterbi_decode)
 from svdet.tracks import LabelTrack, PredictionTrack
 
 
@@ -88,6 +89,29 @@ class TestMedianFilter:
         expect = [int(np.median(padded[i : i + window]) > 0.5)
                   for i in range(40)]
         assert out.labels.tolist() == expect
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise_equal_to_scipy(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            n, k = rng.integers(1, 60, size=2)
+            a = rng.standard_normal((n, k)) * rng.choice([1e-3, 1.0, 30.0, 800.0])
+            if rng.random() < 0.3:
+                a = np.round(a)  # ties for the row maximum
+            if rng.random() < 0.2:
+                a[rng.random((n, k)) < 0.2] = -np.inf
+            b = None
+            if rng.random() < 0.5:
+                b = rng.random(k)
+                if rng.random() < 0.3:
+                    b[rng.random(k) < 0.3] = 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ref = logsumexp(a, axis=1, b=None if b is None else b[None, :])
+            got = _logsumexp_rows(a, b)
+            assert np.array_equal(got, ref, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 class TestFitGmm:
