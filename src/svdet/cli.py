@@ -21,7 +21,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import evaluation, features, model, pipeline, separation, smoothing
-from .audio import frame_grid, load_wav, save_wav
+from .audio import AudioClip, frame_grid, frame_signal, load_wav, save_wav
 from .errors import DataError, DivergenceError
 from .pipeline import PipelineConfig
 
@@ -115,13 +115,23 @@ def write_manifest(writer, out_dir, command, cfg, inputs):
 # ---------------------------------------------------------------------------
 # Commands
 
+def accompaniment(clip: AudioClip, vocal: AudioClip, cfg) -> AudioClip:
+    """The mixture minus its vocal estimate where frames cover it, zero
+    after: the masks sum to one, so the accompaniment mask would give it."""
+    grid = frame_signal(clip, cfg.frame_ms, cfg.hop_ms)
+    samples = clip.samples - vocal.samples
+    samples[(grid.n_frames - 1) * grid.hop + grid.frame_len :] = 0.0
+    return AudioClip(samples=samples, sample_rate=clip.sample_rate)
+
+
 def cmd_separate(args, cfg, writer):
     clip = load_wav(args.input, target_rate=cfg.sample_rate)
-    vocal, acc = separation.separate(clip, cfg.frame_ms, cfg.hop_ms, cfg.n_fft)
+    vocal = separation.separate(clip, cfg.frame_ms, cfg.hop_ms, cfg.n_fft)
     stem = Path(args.input).stem
     out_dir = Path(args.out_dir)
     save_wav(writer.register(out_dir / f"{stem}_vocal.wav"), vocal)
-    save_wav(writer.register(out_dir / f"{stem}_accompaniment.wav"), acc)
+    save_wav(writer.register(out_dir / f"{stem}_accompaniment.wav"),
+             accompaniment(clip, vocal, cfg))
     write_manifest(writer, out_dir, "separate", cfg, {"input": str(args.input)})
 
 

@@ -6,15 +6,15 @@ and cell states, into the four LSTM gates; the output gate sees the
 freshly updated cell state. A max-pool + dense + sigmoid head turns the
 final hidden state into a per-block voicing posterior.
 
-The conv is linear and nothing nonlinear sits between it and the gates,
-so at run time it is folded into one fused gate projection: the four
-W*_z @ conv(x) + b_* terms become A @ x + b with A of shape (4h, d),
-computed for every frame of a batch before the time loop, and each step
-does one stacked hidden-state matmul for all four gates. The
-parameterization (conv_k, conv_b, W*_z, W*_h, W*_c, b_*) and the
-checkpoint format are unchanged; the backward pass chains the gradient
-of A back into conv_k, conv_b and the W*_z. Any A is reachable (make one
-filter a unit impulse), so the conv adds no capacity: it only
+The gate parameters and the checkpoint store the gate rows stacked in
+the order i, f, c, o, as each step reads them (see param_shapes). The
+conv is linear and nothing nonlinear sits between it and the gates, so
+at run time it is folded into one fused gate projection: W_z @ conv(x)
++ b becomes A @ x + b' with A of shape (4h, d), computed for every
+frame of a batch before the time loop, and each step does one stacked
+hidden-state matmul for all four gates. The backward pass chains the
+gradient of A back into conv_k, conv_b and W_z. Any A is reachable
+(make one filter a unit impulse), so the conv adds no capacity: it only
 reparameterizes the input projection. Stride-1 inference runs on a
 window view of one padded feature matrix, and forward_blocks projects
 each frame under such a view once, not once per block it falls in.
@@ -44,8 +44,10 @@ from .tracks import PredictionTrack
 if TYPE_CHECKING:  # pipeline imports this module
     from .pipeline import PipelineConfig
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 PREDICT_BATCH = 512  # blocks per forward_blocks call in predict_track
+KERNEL_WIDTH = 4  # taps of each conv filter along the feature axis
+POOL_LEN = 2  # hidden units per max-pool group of the head
 
 
 @dataclass(frozen=True)
@@ -57,12 +59,10 @@ class LrcnConfig:
     n_filters: int
     hidden_size: int
     dense_sizes: tuple
-    kernel_width: int = 4
-    pool_len: int = 2
 
     def __post_init__(self):
-        if self.hidden_size % self.pool_len:
-            raise DataError("hidden_size must be divisible by pool_len")
+        if self.hidden_size % POOL_LEN:
+            raise DataError(f"hidden_size must be a multiple of {POOL_LEN}")
         object.__setattr__(self, "dense_sizes", tuple(self.dense_sizes))
 
     @property
@@ -74,16 +74,15 @@ def param_shapes(cfg: LrcnConfig):
     """Ordered (name, shape) list; the order defines the flat layout."""
     h, z = cfg.hidden_size, cfg.conv_dim
     shapes = [
-        ("conv_k", (cfg.n_filters, cfg.kernel_width)),
+        ("conv_k", (cfg.n_filters, KERNEL_WIDTH)),
         ("conv_b", (cfg.n_filters,)),
+        ("W_z", (4 * h, z)),  # gate rows stacked i, f, c, o
+        ("W_h", (4 * h, h)),
+        ("W_c", (2 * h, h)),  # the i and f peepholes
+        ("Wo_c", (h, h)),
+        ("b", (4 * h,)),
     ]
-    for g in ("i", "f", "c", "o"):
-        shapes.append((f"W{g}_z", (h, z)))
-        shapes.append((f"W{g}_h", (h, h)))
-        if g != "c":
-            shapes.append((f"W{g}_c", (h, h)))
-        shapes.append((f"b_{g}", (h,)))
-    prev = h // cfg.pool_len
+    prev = h // POOL_LEN
     for li, n in enumerate(cfg.dense_sizes):
         shapes.append((f"dense_W{li}", (n, prev)))
         shapes.append((f"dense_b{li}", (n,)))
@@ -94,17 +93,28 @@ def param_shapes(cfg: LrcnConfig):
 
 
 def init_params(cfg: LrcnConfig, seed: int) -> dict:
+    """Weights uniform in +-1/sqrt(fan-in), biases zero but the forget
+    gate's; drawn a gate at a time in the order of the per-gate layout of
+    checkpoint format 2, so a seed gives the weights it gave there."""
     rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape in param_shapes(cfg):
-        if name.startswith("b_") or name.endswith(("_b",)) or name == "out_b" \
-                or name.startswith("dense_b"):
-            params[name] = np.zeros(shape)
-        else:
-            fan_in = shape[-1] if shape else 1
-            s = 1.0 / np.sqrt(max(fan_in, 1))
-            params[name] = rng.uniform(-s, s, size=shape)
-    params["b_f"] = np.ones(cfg.hidden_size)  # bias toward remembering
+    params = zero_params(cfg)
+
+    def draw(out):
+        s = 1.0 / np.sqrt(max(out.shape[-1], 1))
+        out[...] = rng.uniform(-s, s, size=out.shape)
+
+    n = cfg.hidden_size
+    draw(params["conv_k"])
+    peepholes = (params["W_c"][:n], params["W_c"][n:], None, params["Wo_c"])
+    for r, peephole in enumerate(peepholes):
+        draw(params["W_z"][r * n : (r + 1) * n])
+        draw(params["W_h"][r * n : (r + 1) * n])
+        if peephole is not None:
+            draw(peephole)
+    for li in range(len(cfg.dense_sizes)):
+        draw(params[f"dense_W{li}"])
+    draw(params["out_w"])
+    params["b"][n : 2 * n] = 1.0  # forget gate: bias toward remembering
     return params
 
 
@@ -132,37 +142,28 @@ def params_to_vector(params: dict, cfg: LrcnConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Forward
 
-_GATES = ("i", "f", "c", "o")
-
-
 def _fuse_params(params: dict, cfg: LrcnConfig) -> dict:
-    """Fold the conv into the gate input projection and stack the gates.
+    """Fold the conv into the gate input projection.
 
-    The conv is linear and feeds the gates directly, so every gate's
-    input term W*_z @ conv(x) + b_* equals A @ x + b with A of shape
-    (4h, d). Gate rows are stacked in the order i, f, c, o; "W3" is the
-    stacked W*_z viewed as (4h, n_filters, d), kept for the backward pass.
+    The conv is linear and feeds the gates directly, so the input term
+    W_z @ conv(x) + b equals A @ x + b' with A of shape (4h, d). Returns
+    A, b' and "W3", W_z viewed as (4h, n_filters, d) for the backward pass.
     """
-    d, kw = cfg.input_dim, cfg.kernel_width
-    pad_l = (kw - 1) // 2
-    W3 = np.concatenate([params[f"W{g}_z"] for g in _GATES]).reshape(
-        4 * cfg.hidden_size, cfg.n_filters, d)
+    d = cfg.input_dim
+    pad_l = (KERNEL_WIDTH - 1) // 2
+    W3 = params["W_z"].reshape(4 * cfg.hidden_size, cfg.n_filters, d)
     # G[m, j, k]: weight of gate row m on padded input j + k, which conv
     # tap k reads for output j; summing over j + k gives A
     G = np.tensordot(W3, params["conv_k"], axes=([1], [0]))
-    A_pad = np.zeros((len(W3), d + kw - 1))
-    for k in range(kw):
+    A_pad = np.zeros((len(W3), d + KERNEL_WIDTH - 1))
+    for k in range(KERNEL_WIDTH):
         A_pad[:, k : k + d] += G[:, :, k]
-    b = (np.concatenate([params[f"b_{g}"] for g in _GATES])
-         + W3.sum(axis=2) @ params["conv_b"])
+    b = params["b"] + W3.sum(axis=2) @ params["conv_b"]
     return {"W3": W3, "A": np.ascontiguousarray(A_pad[:, pad_l : pad_l + d]),
-            "b": b,
-            "W_h": np.concatenate([params[f"W{g}_h"] for g in _GATES]),
-            "W_c": np.concatenate([params["Wi_c"], params["Wf_c"]]),
-            "Wo_c": params["Wo_c"]}
+            "b": b}
 
 
-def _cell_step(proj: np.ndarray, h: np.ndarray, c: np.ndarray, fused: dict,
+def _cell_step(proj: np.ndarray, h: np.ndarray, c: np.ndarray, params: dict,
                a: np.ndarray, h_new: np.ndarray, c_new: np.ndarray,
                tanh_c: np.ndarray) -> None:
     """One fused LSTM step from the projected input proj (B, 4h).
@@ -172,15 +173,15 @@ def _cell_step(proj: np.ndarray, h: np.ndarray, c: np.ndarray, fused: dict,
     c_new and tanh_c (B, h); none of them may alias h or c.
     """
     n = h.shape[1]
-    np.matmul(h, fused["W_h"].T, out=a)
+    np.matmul(h, params["W_h"].T, out=a)
     a += proj
-    a[:, : 2 * n] += c @ fused["W_c"].T
+    a[:, : 2 * n] += c @ params["W_c"].T
     expit(a[:, : 2 * n], out=a[:, : 2 * n])
     np.tanh(a[:, 2 * n : 3 * n], out=a[:, 2 * n : 3 * n])
     np.multiply(a[:, n : 2 * n], c, out=c_new)
     c_new += a[:, :n] * a[:, 2 * n : 3 * n]
     # the output gate sees the freshly updated cell state
-    a[:, 3 * n :] += c_new @ fused["Wo_c"].T
+    a[:, 3 * n :] += c_new @ params["Wo_c"].T
     expit(a[:, 3 * n :], out=a[:, 3 * n :])
     np.tanh(c_new, out=tanh_c)
     np.multiply(a[:, 3 * n :], tanh_c, out=h_new)
@@ -213,12 +214,11 @@ def forward_blocks(x: np.ndarray, params: dict, cfg: LrcnConfig,
     gates = np.empty((G, B, 4 * n))
     tanh_cs = np.empty((G, B, n))
     for t in range(T):
-        _cell_step(proj[:, t], hs[t % S], cs[t % S], fused, gates[t % G],
+        _cell_step(proj[:, t], hs[t % S], cs[t % S], params, gates[t % G],
                    hs[(t + 1) % S], cs[(t + 1) % S], tanh_cs[t % G])
     h = hs[T % S]
     # head: max-pool pairs of hidden units, dense tanh stack, sigmoid
-    L = cfg.pool_len
-    hp = h.reshape(B, n // L, L)
+    hp = h.reshape(B, n // POOL_LEN, POOL_LEN)
     pool_idx = hp.argmax(axis=2)
     u = hp.max(axis=2)
     dense_us = [u]
@@ -242,7 +242,7 @@ def lrcn_cell_step(x_vec: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     n = cfg.hidden_size
     a = np.empty((1, 4 * n))
     h, c, tanh_c = np.empty((3, 1, n))
-    _cell_step(proj, h_prev[None], c_prev[None], fused, a, h, c, tanh_c)
+    _cell_step(proj, h_prev[None], c_prev[None], params, a, h, c, tanh_c)
     gates = {"i": a[0, :n], "f": a[0, n : 2 * n], "o": a[0, 3 * n :]}
     return h[0], c[0], gates
 
@@ -269,30 +269,22 @@ def lrcn_backward(x: np.ndarray, y: np.ndarray, params: dict, cfg: LrcnConfig,
     p, cache = forward_blocks(x, params, cfg, want_cache=True)
     B, T, d = x.shape
     n = cfg.hidden_size
-    fused = cache["fused"]
     loss = bce_loss(p, y)
     if grads is None:
         grads = zero_params(cfg)
-    else:
-        # the head accumulates onto zeros, as a fresh gradient would
-        for name in ("out_w", "out_b", *(f"dense_{k}{li}" for li in
-                     range(len(cfg.dense_sizes)) for k in "Wb")):
-            grads[name][...] = 0.0
 
     dlogit = (p - y) / B
-    u_last = cache["dense_us"][-1]
-    grads["out_w"] += dlogit @ u_last
-    grads["out_b"] += dlogit.sum()
+    np.matmul(dlogit, cache["dense_us"][-1], out=grads["out_w"])
+    grads["out_b"][...] = dlogit.sum()
     du = np.outer(dlogit, params["out_w"])
     for li in reversed(range(len(cfg.dense_sizes))):
         u = cache["dense_us"][li + 1]
         da = du * (1.0 - u ** 2)
-        grads[f"dense_W{li}"] += da.T @ cache["dense_us"][li]
-        grads[f"dense_b{li}"] += da.sum(axis=0)
+        np.matmul(da.T, cache["dense_us"][li], out=grads[f"dense_W{li}"])
+        da.sum(axis=0, out=grads[f"dense_b{li}"])
         du = da @ params[f"dense_W{li}"]
     # un-pool: route gradient to the max element of each pool group
-    L = cfg.pool_len
-    dh = np.zeros((B, n // L, L))
+    dh = np.zeros((B, n // POOL_LEN, POOL_LEN))
     np.put_along_axis(dh, cache["pool_idx"][:, :, None], du[:, :, None], axis=2)
     dh = dh.reshape(B, n)
 
@@ -311,39 +303,33 @@ def lrcn_backward(x: np.ndarray, y: np.ndarray, params: dict, cfg: LrcnConfig,
     for t in reversed(range(T)):
         da = dpre[t]
         da[:, 3] = dh * dh_to_o[t]
-        dc = dh * dh_to_c[t] + dc_carry + da[:, 3] @ fused["Wo_c"]
+        dc = dh * dh_to_c[t] + dc_carry + da[:, 3] @ params["Wo_c"]
         da[:, :3] = dc[:, None] * dc_to_ifc[t]
         da = da.reshape(B, 4 * n)
-        dh = da @ fused["W_h"]
-        dc_carry = dc * f[t] + da[:, : 2 * n] @ fused["W_c"]
+        dh = da @ params["W_h"]
+        dc_carry = dc * f[t] + da[:, : 2 * n] @ params["W_c"]
 
     # sums over all steps and blocks, with the np.dot np.tensordot would
     # call (`@` rounds these transposed products differently at small h)
     dpre = dpre.reshape(T * B, 4 * n)
     dA = np.dot(dpre.T, x.transpose(1, 0, 2).reshape(T * B, d))
-    db = dpre.sum(axis=0)
-    dW_h = np.dot(dpre.T, hs[:-1].reshape(T * B, n))
-    dW_c = np.dot(dpre[:, : 2 * n].T, cs[:-1].reshape(T * B, n))
+    db = dpre.sum(axis=0, out=grads["b"])
+    np.dot(dpre.T, hs[:-1].reshape(T * B, n), out=grads["W_h"])
+    np.dot(dpre[:, : 2 * n].T, cs[:-1].reshape(T * B, n), out=grads["W_c"])
     np.dot(dpre[:, 3 * n :].T, cs[1:].reshape(T * B, n), out=grads["Wo_c"])
-    grads["Wi_c"][...], grads["Wf_c"][...] = dW_c[:n], dW_c[n:]
 
     # chain dA and db back through the fold: dG[m, j, k] = dA_pad[m, j + k]
     # is the gradient of the G that _fuse_params sums into A
-    kw = cfg.kernel_width
-    pad_l = (kw - 1) // 2
-    W3 = fused["W3"]
-    dA_pad = np.zeros((4 * n, d + kw - 1))
+    pad_l = (KERNEL_WIDTH - 1) // 2
+    W3 = cache["fused"]["W3"]
+    dA_pad = np.zeros((4 * n, d + KERNEL_WIDTH - 1))
     dA_pad[:, pad_l : pad_l + d] = dA
-    dG = np.lib.stride_tricks.sliding_window_view(dA_pad, kw, axis=1)
+    dG = np.lib.stride_tricks.sliding_window_view(dA_pad, KERNEL_WIDTH, axis=1)
     grads["conv_k"][...] = np.tensordot(W3, dG, axes=([0, 2], [0, 1]))
     np.matmul(W3.sum(axis=2).T, db, out=grads["conv_b"])
     dW3 = (np.tensordot(dG, params["conv_k"], axes=([2], [1])).transpose(0, 2, 1)
            + np.outer(db, params["conv_b"])[:, :, None])
-    for r, gate in enumerate(_GATES):
-        rows = slice(r * n, (r + 1) * n)
-        grads[f"W{gate}_z"][...] = dW3[rows].reshape(n, cfg.conv_dim)
-        grads[f"W{gate}_h"][...] = dW_h[rows]
-        grads[f"b_{gate}"][...] = db[rows]
+    grads["W_z"][...] = dW3.reshape(4 * n, cfg.conv_dim)
     return loss, grads
 
 

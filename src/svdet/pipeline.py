@@ -59,6 +59,9 @@ class PipelineConfig:
         if not (self.sample_rate > 0 and 0 < hop <= frame < np.inf):
             raise DataError(f"need 0 < hop <= frame in samples, got hop/frame "
                             f"{self.hop_ms}/{self.frame_ms} ms at {self.sample_rate} Hz")
+        if self.n_fft < frame or self.n_fft & (self.n_fft - 1):
+            raise DataError(f"n_fft must be a power of two of at least the "
+                            f"frame length ({frame:.0f}), got {self.n_fft}")
         for name in ("learning_rate", "momentum"):
             value = getattr(self, name)
             if not np.isfinite(value):
@@ -70,6 +73,9 @@ class PipelineConfig:
             value = getattr(self, name)
             if not value >= low:
                 raise DataError(f"{name} must be at least {low}, got {value}")
+        if self.hidden_size % model.POOL_LEN:
+            raise DataError(f"hidden_size must be a multiple of "
+                            f"{model.POOL_LEN}, got {self.hidden_size}")
         object.__setattr__(self, "dense_sizes", tuple(self.dense_sizes))
         if min(self.dense_sizes, default=1) < 1:
             raise DataError(f"dense_sizes must all be at least 1, "
@@ -95,7 +101,7 @@ def clip_features(clip: AudioClip, cfg: PipelineConfig) -> FeatureMatrix:
     """Optionally separate, then extract the configured raw feature set."""
     if cfg.separate:
         try:
-            clip, _ = separation.separate(clip, cfg.frame_ms, cfg.hop_ms, cfg.n_fft)
+            clip = separation.separate(clip, cfg.frame_ms, cfg.hop_ms, cfg.n_fft)
         except ClipTooShortError as exc:
             logging.getLogger(__name__).warning(
                 "%s: %s; using the unseparated mixture", clip.source_id, exc)

@@ -4,7 +4,8 @@ The accompaniment is modelled as the element-wise median of the
 magnitude spectrogram over repetitions of its repeating period; the
 residual (non-repeating) energy is routed to the vocal estimate via a
 complementary soft mask applied with the mixture phase. The
-accompaniment estimate is the mixture minus the vocal estimate.
+accompaniment estimate, where one is wanted, is the mixture minus the
+vocal estimate.
 """
 
 from __future__ import annotations
@@ -135,12 +136,11 @@ def period_search_range(grid) -> tuple[int, int]:
 
 
 def separate(clip: AudioClip, frame_ms: float = 40.0, hop_ms: float = 20.0,
-             n_fft: int = 1024):
-    """Split a mixture into (vocal, accompaniment) estimates.
+             n_fft: int = 1024) -> AudioClip:
+    """The vocal estimate of a mixture, zero after the end of its last frame.
 
-    Only the vocal mask is inverted (with the mixture phase). The masks
-    sum to one, so the accompaniment is the mixture minus the vocal where
-    frames cover it and zero after.
+    The vocal mask (one minus the REPET mask) is applied with the
+    mixture phase and inverted.
     """
     try:
         grid = frame_signal(clip, frame_ms, hop_ms)
@@ -156,20 +156,17 @@ def separate(clip: AudioClip, frame_ms: float = 40.0, hop_ms: float = 20.0,
     mag = spec.magnitude()
     bs = beat_spectrum(mag)
     period = estimate_period(bs, (lo, hi))
-    # each full-size array is dropped after its last use, and the mixture
-    # STFT becomes the vocal's in place
-    acc = repet_mask(mag, period)
+    # each full-size array is dropped after its last use; the vocal
+    # weights replace the REPET mask in its buffer, and the mixture STFT
+    # becomes the vocal's in place
+    weights = repet_mask(mag, period).weights
     del mag
-    voc = vocal_mask(acc)
-    del acc
-    np.multiply(spec.bins, voc.weights, out=spec.bins)
-    del voc
+    np.subtract(1.0, weights, out=weights)
+    np.multiply(spec.bins, weights, out=spec.bins)
+    del weights
     voc_clip = istft(spec)
     del spec
-    n, span = len(clip.samples), len(voc_clip.samples)
-    vocal, accompaniment = np.zeros(n), np.zeros(n)
-    vocal[:span] = voc_clip.samples
-    accompaniment[:span] = clip.samples[:span] - voc_clip.samples
-    return tuple(AudioClip(samples=s, sample_rate=clip.sample_rate,
-                           source_id=clip.source_id)
-                 for s in (vocal, accompaniment))
+    vocal = np.zeros(len(clip.samples))
+    vocal[: len(voc_clip.samples)] = voc_clip.samples
+    return AudioClip(samples=vocal, sample_rate=clip.sample_rate,
+                     source_id=clip.source_id)

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from svdet import audio, separation
+from svdet import audio, cli, separation
 from svdet.audio import (AudioClip, Spectrogram, frame_matrix, frame_signal,
                          istft, stft)
 from svdet.features import autocorr_from_spectrogram, lpcc
+from svdet.pipeline import PipelineConfig
 from svdet.separation import (beat_spectrum, estimate_period,
                               period_search_range, repet_mask, separate,
                               vocal_mask)
@@ -135,7 +136,8 @@ class TestChunksMatchWholeArray:
         monkeypatch.setattr(separation, "estimate_period", spy)
         clip = song(5.0)
         want_vocal, want_accompaniment, want_period = reference_separate(clip)
-        vocal, accompaniment = separate(clip)
+        vocal = separate(clip)
+        accompaniment = cli.accompaniment(clip, vocal, PipelineConfig())
         assert periods == [want_period]
         assert np.array_equal(vocal.samples, want_vocal)
         assert np.array_equal(accompaniment.samples, want_accompaniment)

@@ -129,6 +129,10 @@ class TestResolveConfig:
         ("n_filters=-1", "n_filters must be at least 1"),
         ("hidden_size=-2", "hidden_size must be at least 1"),
         ("dense_sizes=4,-1", "dense_sizes must all be at least 1"),
+        ("hidden_size=15", "hidden_size must be a multiple of 2"),
+        ("n_fft=1000", "n_fft must be a power of two"),
+        ("n_fft=512", "n_fft must be a power of two of at least the frame "
+                      "length (640)"),
     ])
     def test_out_of_range_value_rejected_before_audio(
             self, item, message, corpus, tmp_path, capsys, monkeypatch):

@@ -11,27 +11,42 @@ from svdet import model
 from svdet.audio import FrameGrid
 from svdet.errors import DataError, DivergenceError
 from svdet.features import FeatureMatrix, NormStats, blockify
-from svdet.model import (LrcnConfig, bce_loss, binary_f1, forward_blocks,
-                         init_params, lrcn_backward, lrcn_cell_step,
-                         param_shapes, param_views, params_to_vector,
-                         predict_track, read_checkpoint, save_checkpoint,
-                         train_lrcn, zero_params)
+from svdet.model import (KERNEL_WIDTH, POOL_LEN, LrcnConfig, bce_loss,
+                         binary_f1, forward_blocks, init_params, lrcn_backward,
+                         lrcn_cell_step, param_shapes, param_views,
+                         params_to_vector, predict_track, read_checkpoint,
+                         save_checkpoint, train_lrcn, zero_params)
 from svdet.pipeline import PipelineConfig
 
 SMALL = LrcnConfig(input_dim=6, block_len=5, n_filters=8, hidden_size=8,
                    dense_sizes=(4,))
+GATES = ("i", "f", "c", "o")
 
 
 def small_params(seed=0):
     return init_params(SMALL, seed=seed)
 
 
+def per_gate(p, cfg):
+    """Views of the stacked gate rows under their per-gate names: W*_z,
+    W*_h and b_* for gates i, f, c, o, and the peepholes Wi_c, Wf_c and
+    Wo_c. Writing into a view writes into the stacked array."""
+    n = cfg.hidden_size
+    views = {"Wi_c": p["W_c"][:n], "Wf_c": p["W_c"][n:], "Wo_c": p["Wo_c"]}
+    for r, g in enumerate(GATES):
+        rows = slice(r * n, (r + 1) * n)
+        views.update({f"W{g}_z": p["W_z"][rows], f"W{g}_h": p["W_h"][rows],
+                      f"b_{g}": p["b"][rows]})
+    return views
+
+
 # ---------------------------------------------------------------------------
 # independent straight-line scalar oracle for one cell step
 
 def scalar_cell_oracle(x, h_prev, c_prev, params, cfg):
+    params = {**params, **per_gate(params, cfg)}
     d = cfg.input_dim
-    kw = cfg.kernel_width
+    kw = KERNEL_WIDTH
     pad_l = (kw - 1) // 2
     z = []
     for f in range(cfg.n_filters):
@@ -77,8 +92,9 @@ def _sig(v):
 
 
 def unfolded_forward(x, p, cfg):
+    p = {**p, **per_gate(p, cfg)}
     B, T, d = x.shape
-    kw = cfg.kernel_width
+    kw = KERNEL_WIDTH
     pad_l = (kw - 1) // 2
     xp = np.pad(x, ((0, 0), (0, 0), (pad_l, kw - 1 - pad_l)))
     z = np.zeros((B, T, cfg.n_filters, d))
@@ -100,7 +116,7 @@ def unfolded_forward(x, p, cfg):
                  + p["b_o"])
         steps.append((zt, h, c, i, f, g, o, c_new))
         h, c = o * np.tanh(c_new), c_new
-    hp = h.reshape(B, -1, cfg.pool_len)
+    hp = h.reshape(B, -1, POOL_LEN)
     us = [hp.max(axis=2)]
     for li in range(len(cfg.dense_sizes)):
         us.append(np.tanh(us[-1] @ p[f"dense_W{li}"].T + p[f"dense_b{li}"]))
@@ -110,8 +126,11 @@ def unfolded_forward(x, p, cfg):
 
 def unfolded_backward(x, y, p, cfg):
     post, (xp, steps, pool_idx, us) = unfolded_forward(x, p, cfg)
+    p = {**p, **per_gate(p, cfg)}
     B, T, d = x.shape
     grads = {name: np.zeros(shape) for name, shape in param_shapes(cfg)}
+    # the per-gate gradients accumulate into the stacked arrays
+    grads.update(per_gate(grads, cfg))
     dlogit = (post - y) / B
     grads["out_w"] = dlogit @ us[-1]
     grads["out_b"] = np.array(dlogit.sum())
@@ -121,7 +140,7 @@ def unfolded_backward(x, y, p, cfg):
         grads[f"dense_W{li}"] = da.T @ us[li]
         grads[f"dense_b{li}"] = da.sum(axis=0)
         du = da @ p[f"dense_W{li}"]
-    dh = np.zeros((B, cfg.hidden_size // cfg.pool_len, cfg.pool_len))
+    dh = np.zeros((B, cfg.hidden_size // POOL_LEN, POOL_LEN))
     np.put_along_axis(dh, pool_idx[:, :, None], du[:, :, None], axis=2)
     dh = dh.reshape(B, cfg.hidden_size)
     dc_next = np.zeros_like(dh)
@@ -147,14 +166,14 @@ def unfolded_backward(x, y, p, cfg):
               + dao @ p["Wo_h"])
         dc_next = dc * f + dai @ p["Wi_c"] + daf @ p["Wf_c"]
     dz = dz.reshape(B, T, cfg.n_filters, d)
-    for k in range(cfg.kernel_width):
+    for k in range(KERNEL_WIDTH):
         grads["conv_k"][:, k] = np.einsum("btfj,btj->f", dz, xp[:, :, k : k + d])
     grads["conv_b"] = dz.sum(axis=(0, 1, 3))
     return bce_loss(post, y), grads
 
 
-FOLD = LrcnConfig(input_dim=7, block_len=6, n_filters=3, kernel_width=4,
-                  hidden_size=6, dense_sizes=(5,))
+FOLD = LrcnConfig(input_dim=7, block_len=6, n_filters=3, hidden_size=6,
+                  dense_sizes=(5,))
 
 
 class TestFoldedProjection:
@@ -180,6 +199,52 @@ class TestFoldedProjection:
         for name, shape in param_shapes(FOLD):
             assert np.shape(grads[name]) == shape
             assert np.abs(grads[name] - ref[name]).max() <= 1e-12, name
+
+
+class TestInitParams:
+    @pytest.mark.parametrize("cfg", [
+        SMALL, FOLD,
+        LrcnConfig(input_dim=3, block_len=4, n_filters=2, hidden_size=4,
+                   dense_sizes=()),
+        LrcnConfig(input_dim=5, block_len=4, n_filters=1, hidden_size=6,
+                   dense_sizes=(5, 3)),
+    ])
+    def test_draws_in_format_2_order(self, cfg):
+        # format 2 stored the gates one array each and drew them in
+        # param order: conv_k, then per gate i, f, c, o its input,
+        # recurrent and peephole weights, then the dense and output weights
+        rng = np.random.default_rng(21)
+
+        def draw(*shape):
+            s = 1.0 / np.sqrt(shape[-1])
+            return rng.uniform(-s, s, size=shape)
+
+        h = cfg.hidden_size
+        want = {"conv_k": draw(cfg.n_filters, KERNEL_WIDTH),
+                "conv_b": np.zeros(cfg.n_filters)}
+        gate = {}
+        for g in GATES:
+            gate[f"W{g}_z"] = draw(h, cfg.conv_dim)
+            gate[f"W{g}_h"] = draw(h, h)
+            if g != "c":
+                gate[f"W{g}_c"] = draw(h, h)
+        prev = h // POOL_LEN
+        for li, m in enumerate(cfg.dense_sizes):
+            want[f"dense_W{li}"] = draw(m, prev)
+            want[f"dense_b{li}"] = np.zeros(m)
+            prev = m
+        want["out_w"] = draw(prev)
+        want["out_b"] = np.zeros(())
+        want["W_z"] = np.concatenate([gate[f"W{g}_z"] for g in GATES])
+        want["W_h"] = np.concatenate([gate[f"W{g}_h"] for g in GATES])
+        want["W_c"] = np.concatenate([gate["Wi_c"], gate["Wf_c"]])
+        want["Wo_c"] = gate["Wo_c"]
+        want["b"] = np.concatenate([np.zeros(h), np.ones(h), np.zeros(2 * h)])
+        got = init_params(cfg, seed=21)
+        assert sorted(got) == sorted(want)
+        for name, shape in param_shapes(cfg):
+            assert got[name].shape == shape, name
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestCellStep:
@@ -570,13 +635,22 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=key):
             read_checkpoint(saved)
 
-    def test_version_1_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_rejected(self, tmp_path, version):
+        # formats 1 and 2 stored one array per gate and the conv and pool
+        # widths in the config
         path = tmp_path / "model.npz"
-        meta = {"format_version": 1, "config": asdict(SMALL)}
+        p = small_params()
+        arrays = {**{k: v for k, v in p.items()
+                     if k not in ("W_z", "W_h", "W_c", "b")},
+                  **per_gate(p, SMALL)}
+        meta = {"format_version": version,
+                "config": {**asdict(SMALL), "kernel_width": 4, "pool_len": 2},
+                "front_end": self.FRONT_END}
         np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(),
                                               dtype=np.uint8),
-                 **small_params(), __norm_min__=self.STATS.col_min,
+                 **arrays, __norm_min__=self.STATS.col_min,
                  __norm_max__=self.STATS.col_max)
         with pytest.raises(DataError) as info:
             read_checkpoint(path)
-        assert str(info.value) == "unsupported checkpoint version 1"
+        assert str(info.value) == f"unsupported checkpoint version {version}"

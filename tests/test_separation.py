@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from svdet.audio import AudioClip, Spectrogram, frame_signal, istft, stft
+from svdet.cli import accompaniment
 from svdet.errors import ClipTooShortError, DataError
+from svdet.pipeline import PipelineConfig
 from svdet.separation import (MASK_EPS, beat_spectrum, estimate_period,
                               period_search_range, repet_mask, separate,
                               vocal_mask)
@@ -164,6 +166,12 @@ def reference_separate(clip):
     return out, len(rec)
 
 
+def separate_both(clip):
+    """separate's vocal and the accompaniment `svdet separate` writes."""
+    vocal = separate(clip)
+    return vocal, accompaniment(clip, vocal, PipelineConfig())
+
+
 class TestSeparate:
     @pytest.mark.parametrize("extra", [0, 123, 319])
     def test_one_istft_matches_two(self, rng, extra):
@@ -171,7 +179,7 @@ class TestSeparate:
         samples = 0.5 * loop + 0.05 * rng.standard_normal(len(loop))
         clip = AudioClip(samples=np.concatenate(
             [samples, 0.3 * rng.standard_normal(extra)]), sample_rate=16000)
-        voc, acc = separate(clip)
+        voc, acc = separate_both(clip)
         (ref_voc, ref_acc), span = reference_separate(clip)
         assert len(voc.samples) == len(acc.samples) == len(clip.samples)
         assert np.array_equal(voc.samples, ref_voc)
@@ -185,7 +193,7 @@ class TestSeparate:
         loop = repeating_loop(rng, 8.0, 16000)
         clip = AudioClip(samples=0.5 * loop + 0.05 * rng.standard_normal(len(loop)),
                          sample_rate=16000)
-        voc, acc = separate(clip)
+        voc, acc = separate_both(clip)
         grid = frame_signal(clip)
         mix_resynth = istft(stft(clip, grid)).samples
         total = voc.samples + acc.samples
@@ -195,7 +203,7 @@ class TestSeparate:
     def test_loop_only_accompaniment_correlation(self, rng):
         loop = repeating_loop(rng, 10.0, 16000)
         clip = AudioClip(samples=0.5 * loop, sample_rate=16000)
-        voc, acc = separate(clip)
+        voc, acc = separate_both(clip)
         corr = np.corrcoef(acc.samples, clip.samples)[0, 1]
         assert corr > 0.99
 
@@ -203,7 +211,7 @@ class TestSeparate:
         loop = repeating_loop(rng, 8.0, 16000)
         clip = AudioClip(samples=0.4 * loop + 0.1 * rng.standard_normal(len(loop)),
                          sample_rate=16000)
-        voc, acc = separate(clip)
+        voc, acc = separate_both(clip)
         grid = frame_signal(clip)
         mix = istft(stft(clip, grid)).samples
         mix_energy = np.sum(mix ** 2)
