@@ -13,7 +13,9 @@ import json
 import time
 from pathlib import Path
 
+from svdet.features import FEATURE_SETS
 from svdet.pipeline import PipelineConfig, report_payload, run_corpus
+from svdet.smoothing import SMOOTHING_METHODS
 from svdet.synth import write_corpus
 
 
@@ -24,9 +26,10 @@ def main():
     parser.add_argument("--duration", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--folds", type=int, default=5)
-    parser.add_argument("--feature-tag", default="mfcc")
+    parser.add_argument("--feature-tag", default="mfcc",
+                        choices=sorted(FEATURE_SETS))
     parser.add_argument("--smoothing", default="median",
-                        choices=["none", "median", "hmm"])
+                        choices=SMOOTHING_METHODS)
     args = parser.parse_args()
 
     work = Path(args.work_dir)

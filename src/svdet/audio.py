@@ -16,6 +16,12 @@ from .errors import DataError
 
 INT16_SCALE = 32768.0
 
+# the paper's fixed front end; a checkpoint's front_end records it
+SAMPLE_RATE = 16000
+FRAME_MS = 40.0
+HOP_MS = 20.0
+N_FFT = 1024
+
 # Rows of a full-spectrogram intermediate built at a time. stft, istft,
 # the LPC autocorrelation and the beat spectrum fill one preallocated
 # result chunk by chunk, so their temporaries are this many rows long
@@ -144,9 +150,9 @@ def frame_grid(n_samples: int, sample_rate: int, frame_ms: float,
                      sample_rate=sample_rate)
 
 
-def frame_signal(clip: AudioClip, frame_ms: float = 40.0, hop_ms: float = 20.0) -> FrameGrid:
-    """The frame grid of a clip (see frame_grid)."""
-    return frame_grid(len(clip.samples), clip.sample_rate, frame_ms, hop_ms)
+def frame_signal(clip: AudioClip) -> FrameGrid:
+    """The clip's grid of FRAME_MS frames every HOP_MS (see frame_grid)."""
+    return frame_grid(len(clip.samples), clip.sample_rate, FRAME_MS, HOP_MS)
 
 
 def frame_matrix(clip: AudioClip, grid: FrameGrid) -> np.ndarray:
@@ -160,7 +166,7 @@ def _window(grid: FrameGrid) -> np.ndarray:
     return scipy.signal.get_window("hamming", grid.frame_len, fftbins=True)
 
 
-def stft(clip: AudioClip, grid: FrameGrid, n_fft: int = 1024) -> Spectrogram:
+def stft(clip: AudioClip, grid: FrameGrid, n_fft: int = N_FFT) -> Spectrogram:
     """Hamming-windowed FFT per frame, zero-padded to n_fft."""
     if n_fft < grid.frame_len:
         raise DataError(f"n_fft {n_fft} smaller than frame length {grid.frame_len}")

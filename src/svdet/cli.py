@@ -21,7 +21,8 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import evaluation, features, model, pipeline, separation, smoothing
-from .audio import AudioClip, frame_grid, frame_signal, load_wav, save_wav
+from .audio import (FRAME_MS, HOP_MS, SAMPLE_RATE, AudioClip, frame_grid,
+                    frame_signal, load_wav, save_wav)
 from .errors import DataError, DivergenceError
 from .pipeline import PipelineConfig
 
@@ -115,28 +116,28 @@ def write_manifest(writer, out_dir, command, cfg, inputs):
 # ---------------------------------------------------------------------------
 # Commands
 
-def accompaniment(clip: AudioClip, vocal: AudioClip, cfg) -> AudioClip:
+def accompaniment(clip: AudioClip, vocal: AudioClip) -> AudioClip:
     """The mixture minus its vocal estimate where frames cover it, zero
     after: the masks sum to one, so the accompaniment mask would give it."""
-    grid = frame_signal(clip, cfg.frame_ms, cfg.hop_ms)
+    grid = frame_signal(clip)
     samples = clip.samples - vocal.samples
     samples[(grid.n_frames - 1) * grid.hop + grid.frame_len :] = 0.0
     return AudioClip(samples=samples, sample_rate=clip.sample_rate)
 
 
 def cmd_separate(args, cfg, writer):
-    clip = load_wav(args.input, target_rate=cfg.sample_rate)
-    vocal = separation.separate(clip, cfg.frame_ms, cfg.hop_ms, cfg.n_fft)
+    clip = load_wav(args.input, target_rate=SAMPLE_RATE)
+    vocal = separation.separate(clip)
     stem = Path(args.input).stem
     out_dir = Path(args.out_dir)
     save_wav(writer.register(out_dir / f"{stem}_vocal.wav"), vocal)
     save_wav(writer.register(out_dir / f"{stem}_accompaniment.wav"),
-             accompaniment(clip, vocal, cfg))
+             accompaniment(clip, vocal))
     write_manifest(writer, out_dir, "separate", cfg, {"input": str(args.input)})
 
 
 def cmd_features(args, cfg, writer):
-    clip = load_wav(args.input, target_rate=cfg.sample_rate)
+    clip = load_wav(args.input, target_rate=SAMPLE_RATE)
     raw = pipeline.clip_features(clip, cfg)
     out = writer.register(args.out)
     features.features_to_csv(
@@ -173,7 +174,7 @@ def cmd_predict(args, cfg, writer):
         if front_end.get(key) != value:
             raise DataError(f"checkpoint was trained with {key}="
                             f"{front_end.get(key)!r}, the config has {value!r}")
-    clip = load_wav(args.input, target_rate=cfg.sample_rate)
+    clip = load_wav(args.input, target_rate=SAMPLE_RATE)
     raw = pipeline.clip_features(clip, cfg)
     feat = features.apply_norm(raw, stats)
     track = model.predict_track(feat, params, lrcn_cfg)
@@ -198,8 +199,7 @@ def cmd_evaluate(args, cfg, writer):
     end = max([s.end for s in pred_segs + truth_segs], default=0.0)
     if end <= 0.0:
         raise DataError("label files contain no segments")
-    sr = cfg.sample_rate
-    grid = frame_grid(round(end * sr), sr, cfg.frame_ms, cfg.hop_ms)
+    grid = frame_grid(round(end * SAMPLE_RATE), SAMPLE_RATE, FRAME_MS, HOP_MS)
     pred = evaluation.load_labels(args.pred, grid)
     truth = evaluation.load_labels(args.truth, grid)
     report = evaluation.metrics(evaluation.confusion_counts(pred, truth))

@@ -18,6 +18,11 @@ from .errors import DataError
 
 LOG_FLOOR = 1e-10
 
+# the paper's cepstra: MFCC from N_MELS bands, LPCC and PLP of order LPC_ORDER
+N_MELS = 26
+LPC_ORDER = 12
+N_CEPSTRA = 13
+
 # tag -> ordered list of base extractors
 FEATURE_SETS = {
     "mfcc": ("mfcc",),
@@ -120,19 +125,15 @@ def cepstra_from_log_energies(log_e: np.ndarray, n_coeffs: int) -> np.ndarray:
     return cep[:, 1 : n_coeffs + 1]
 
 
-def mfcc(spec: Spectrogram, n_coeffs: int = 13, n_mels: int = 26) -> FeatureMatrix:
-    """Mel filterbank energies -> log -> DCT-II, keeping coefficients 1..n_coeffs.
-
-    The 0-th (energy) coefficient is dropped.
-    """
+def mfcc(spec: Spectrogram) -> FeatureMatrix:
+    """Mel filterbank energies -> log -> DCT-II, keeping coefficients
+    1..N_CEPSTRA of N_MELS; the 0-th (energy) coefficient is dropped."""
     if spec.grid.n_frames == 0:
         raise DataError("empty spectrogram")
-    if n_mels < n_coeffs + 1:
-        raise DataError("n_mels must exceed n_coeffs")
-    fb = mel_filterbank(n_mels, spec.n_fft, spec.grid.sample_rate)
+    fb = mel_filterbank(N_MELS, spec.n_fft, spec.grid.sample_rate)
     energies = spec.power() @ fb.T
     log_e = np.log(np.maximum(energies, LOG_FLOOR))
-    return FeatureMatrix(values=cepstra_from_log_energies(log_e, n_coeffs),
+    return FeatureMatrix(values=cepstra_from_log_energies(log_e, N_CEPSTRA),
                          feature_tag="mfcc", grid=spec.grid)
 
 
@@ -204,14 +205,14 @@ def autocorr_from_spectrogram(spec: Spectrogram, max_lag: int) -> np.ndarray:
     return r
 
 
-def lpcc(spec: Spectrogram, order: int = 12, n_coeffs: int = 13) -> FeatureMatrix:
+def lpcc(spec: Spectrogram) -> FeatureMatrix:
     """Linear-prediction cepstra per frame, solved for all frames at once.
 
     The autocorrelation comes from the power spectrum. All-zero frames
     produce all-zero coefficients rather than an error.
     """
-    r = autocorr_from_spectrogram(spec, order)
-    values, degenerate = _lpc_cepstra(r, order, n_coeffs)
+    r = autocorr_from_spectrogram(spec, LPC_ORDER)
+    values, degenerate = _lpc_cepstra(r, LPC_ORDER, N_CEPSTRA)
     return FeatureMatrix(values=values, feature_tag="lpcc", grid=spec.grid,
                          degenerate_frames=degenerate)
 
@@ -253,7 +254,7 @@ def equal_loudness(f):
     return (fsq / (fsq + 1.6e5)) ** 2 * ((fsq + 1.44e6) / (fsq + 9.61e6))
 
 
-def plp(spec: Spectrogram, order: int = 12, n_coeffs: int = 13) -> FeatureMatrix:
+def plp(spec: Spectrogram) -> FeatureMatrix:
     """Perceptual linear prediction cepstra per frame.
 
     Bark-band integration -> equal-loudness weighting -> cube-root
@@ -269,8 +270,8 @@ def plp(spec: Spectrogram, order: int = 12, n_coeffs: int = 13) -> FeatureMatrix
     bands[:, 0] = bands[:, 1]
     bands[:, -1] = bands[:, -2]
     # IDFT of the even extension of the bands
-    r = np.fft.irfft(bands, n=2 * (bands.shape[1] - 1), axis=1)[:, : order + 1]
-    values, degenerate = _lpc_cepstra(r, order, n_coeffs)
+    r = np.fft.irfft(bands, n=2 * (bands.shape[1] - 1), axis=1)[:, : LPC_ORDER + 1]
+    values, degenerate = _lpc_cepstra(r, LPC_ORDER, N_CEPSTRA)
     return FeatureMatrix(values=values, feature_tag="plp", grid=spec.grid,
                          degenerate_frames=degenerate)
 

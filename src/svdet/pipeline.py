@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, features, model, separation, smoothing
+from . import audio, evaluation, features, model, separation, smoothing
 from .audio import AudioClip, frame_signal, load_wav, stft
 from .errors import ClipTooShortError, DataError
 from .features import FEATURE_SETS, FeatureMatrix, apply_norm, fit_norm_stats
@@ -21,12 +21,7 @@ from .features import FEATURE_SETS, FeatureMatrix, apply_norm, fit_norm_stats
 
 @dataclass
 class PipelineConfig:
-    # signal front end
-    sample_rate: int = 16000
-    frame_ms: float = 40.0
-    hop_ms: float = 20.0
-    n_fft: int = 1024
-    # stages
+    # stages (the signal front end is fixed: audio.SAMPLE_RATE and on)
     separate: bool = True
     feature_tag: str = "mfcc"
     smoothing_method: str = "median"
@@ -54,14 +49,6 @@ class PipelineConfig:
         if self.smoothing_method not in smoothing.SMOOTHING_METHODS:
             raise DataError(
                 f"unknown smoothing method {self.smoothing_method!r}")
-        hop, frame = np.round(np.multiply([self.hop_ms, self.frame_ms],
-                                          self.sample_rate) / 1000.0)
-        if not (self.sample_rate > 0 and 0 < hop <= frame < np.inf):
-            raise DataError(f"need 0 < hop <= frame in samples, got hop/frame "
-                            f"{self.hop_ms}/{self.frame_ms} ms at {self.sample_rate} Hz")
-        if self.n_fft < frame or self.n_fft & (self.n_fft - 1):
-            raise DataError(f"n_fft must be a power of two of at least the "
-                            f"frame length ({frame:.0f}), got {self.n_fft}")
         for name in ("learning_rate", "momentum"):
             value = getattr(self, name)
             if not np.isfinite(value):
@@ -69,6 +56,7 @@ class PipelineConfig:
         for name, low in (("folds", 2), ("block_len", 1), ("train_stride", 1),
                           ("n_filters", 1), ("hidden_size", 1),
                           ("batch_size", 1), ("hmm_components", 1),
+                          ("epochs", 1), ("patience", 0),
                           ("learning_rate", 0), ("momentum", 0), ("seed", 0)):
             value = getattr(self, name)
             if not value >= low:
@@ -85,9 +73,9 @@ class PipelineConfig:
                             f"got {self.median_window}")
 
     def front_end(self) -> dict:
-        """The settings that shape the features; a checkpoint records them."""
-        return {"sample_rate": self.sample_rate, "frame_ms": self.frame_ms,
-                "hop_ms": self.hop_ms, "n_fft": self.n_fft,
+        """Everything that shapes the features; a checkpoint records it."""
+        return {"sample_rate": audio.SAMPLE_RATE, "frame_ms": audio.FRAME_MS,
+                "hop_ms": audio.HOP_MS, "n_fft": audio.N_FFT,
                 "separate": self.separate, "feature_tag": self.feature_tag}
 
     def lrcn_config(self, input_dim: int) -> model.LrcnConfig:
@@ -101,12 +89,12 @@ def clip_features(clip: AudioClip, cfg: PipelineConfig) -> FeatureMatrix:
     """Optionally separate, then extract the configured raw feature set."""
     if cfg.separate:
         try:
-            clip = separation.separate(clip, cfg.frame_ms, cfg.hop_ms, cfg.n_fft)
+            clip = separation.separate(clip)
         except ClipTooShortError as exc:
             logging.getLogger(__name__).warning(
                 "%s: %s; using the unseparated mixture", clip.source_id, exc)
-    grid = frame_signal(clip, cfg.frame_ms, cfg.hop_ms)
-    spec = stft(clip, grid, cfg.n_fft)
+    grid = frame_signal(clip)
+    spec = stft(clip, grid)
     parts = features.extract_features(spec, cfg.feature_tag)
     values = np.concatenate([p.values for p in parts], axis=1)
     return FeatureMatrix(values=values, feature_tag=cfg.feature_tag, grid=grid)
@@ -161,7 +149,7 @@ def load_corpus(audio_dir, label_dir, cfg: PipelineConfig):
         raise DataError(f"no wav/label pairs under {audio_dir}")
     feats, labels = {}, {}
     for stem in stems:
-        clip = load_wav(audio_dir / f"{stem}.wav", target_rate=cfg.sample_rate)
+        clip = load_wav(audio_dir / f"{stem}.wav", target_rate=audio.SAMPLE_RATE)
         feat = clip_features(clip, cfg)
         feats[stem] = feat
         labels[stem] = evaluation.load_labels(label_dir / f"{stem}.lab",

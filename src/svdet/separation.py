@@ -36,36 +36,33 @@ class SoftMask:
             raise DataError("mask weights must lie in [0, 1]")
 
 
-def beat_spectrum(mag: np.ndarray, max_lag: int | None = None) -> np.ndarray:
+def beat_spectrum(mag: np.ndarray) -> np.ndarray:
     """Normalized per-row autocorrelation over time, averaged across rows.
 
     mag is (n_frames, n_bins); lags run over the frame axis. Returns the
-    (max_lag + 1,) lag-domain self-similarity. Each lag is normalized by
-    the energies of the two windows it correlates, which keeps every
-    value in [-1, 1] with lag 0 at the global maximum.
+    (n_frames,) lag-domain self-similarity, lags 0..n_frames - 1. Each
+    lag is normalized by the energies of the two windows it correlates,
+    which keeps every value in [-1, 1] with lag 0 at the global maximum.
     """
     n_frames = mag.shape[0]
     if n_frames < 2:
         raise DataError("beat spectrum needs at least two frames")
-    if max_lag is None:
-        max_lag = n_frames - 1
-    max_lag = min(max_lag, n_frames - 1)
     n = 1
     while n < 2 * n_frames:
         n *= 2
     # one chunk of frequency bins at a time, each bin a row
-    ac = np.empty((mag.shape[1], max_lag + 1))
+    ac = np.empty((mag.shape[1], n_frames))
     for rows in row_chunks(mag.shape[1]):
         x = np.ascontiguousarray(mag[:, rows].T)
         # FFT-based linear autocorrelation of every row
         spec = np.fft.rfft(x, n=n, axis=1)
-        acc = np.fft.irfft(np.abs(spec) ** 2, n=n, axis=1)[:, : max_lag + 1]
+        acc = np.fft.irfft(np.abs(spec) ** 2, n=n, axis=1)[:, :n_frames]
         cum = np.cumsum(x ** 2, axis=1)
         # norm[:, l] = sqrt(energy of x[l : T] * energy of x[0 : T-l])
         norm = np.empty_like(acc)
         norm[:, 0] = cum[:, -1]
-        np.subtract(cum[:, -1:], cum[:, :max_lag], out=norm[:, 1:])
-        norm *= cum[:, n_frames - 1 - max_lag :][:, ::-1]
+        np.subtract(cum[:, -1:], cum[:, :-1], out=norm[:, 1:])
+        norm *= cum[:, ::-1]
         np.sqrt(norm, out=norm)
         np.maximum(norm, 1e-300, out=norm)
         np.divide(acc, norm, out=ac[rows])
@@ -135,15 +132,14 @@ def period_search_range(grid) -> tuple[int, int]:
             int(round(MAX_PERIOD_S * frames_per_s)))
 
 
-def separate(clip: AudioClip, frame_ms: float = 40.0, hop_ms: float = 20.0,
-             n_fft: int = 1024) -> AudioClip:
+def separate(clip: AudioClip) -> AudioClip:
     """The vocal estimate of a mixture, zero after the end of its last frame.
 
     The vocal mask (one minus the REPET mask) is applied with the
     mixture phase and inverted.
     """
     try:
-        grid = frame_signal(clip, frame_ms, hop_ms)
+        grid = frame_signal(clip)
     except DataError as exc:
         raise ClipTooShortError(f"clip too short to separate: {exc}") from exc
     lo, hi = period_search_range(grid)
@@ -152,7 +148,7 @@ def separate(clip: AudioClip, frame_ms: float = 40.0, hop_ms: float = 20.0,
             f"clip too short: {grid.n_frames} frames < 3 periods of {lo}"
         )
     hi = min(hi, grid.n_frames // 3)
-    spec = stft(clip, grid, n_fft)
+    spec = stft(clip, grid)
     mag = spec.magnitude()
     bs = beat_spectrum(mag)
     period = estimate_period(bs, (lo, hi))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioClip, save_wav
+from .audio import SAMPLE_RATE, AudioClip, save_wav
 from .evaluation import Segment
 
 
@@ -84,7 +84,7 @@ def vibrato_voice(rng, duration: float, sr: int):
     return voice * gate, segments
 
 
-def synthetic_clip(seed: int, duration: float = 10.0, sr: int = 16000,
+def synthetic_clip(seed: int, duration: float = 10.0, sr: int = SAMPLE_RATE,
                    loop_period: float = 2.0) -> SynthClip:
     rng = np.random.default_rng(seed)
     loop = repeating_loop(rng, duration, sr, period=loop_period)
@@ -99,7 +99,7 @@ def synthetic_clip(seed: int, duration: float = 10.0, sr: int = 16000,
 
 
 def write_corpus(out_dir, n_clips: int, seed: int = 0, duration: float = 10.0,
-                 sr: int = 16000):
+                 sr: int = SAMPLE_RATE):
     """Write WAVs and matching .lab files; returns the list of stems."""
     from pathlib import Path
 

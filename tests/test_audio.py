@@ -7,9 +7,15 @@ import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svdet.audio import (AudioClip, frame_matrix, frame_signal, istft,
-                         load_wav, save_wav, stft, Spectrogram, FrameGrid)
+from svdet.audio import (AudioClip, frame_grid, frame_matrix, frame_signal,
+                         istft, load_wav, save_wav, stft, Spectrogram,
+                         FrameGrid)
 from svdet.errors import DataError
+
+
+def grid_at(clip, hop_ms, frame_ms=40.0):
+    """The clip's frame grid at another hop than the front end's."""
+    return frame_grid(len(clip.samples), clip.sample_rate, frame_ms, hop_ms)
 
 
 def write_pcm16(path, samples, sample_rate=16000, n_channels=1):
@@ -101,7 +107,7 @@ class TestLoadWav:
 class TestFrameSignal:
     def test_40ms_20ms_counts(self):
         clip = AudioClip(samples=np.zeros(16000), sample_rate=16000)
-        grid = frame_signal(clip, 40.0, 20.0)
+        grid = frame_signal(clip)
         assert grid.n_frames == 49
         assert grid.frame_len == 640
         assert grid.hop == 320
@@ -118,7 +124,7 @@ class TestFrameSignal:
     @pytest.mark.parametrize("hop_ms", [0.0, 0.01, -20.0, 80.0])
     def test_bad_hop(self, random_clip, hop_ms):
         with pytest.raises(DataError, match="hop"):
-            frame_signal(random_clip, 40.0, hop_ms)
+            grid_at(random_clip, hop_ms)
 
     def test_deterministic(self, random_clip):
         g1 = frame_signal(random_clip)
@@ -141,7 +147,7 @@ class TestFrameMatrix:
                                                    (40.0, 40.0, 640)])
     def test_matches_index_gather(self, rng, frame_ms, hop_ms, n):
         clip = AudioClip(samples=rng.standard_normal(n), sample_rate=16000)
-        grid = frame_signal(clip, frame_ms, hop_ms)
+        grid = grid_at(clip, hop_ms, frame_ms)
         idx = (np.arange(grid.n_frames)[:, None] * grid.hop
                + np.arange(grid.frame_len))
         frames = frame_matrix(clip, grid)
@@ -221,7 +227,7 @@ class TestIstft:
         assert np.all(rec.samples == 0)
 
     def test_matches_looped_overlap_add(self, random_clip):
-        grid = frame_signal(random_clip, 40.0, 10.0)
+        grid = grid_at(random_clip, 10.0)
         spec = stft(random_clip, grid)
         win = scipy.signal.get_window("hamming", grid.frame_len, fftbins=True)
         frames = np.fft.irfft(spec.bins, n=spec.n_fft, axis=1)[:, : grid.frame_len]
@@ -239,12 +245,12 @@ class TestIstft:
         assert np.abs(rec.samples - expected).max() <= 1e-12
 
     def test_hop_not_dividing_frame_violates_cola(self, random_clip):
-        grid = frame_signal(random_clip, 40.0, 15.0)  # 640 / 240 samples
+        grid = grid_at(random_clip, 15.0)  # 640 / 240 samples
         with pytest.raises(DataError, match="overlap"):
             istft(stft(random_clip, grid))
 
     def test_cola_violation(self, random_clip):
-        grid = frame_signal(random_clip, 40.0, 40.0)  # hop == frame_len
+        grid = grid_at(random_clip, 40.0)  # hop == frame_len
         spec = stft(random_clip, grid)
         with pytest.raises(DataError, match="overlap"):
             istft(spec)

@@ -18,7 +18,6 @@ from svdet import audio, cli, separation
 from svdet.audio import (AudioClip, Spectrogram, frame_matrix, frame_signal,
                          istft, stft)
 from svdet.features import autocorr_from_spectrogram, lpcc
-from svdet.pipeline import PipelineConfig
 from svdet.separation import (beat_spectrum, estimate_period,
                               period_search_range, repet_mask, separate,
                               vocal_mask)
@@ -112,7 +111,7 @@ class TestChunksMatchWholeArray:
     @pytest.mark.parametrize("hop_ms", [20.0, 10.0])
     def test_istft(self, few_rows, rng, hop_ms):
         clip = AudioClip(samples=rng.standard_normal(8500), sample_rate=SR)
-        grid = frame_signal(clip, 40.0, hop_ms)
+        grid = audio.frame_grid(len(clip.samples), SR, 40.0, hop_ms)
         bins = reference_stft(clip, grid)
         got = istft(Spectrogram(bins=bins, grid=grid, n_fft=1024)).samples
         assert np.array_equal(got, reference_istft(bins, grid))
@@ -137,7 +136,7 @@ class TestChunksMatchWholeArray:
         clip = song(5.0)
         want_vocal, want_accompaniment, want_period = reference_separate(clip)
         vocal = separate(clip)
-        accompaniment = cli.accompaniment(clip, vocal, PipelineConfig())
+        accompaniment = cli.accompaniment(clip, vocal)
         assert periods == [want_period]
         assert np.array_equal(vocal.samples, want_vocal)
         assert np.array_equal(accompaniment.samples, want_accompaniment)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svdet import model, pipeline
-from svdet.audio import AudioClip, FrameGrid, load_wav, save_wav
+from svdet.audio import SAMPLE_RATE, AudioClip, FrameGrid, load_wav, save_wav
 from svdet.cli import UsageError, main, resolve_config
 from svdet.errors import DataError
 from svdet.features import (FeatureMatrix, NormStats, apply_norm,
@@ -44,11 +44,30 @@ def zero_checkpoint(path, **config):
     return path
 
 
+def rewrite_checkpoint(src, dst, front_end=(), **arrays):
+    """A copy of a checkpoint with front-end entries or arrays replaced."""
+    with np.load(src) as data:
+        out = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(out["__meta__"]).decode())
+    meta["front_end"].update(front_end)
+    out["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(),
+                                    dtype=np.uint8)
+    np.savez(dst, **{**out, **arrays})
+    return dst
+
+
+def no_audio(*args, **kwargs):
+    raise AssertionError("audio read before the config was checked")
+
+
 class TestResolveConfig:
     def test_defaults(self):
         cfg = resolve_config()
-        assert cfg.sample_rate == 16000
         assert cfg.median_window == 87
+        # the paper's front end, fixed, as a checkpoint records it
+        assert cfg.front_end() == {"sample_rate": 16000, "frame_ms": 40.0,
+                                   "hop_ms": 20.0, "n_fft": 1024,
+                                   "separate": True, "feature_tag": "mfcc"}
 
     def test_config_file_and_overrides(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -100,17 +119,38 @@ class TestResolveConfig:
         assert "folds must be at least 2" in err
         assert err.count("\n") == 1
 
+    # the front end is fixed, so its values are not config keys
     @pytest.mark.parametrize("item", ["sample_rate=0", "sample_rate=-16000",
                                       "hop_ms=0", "hop_ms=0.01", "hop_ms=80",
-                                      "frame_ms=nan", "frame_ms=inf"])
-    def test_bad_frame_layout_data_error(self, item, capsys, tmp_path):
-        lab = tmp_path / "t.lab"
-        lab.write_text("0.0 2.0 sing\n")
-        rc = main(["--set", item, "evaluate", "--pred", str(lab),
-                   "--truth", str(lab), "--out", str(tmp_path / "r.json")])
-        assert rc == 2
+                                      "hop_ms=10", "frame_ms=nan",
+                                      "frame_ms=inf", "n_fft=1000",
+                                      "n_fft=512"])
+    def test_front_end_key_unknown_before_audio(self, item, corpus, tmp_path,
+                                                capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "load_wav", no_audio)
+        rc = main(["--set", item, "pipeline",
+                   "--audio-dir", str(corpus / "audio"),
+                   "--label-dir", str(corpus / "labels"),
+                   "--out-dir", str(tmp_path / "run")])
+        assert rc == 1
+        key = item.partition("=")[0]
         err = capsys.readouterr().err
-        assert err.startswith("error: data: need 0 < hop") and err.count("\n") == 1
+        assert err == f"error: usage: --set: unknown config key {key!r}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_front_end_config_line_unknown(self, corpus, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setattr(pipeline, "load_wav", no_audio)
+        conf = tmp_path / "run.conf"
+        conf.write_text("folds=2\nn_fft=512\n")
+        rc = main(["--config", str(conf), "pipeline",
+                   "--audio-dir", str(corpus / "audio"),
+                   "--label-dir", str(corpus / "labels"),
+                   "--out-dir", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: usage: {conf}:2: unknown config key 'n_fft'\n"
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("item, message", [
         ("batch_size=0", "batch_size must be at least 1"),
@@ -130,15 +170,13 @@ class TestResolveConfig:
         ("hidden_size=-2", "hidden_size must be at least 1"),
         ("dense_sizes=4,-1", "dense_sizes must all be at least 1"),
         ("hidden_size=15", "hidden_size must be a multiple of 2"),
-        ("n_fft=1000", "n_fft must be a power of two"),
-        ("n_fft=512", "n_fft must be a power of two of at least the frame "
-                      "length (640)"),
+        # no epoch, or stopping before the first, trains nothing
+        ("epochs=0", "epochs must be at least 1"),
+        ("epochs=-2", "epochs must be at least 1"),
+        ("patience=-3", "patience must be at least 0"),
     ])
     def test_out_of_range_value_rejected_before_audio(
             self, item, message, corpus, tmp_path, capsys, monkeypatch):
-        def no_audio(*args, **kwargs):
-            raise AssertionError("audio read before the config was checked")
-
         monkeypatch.setattr(pipeline, "load_wav", no_audio)
         rc = main(FAST + ["--set", "smoothing_method=hmm", "--set", item,
                           "pipeline", "--audio-dir", str(corpus / "audio"),
@@ -245,7 +283,7 @@ class TestSeparateCommand:
         assert len(voc.samples) == len(acc.samples)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "separate"
-        assert manifest["config"]["sample_rate"] == 16000
+        assert manifest["config"]["separate"] is True
 
     def test_too_short_cleans_up(self, tmp_path, rng):
         from svdet.audio import AudioClip, save_wav
@@ -275,7 +313,7 @@ class TestFeaturesCommand:
         out = tmp_path / "feat.csv"
         assert main(FAST + ["features", str(wav), "--out", str(out)]) == 0
         cfg = resolve_config(None, FAST[1::2])
-        raw = pipeline.clip_features(load_wav(wav, cfg.sample_rate), cfg)
+        raw = pipeline.clip_features(load_wav(wav, SAMPLE_RATE), cfg)
         features_to_csv(tmp_path / "ref.csv",
                         apply_norm(raw, fit_norm_stats([raw])))
         assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -392,7 +430,6 @@ class TestPredictDataErrors:
 
     @pytest.mark.parametrize("item, message", [
         ("feature_tag=plp", "feature_tag='mfcc', the config has 'plp'"),
-        ("hop_ms=10", "hop_ms=20.0, the config has 10.0"),
         ("separate=true", "separate=False, the config has True")])
     def test_front_end_mismatch(self, corpus, trained, tmp_path, capsys, item,
                                 message):
@@ -402,13 +439,25 @@ class TestPredictDataErrors:
         self._assert_clean_data_error(
             rc, capsys, out, f"checkpoint was trained with {message}")
 
-    def test_front_end_checked_before_audio(self, trained, tmp_path, capsys):
+    def test_other_framing_refused(self, corpus, trained, tmp_path, capsys):
+        ckpt = rewrite_checkpoint(trained / "checkpoint.npz",
+                                  tmp_path / "checkpoint.npz",
+                                  front_end={"hop_ms": 10.0})
         out = tmp_path / "out"
-        rc = main(FAST + ["--set", "hop_ms=10", "predict",
-                          str(tmp_path / "missing.wav"), "--checkpoint",
-                          str(trained / "checkpoint.npz"),
+        rc = self._predict(corpus, ckpt, out)
+        self._assert_clean_data_error(
+            rc, capsys, out,
+            "checkpoint was trained with hop_ms=10.0, the config has 20.0")
+
+    def test_front_end_checked_before_audio(self, trained, tmp_path, capsys):
+        ckpt = rewrite_checkpoint(trained / "checkpoint.npz",
+                                  tmp_path / "checkpoint.npz",
+                                  front_end={"hop_ms": 10.0})
+        out = tmp_path / "out"
+        rc = main(FAST + ["predict", str(tmp_path / "missing.wav"),
+                          "--checkpoint", str(ckpt),
                           "--out", str(out / "pred.csv")])
-        self._assert_clean_data_error(rc, capsys, out, "hop_ms=20.0")
+        self._assert_clean_data_error(rc, capsys, out, "hop_ms=10.0")
 
     def test_hmm_rejected_before_audio(self, trained, tmp_path, capsys):
         # a checkpoint carries no fitted HMM, so fail before any work
@@ -435,6 +484,18 @@ class TestPredictDataErrors:
         out = tmp_path / "out"
         rc = self._predict(corpus, ckpt, out)
         self._assert_clean_data_error(rc, capsys, out, "unreadable checkpoint")
+
+    def test_misshapen_parameter(self, corpus, trained, tmp_path, capsys):
+        # hidden_size 4 needs W_h (16, 4); a (16, 5) one would reach matmul
+        ckpt = rewrite_checkpoint(trained / "checkpoint.npz",
+                                  tmp_path / "checkpoint.npz",
+                                  W_h=np.zeros((16, 5)))
+        out = tmp_path / "out"
+        rc = self._predict(corpus, ckpt, out)
+        self._assert_clean_data_error(
+            rc, capsys, out,
+            "checkpoint parameter W_h has shape (16, 5), its config needs "
+            "(16, 4)")
 
 
 class TestZeroWeightCheckpoint:
@@ -501,14 +562,9 @@ class TestShortClipFallback:
             assert len(list(csv.DictReader(fh))) == (32000 - 640) // 320 + 1
 
 
-# Per-key values that reach every config, front-end and training check
-# without asking for large arrays (n_fft <= 1024, hop >= 1 ms), plus
-# garbage.
+# Per-key values that reach every config and training check without
+# asking for long runs (epochs <= 2), plus garbage.
 FUZZ_VALUES = {
-    "sample_rate": ["16000", "8000", "1000", "3", "0", "-16000"],
-    "frame_ms": ["40", "20", "64", "0.5", "0", "-40", "nan", "inf", "1e300"],
-    "hop_ms": ["20", "10", "15", "40", "80", "1", "0", "nan", "-inf"],
-    "n_fft": ["1024", "512", "1000", "64", "0", "-2"],
     "separate": ["true", "false", "2"],
     "feature_tag": ["mfcc", "plp", "lpcc", "lpcc_mfcc_plp", "mfcc_plp", ""],
     "smoothing_method": ["median", "hmm", "none", "viterbi"],
@@ -520,6 +576,8 @@ FUZZ_VALUES = {
     "hidden_size": ["4", "2", "1", "0", "-2"],
     "dense_sizes": ["4", "4,2", "", "0", "-1"],
     "learning_rate": ["0.01", "0", "-1", "nan"],
+    "epochs": ["1", "2", "0", "-2"],
+    "patience": ["0", "3", "-3"],
     "seed": ["0", "3", "-1"],
 }
 OTHER_KEYS = sorted({f.name for f in fields(PipelineConfig)} - set(FUZZ_VALUES))

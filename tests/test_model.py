@@ -570,7 +570,7 @@ class TestPredictTrack:
 
 class TestCheckpoint:
     STATS = NormStats(col_min=np.arange(6.0), col_max=np.arange(6.0) + 2.0)
-    FRONT_END = PipelineConfig(feature_tag="plp", hop_ms=10.0).front_end()
+    FRONT_END = {**PipelineConfig(feature_tag="plp").front_end(), "hop_ms": 10.0}
 
     def test_roundtrip_bit_identical_posteriors(self, tmp_path, rng):
         p = small_params(seed=8)
@@ -628,6 +628,18 @@ class TestCheckpoint:
         self._drop(saved, "out_b")
         with pytest.raises(DataError, match="out_b"):
             read_checkpoint(saved)
+
+    def test_misshapen_parameter(self, saved):
+        with np.load(saved) as data:
+            arrays = {k: data[k] for k in data.files}
+        want = arrays["W_h"].shape
+        arrays["W_h"] = np.zeros((want[0], want[1] + 1))
+        np.savez(saved, **arrays)
+        with pytest.raises(DataError) as info:
+            read_checkpoint(saved)
+        assert str(info.value) == (
+            f"checkpoint parameter W_h has shape {(want[0], want[1] + 1)}, "
+            f"its config needs {want}")
 
     @pytest.mark.parametrize("key", ["__norm_min__", "__norm_max__"])
     def test_missing_norm_stats(self, saved, key):

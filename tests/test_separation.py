@@ -4,7 +4,6 @@ import pytest
 from svdet.audio import AudioClip, Spectrogram, frame_signal, istft, stft
 from svdet.cli import accompaniment
 from svdet.errors import ClipTooShortError, DataError
-from svdet.pipeline import PipelineConfig
 from svdet.separation import (MASK_EPS, beat_spectrum, estimate_period,
                               period_search_range, repet_mask, separate,
                               vocal_mask)
@@ -49,10 +48,11 @@ class TestBeatSpectrum:
     def test_matches_gather_reference(self, rng, n_frames, max_lag):
         mag = rng.uniform(0.0, 1.0, size=(n_frames, 9))
         mag[:, 4] = 0.0  # a silent bin exercises the norm floor
-        got = beat_spectrum(mag, max_lag)
+        got = beat_spectrum(mag)
+        # every lag, of which the reference gathers those up to max_lag
+        assert got.shape == (n_frames,)
         want = reference_beat_spectrum(mag, max_lag)
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-12
+        assert np.abs(got[: len(want)] - want).max() <= 1e-12
 
     def test_periodic_peaks_at_multiples(self):
         mag = periodic_magnitude(8, 8, 16)
@@ -63,7 +63,7 @@ class TestBeatSpectrum:
             assert vals[lag] == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_magnitude_all_ones(self):
-        bs = beat_spectrum(np.full((30, 5), 2.5), max_lag=20)
+        bs = beat_spectrum(np.full((30, 5), 2.5))
         assert np.allclose(bs, 1.0)
 
     def test_lag0_dominates_random(self, rng):
@@ -169,7 +169,7 @@ def reference_separate(clip):
 def separate_both(clip):
     """separate's vocal and the accompaniment `svdet separate` writes."""
     vocal = separate(clip)
-    return vocal, accompaniment(clip, vocal, PipelineConfig())
+    return vocal, accompaniment(clip, vocal)
 
 
 class TestSeparate:
