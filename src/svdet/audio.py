@@ -48,10 +48,6 @@ class AudioClip:
         if samples.size and not np.all(np.isfinite(samples)):
             raise DataError("AudioClip samples must be finite")
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class FrameGrid:
@@ -110,6 +106,8 @@ def load_wav(path, target_rate: int | None = None) -> AudioClip:
         raise DataError(f"unsupported encoding: {8 * sampwidth}-bit PCM (need 16-bit)")
     if n_channels not in (1, 2):
         raise DataError(f"unsupported channel count {n_channels}")
+    if len(raw) % (n_channels * sampwidth):  # data ends inside a frame
+        raise DataError("unsupported encoding: truncated file")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / INT16_SCALE
     if n_channels == 2:
         data = data.reshape(-1, 2).mean(axis=1)

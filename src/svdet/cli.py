@@ -71,7 +71,12 @@ def resolve_config(config_path=None, overrides=()) -> PipelineConfig:
         path = Path(config_path)
         if not path.exists():
             raise DataError(f"config file not found: {path}")
-        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc.reason} at offset "
+                            f"{exc.start}") from exc
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

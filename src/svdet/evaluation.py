@@ -24,29 +24,34 @@ class Segment:
 
 def parse_label_file(path) -> list[Segment]:
     """Lines of 'start_seconds end_seconds label', label in {sing, nosing, 1, 0}."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason} at offset "
+                        f"{exc.start}") from exc
     segments = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 'start end label'")
-            try:
-                start, end = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: unparseable time") from exc
-            token = parts[2].lower()
-            if token in POSITIVE_TOKENS:
-                label = 1
-            elif token in NEGATIVE_TOKENS:
-                label = 0
-            else:
-                raise DataError(f"{path}:{lineno}: unknown label {parts[2]!r}")
-            if end < start:
-                raise DataError(f"{path}:{lineno}: non-monotone segment")
-            segments.append(Segment(start, end, label))
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected 'start end label'")
+        try:
+            start, end = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: unparseable time") from exc
+        token = parts[2].lower()
+        if token in POSITIVE_TOKENS:
+            label = 1
+        elif token in NEGATIVE_TOKENS:
+            label = 0
+        else:
+            raise DataError(f"{path}:{lineno}: unknown label {parts[2]!r}")
+        if end < start:
+            raise DataError(f"{path}:{lineno}: non-monotone segment")
+        segments.append(Segment(start, end, label))
     segments.sort(key=lambda s: s.start)
     for prev, cur in zip(segments, segments[1:]):
         if cur.start < prev.end - 1e-9:

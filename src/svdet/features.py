@@ -54,10 +54,6 @@ class FeatureMatrix:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class NormStats:

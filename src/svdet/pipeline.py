@@ -6,7 +6,6 @@ everything is deterministic given the config seed.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -199,6 +198,6 @@ def report_payload(run: CorpusRun, cfg: PipelineConfig) -> dict:
     """JSON-serializable summary; stable key order for reproducible bytes."""
     return {
         "config": asdict(cfg),
-        "pooled": json.loads(run.report.to_json()),
-        "folds": [json.loads(r.to_json()) for r in run.fold_reports],
+        "pooled": asdict(run.report),
+        "folds": [asdict(r) for r in run.fold_reports],
     }

@@ -10,8 +10,6 @@ vocal estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .audio import AudioClip, frame_signal, istft, row_chunks, stft
@@ -22,18 +20,6 @@ MASK_EPS = 1e-10
 # the REPET period search range in seconds
 MIN_PERIOD_S = 0.8
 MAX_PERIOD_S = 8.0
-
-
-@dataclass(frozen=True)
-class SoftMask:
-    """Element-wise weights in [0, 1], same shape as the magnitude grid."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = self.weights
-        if np.any(w < 0.0) or np.any(w > 1.0):
-            raise DataError("mask weights must lie in [0, 1]")
 
 
 def beat_spectrum(mag: np.ndarray) -> np.ndarray:
@@ -93,12 +79,13 @@ def estimate_period(bs: np.ndarray, search_range: tuple[int, int]) -> int:
     return best_lag
 
 
-def repet_mask(mag: np.ndarray, period: int) -> SoftMask:
+def repet_mask(mag: np.ndarray, period: int) -> np.ndarray:
     """Accompaniment soft mask from the median repeating model.
 
     The repeating model U is the per-bin median over all frames at the
     same offset within the period (trailing partial periods use the
-    segments available). W = min(U, mag); mask = W / (mag + eps).
+    segments available). W = min(U, mag); the mask is W / (mag + eps)
+    clipped to [0, 1], same shape as mag. The vocal mask is one minus it.
     """
     if period < 1:
         raise DataError("period must be >= 1")
@@ -118,11 +105,7 @@ def repet_mask(mag: np.ndarray, period: int) -> SoftMask:
     else:  # period >= n_frames: each offset holds one frame
         weights = mag.copy()
     weights /= mag + MASK_EPS
-    return SoftMask(weights=np.clip(weights, 0.0, 1.0, out=weights))
-
-
-def vocal_mask(acc_mask: SoftMask) -> SoftMask:
-    return SoftMask(weights=1.0 - acc_mask.weights)
+    return np.clip(weights, 0.0, 1.0, out=weights)
 
 
 def period_search_range(grid) -> tuple[int, int]:
@@ -155,7 +138,7 @@ def separate(clip: AudioClip) -> AudioClip:
     # each full-size array is dropped after its last use; the vocal
     # weights replace the REPET mask in its buffer, and the mixture STFT
     # becomes the vocal's in place
-    weights = repet_mask(mag, period).weights
+    weights = repet_mask(mag, period)
     del mag
     np.subtract(1.0, weights, out=weights)
     np.multiply(spec.bins, weights, out=spec.bins)

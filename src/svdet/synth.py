@@ -6,32 +6,28 @@ with the project.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .audio import SAMPLE_RATE, AudioClip, save_wav
-from .evaluation import Segment
+
+# the accompaniment loop's length in seconds and its number of tones
+LOOP_PERIOD_S = 2.0
+LOOP_TONES = 6
 
 
-@dataclass(frozen=True)
-class SynthClip:
-    clip: AudioClip
-    vocal_segments: tuple  # (start_s, end_s) pairs
-
-
-def repeating_loop(rng, duration: float, sr: int, period: float = 2.0,
-                   n_tones: int = 6) -> np.ndarray:
+def repeating_loop(rng, duration: float, sr: int) -> np.ndarray:
     """Exactly periodic accompaniment with a vocal-like phrase inside.
 
     Tones carry a stepped amplitude pattern; a vibrato harmonic phrase
     repeats with the loop, so it confuses a classifier fed the raw
     mixture but is removed by repetition-based separation.
     """
-    n_period = int(round(period * sr))
+    n_period = int(round(LOOP_PERIOD_S * sr))
     t = np.arange(n_period) / sr
     base = np.zeros(n_period)
-    freqs = rng.uniform(80.0, 600.0, size=n_tones)
+    freqs = rng.uniform(80.0, 600.0, size=LOOP_TONES)
     for f in freqs:
         # 8-step on/off amplitude pattern inside the loop
         steps = rng.integers(0, 2, size=8).astype(np.float64)
@@ -84,25 +80,23 @@ def vibrato_voice(rng, duration: float, sr: int):
     return voice * gate, segments
 
 
-def synthetic_clip(seed: int, duration: float = 10.0, sr: int = SAMPLE_RATE,
-                   loop_period: float = 2.0) -> SynthClip:
+def synthetic_clip(seed: int, duration: float = 10.0):
+    """A loop-plus-voice mixture; returns (clip, vocal segments)."""
     rng = np.random.default_rng(seed)
-    loop = repeating_loop(rng, duration, sr, period=loop_period)
-    voice, segments = vibrato_voice(rng, duration, sr)
+    loop = repeating_loop(rng, duration, SAMPLE_RATE)
+    voice, segments = vibrato_voice(rng, duration, SAMPLE_RATE)
     # accompaniment-dominated mix: separation has to earn its keep
     mix = 0.8 * loop + 0.2 * voice
     peak = np.abs(mix).max()
     if peak > 0.95:
         mix *= 0.95 / peak
-    clip = AudioClip(samples=mix, sample_rate=sr, source_id=f"synth-{seed}")
-    return SynthClip(clip=clip, vocal_segments=tuple(segments))
+    clip = AudioClip(samples=mix, sample_rate=SAMPLE_RATE,
+                     source_id=f"synth-{seed}")
+    return clip, segments
 
 
-def write_corpus(out_dir, n_clips: int, seed: int = 0, duration: float = 10.0,
-                 sr: int = SAMPLE_RATE):
+def write_corpus(out_dir, n_clips: int, seed: int = 0, duration: float = 10.0):
     """Write WAVs and matching .lab files; returns the list of stems."""
-    from pathlib import Path
-
     out_dir = Path(out_dir)
     audio_dir = out_dir / "audio"
     label_dir = out_dir / "labels"
@@ -110,11 +104,11 @@ def write_corpus(out_dir, n_clips: int, seed: int = 0, duration: float = 10.0,
     label_dir.mkdir(parents=True, exist_ok=True)
     stems = []
     for i in range(n_clips):
-        sc = synthetic_clip(seed * 10000 + i, duration=duration, sr=sr)
+        clip, segments = synthetic_clip(seed * 10000 + i, duration=duration)
         stem = f"clip{i:03d}"
-        save_wav(audio_dir / f"{stem}.wav", sc.clip)
+        save_wav(audio_dir / f"{stem}.wav", clip)
         with open(label_dir / f"{stem}.lab", "w") as fh:
-            for start, end in sc.vocal_segments:
+            for start, end in segments:
                 fh.write(f"{start:.6f} {end:.6f} sing\n")
         stems.append(stem)
     return stems

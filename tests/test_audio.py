@@ -95,6 +95,14 @@ class TestLoadWav:
         with pytest.raises(DataError, match="unsupported encoding"):
             load_wav(path)
 
+    @pytest.mark.parametrize("n_channels, cut", [(1, 1), (2, 2)])
+    def test_data_ends_inside_a_frame(self, tmp_path, n_channels, cut):
+        path = tmp_path / "cut.wav"
+        write_pcm16(path, np.zeros(200, dtype=np.int16), n_channels=n_channels)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(DataError, match="unsupported encoding: truncated"):
+            load_wav(path)
+
     def test_save_load_roundtrip(self, tmp_path, rng):
         clip = AudioClip(samples=rng.uniform(-0.9, 0.9, 4000),
                          sample_rate=16000)

@@ -9,12 +9,15 @@ The perfbench files are loaded by path and only read.
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def load(name):
@@ -48,3 +51,18 @@ def test_hooked_function_keeps_bound_parameters(name):
     params = inspect.signature(svdet_function(name)).parameters
     for param in HOOK_PARAMS.get(name, ()):
         assert param in params, f"svdet.{name} lost parameter {param!r}"
+
+
+def test_benchmark_imports_load_every_traced_module():
+    # the tracer finds each module in sys.modules by name, and the package
+    # root imports none of them: the imports perfbench/run.py makes must
+    layers = load("layers")
+    wanted = {f"svdet.{layer.name.split('.')[0]}"
+              for layer in layers.FUNCTIONS + layers.COUNTS}
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "import svdet, svdet.cli, svdet.synth; "
+            "print(json.dumps(sorted(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True).stdout
+    missing = wanted - set(json.loads(out))
+    assert not missing, f"not loaded by the benchmark's imports: {sorted(missing)}"

@@ -19,8 +19,7 @@ from svdet.audio import (AudioClip, Spectrogram, frame_matrix, frame_signal,
                          istft, stft)
 from svdet.features import autocorr_from_spectrogram, lpcc
 from svdet.separation import (beat_spectrum, estimate_period,
-                              period_search_range, repet_mask, separate,
-                              vocal_mask)
+                              period_search_range, repet_mask, separate)
 from svdet.synth import repeating_loop, vibrato_voice
 
 SR = 16000
@@ -78,8 +77,8 @@ def reference_separate(clip):
     mag = np.abs(bins)
     period = estimate_period(reference_beat_spectrum(mag),
                              (lo, min(hi, grid.n_frames // 3)))
-    voc = vocal_mask(repet_mask(mag, period))
-    samples = reference_istft(bins * voc.weights, grid)
+    voc = 1.0 - repet_mask(mag, period)
+    samples = reference_istft(bins * voc, grid)
     span = len(samples)
     vocal, accompaniment = np.zeros(len(clip.samples)), np.zeros(len(clip.samples))
     vocal[:span] = samples

@@ -191,6 +191,15 @@ class TestResolveConfig:
         assert main(["--config", "/nonexistent.conf", "evaluate",
                      "--pred", "a", "--truth", "b", "--out", "c"]) == 2
 
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(b"# caf\xe9\nfolds=3\n")
+        assert main(["--config", str(conf), "evaluate",
+                     "--pred", "a", "--truth", "b", "--out", "c"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data: {conf}: not UTF-8 text")
+        assert err.count("\n") == 1
+
 
 class TestExitCodes:
     def test_no_subcommand_usage(self):
@@ -602,6 +611,7 @@ def fuzz_inputs(trained, tmp_path_factory):
                              sample_rate=16000))
     data = good.read_bytes()
     (root / "truncated.wav").write_bytes(data[:30])
+    (root / "cut.wav").write_bytes(data[:-1])  # ends inside a sample
     (root / "garbage.wav").write_bytes(b"RIFF\x00\x01WAVEjunk" * 8)
     ckpt = (trained / "checkpoint.npz").read_bytes()
     (root / "good.npz").write_bytes(ckpt)
@@ -609,6 +619,7 @@ def fuzz_inputs(trained, tmp_path_factory):
     (root / "garbage.npz").write_bytes(b"PK\x03\x04" + b"\x00" * 60)
     (root / "good.lab").write_text("0.0 1.5 sing\n1.5 3.0 nosing\n")
     (root / "garbage.lab").write_text("1.0 x\n")
+    (root / "latin1.lab").write_bytes(b"# caf\xe9\n0.0 1.5 sing\n")
     # a one-clip corpus for train: garbage.wav above has a .lab beside it
     for sub, name in (("audio", "good.wav"), ("labels", "good.lab")):
         (root / "corpus" / sub).mkdir(parents=True)
@@ -621,9 +632,9 @@ class TestExitCodeFuzz:
     @given(sets=FUZZ_SETS,
            command=st.sampled_from(["separate", "features", "train",
                                     "predict", "evaluate"]),
-           wav=st.sampled_from(["good", "truncated", "garbage"]),
+           wav=st.sampled_from(["good", "truncated", "cut", "garbage"]),
            ckpt=st.sampled_from(["good", "truncated", "garbage"]),
-           lab=st.sampled_from(["good", "garbage"]))
+           lab=st.sampled_from(["good", "garbage", "latin1"]))
     def test_main_returns_an_exit_code(self, fuzz_inputs, sets, command, wav,
                                        ckpt, lab):
         """Any config and any corrupted input ends in 0-3, never a raise."""

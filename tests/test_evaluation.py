@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svdet.audio import FrameGrid
+from svdet.cli import main
 from svdet.errors import DataError
 from svdet.evaluation import (Segment, confusion_counts, kfold_split,
                               load_labels, metrics, parse_label_file,
@@ -65,6 +66,24 @@ class TestParseLabelFile:
         p.write_text("zero 1.0 sing\n")
         with pytest.raises(DataError, match=":1:"):
             parse_label_file(p)
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        p = tmp_path / "a.lab"
+        p.write_bytes(b"# caf\xe9\n0.0 1.0 sing\n")
+        with pytest.raises(DataError, match=r"a\.lab: not UTF-8 text"):
+            parse_label_file(p)
+
+    def test_not_utf8_evaluate_exits_2(self, tmp_path, capsys):
+        pred, truth = tmp_path / "pred.lab", tmp_path / "truth.lab"
+        pred.write_bytes(b"# caf\xe9\n0.0 1.0 sing\n")
+        truth.write_text("0.0 1.0 sing\n")
+        out = tmp_path / "r.json"
+        assert main(["evaluate", "--pred", str(pred), "--truth", str(truth),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data: {pred}: not UTF-8 text")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestLoadLabels:

@@ -5,8 +5,7 @@ from svdet.audio import AudioClip, Spectrogram, frame_signal, istft, stft
 from svdet.cli import accompaniment
 from svdet.errors import ClipTooShortError, DataError
 from svdet.separation import (MASK_EPS, beat_spectrum, estimate_period,
-                              period_search_range, repet_mask, separate,
-                              vocal_mask)
+                              period_search_range, repet_mask, separate)
 from svdet.synth import repeating_loop
 
 
@@ -101,41 +100,39 @@ class TestRepetMask:
         periods = {1, 2, 3, 4, 5, 7, n_frames // 2 + 1, n_frames - 1,
                    n_frames, n_frames + 5}
         for period in sorted(p for p in periods if p >= 1):
-            got = repet_mask(mag, period).weights
+            got = repet_mask(mag, period)
             assert np.array_equal(got, reference_repet_mask(mag, period)), period
 
     def test_fortran_ordered_input(self, rng):
         mag = np.asfortranarray(rng.uniform(0.0, 1.0, size=(37, 7)))
         for period in (1, 5, 7, 19, 37, 40):
-            got = repet_mask(mag, period).weights
+            got = repet_mask(mag, period)
             assert np.array_equal(got, reference_repet_mask(mag, period)), period
 
     def test_purely_periodic_vocal_mask_near_zero(self):
         mag = periodic_magnitude(6, 5, 8)
-        acc = repet_mask(mag, 6)
-        voc = vocal_mask(acc)
-        assert voc.weights.max() <= 1e-6
+        voc = 1.0 - repet_mask(mag, 6)
+        assert voc.max() <= 1e-6
 
     def test_transient_bin_routed_to_vocal(self):
         # 3 segments of 4 frames; one bin spikes 10x above the median
         mag = np.tile(np.full((4, 3), 1.0), (3, 1))
         mag[5, 1] = 10.0
-        acc = repet_mask(mag, 4)
-        voc = vocal_mask(acc)
+        voc = 1.0 - repet_mask(mag, 4)
         # median over {1, 10, 1} is 1; W = 1, mask = 1/10
-        assert voc.weights[5, 1] >= 0.9
-        assert voc.weights[0, 0] <= 1e-6
+        assert voc[5, 1] >= 0.9
+        assert voc[0, 0] <= 1e-6
 
     def test_zero_spectrogram_no_nan(self):
         acc = repet_mask(np.zeros((6, 4)), 2)
-        assert np.all(acc.weights == 0.0)
-        assert np.all(np.isfinite(acc.weights))
+        assert np.all(acc == 0.0)
+        assert np.all(np.isfinite(acc))
 
     def test_mask_complementarity_exact(self, rng):
         mag = rng.uniform(0.0, 2.0, size=(20, 10))
         acc = repet_mask(mag, 5)
-        voc = vocal_mask(acc)
-        assert np.all(acc.weights + voc.weights == 1.0)
+        voc = 1.0 - acc
+        assert np.all(acc + voc == 1.0)
 
     def test_invalid_period(self):
         with pytest.raises(DataError):
@@ -145,7 +142,7 @@ class TestRepetMask:
         mag = np.ones((10, 2))
         mag[8:, :] = 3.0  # only frames 8,9 in the trailing partial period
         acc = repet_mask(mag, 4)
-        assert np.all(np.isfinite(acc.weights))
+        assert np.all(np.isfinite(acc))
 
 
 def reference_separate(clip):
@@ -159,8 +156,8 @@ def reference_separate(clip):
     acc = repet_mask(mag, period)
     n = len(clip.samples)
     out = []
-    for mask in (vocal_mask(acc), acc):
-        rec = istft(Spectrogram(bins=spec.bins * mask.weights, grid=grid,
+    for mask in (1.0 - acc, acc):
+        rec = istft(Spectrogram(bins=spec.bins * mask, grid=grid,
                                 n_fft=spec.n_fft)).samples
         out.append(np.pad(rec, (0, max(0, n - len(rec))))[:n])
     return out, len(rec)
