@@ -1,7 +1,11 @@
 """Audio loading, framing, and short-time transforms.
 
-All operations are pure and the containers are frozen; a clip can be
-shared freely between threads or worker processes.
+The front end is fixed: SAMPLE_RATE audio in frames of FRAME_LEN
+samples every HOP samples, frame i covering samples [i*HOP, i*HOP +
+FRAME_LEN). A clip is its samples, a spectrogram is its complex bins
+array and a frame count is the length of an array; none carries the
+layout. All operations are pure and the clip container is frozen; a
+clip can be shared freely between threads or worker processes.
 """
 
 from __future__ import annotations
@@ -22,6 +26,14 @@ FRAME_MS = 40.0
 HOP_MS = 20.0
 N_FFT = 1024
 
+# the same frame layout in samples: 640 and 320
+FRAME_LEN = int(round(SAMPLE_RATE * FRAME_MS / 1000.0))
+HOP = int(round(SAMPLE_RATE * HOP_MS / 1000.0))
+
+# periodic Hamming: constant overlap-add at a hop of half the frame
+WINDOW = scipy.signal.get_window("hamming", FRAME_LEN, fftbins=True)
+WINDOW.flags.writeable = False
+
 # Rows of a full-spectrogram intermediate built at a time. stft, istft,
 # the LPC autocorrelation and the beat spectrum fill one preallocated
 # result chunk by chunk, so their temporaries are this many rows long
@@ -32,67 +44,26 @@ CHUNK_ROWS = 32
 
 @dataclass(frozen=True)
 class AudioClip:
-    """Mono sample buffer in [-1, 1] with its sample rate."""
+    """Mono SAMPLE_RATE sample buffer in [-1, 1]."""
 
     samples: np.ndarray
-    sample_rate: int
     source_id: str = ""
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
         object.__setattr__(self, "samples", samples)
-        if self.sample_rate <= 0:
-            raise DataError("sample_rate must be positive")
         if samples.ndim != 1:
             raise DataError("AudioClip samples must be one-dimensional")
         if samples.size and not np.all(np.isfinite(samples)):
             raise DataError("AudioClip samples must be finite")
 
 
-@dataclass(frozen=True)
-class FrameGrid:
-    """Frame layout: frame i covers samples [i*hop, i*hop + frame_len)."""
-
-    frame_len: int
-    hop: int
-    n_frames: int
-    sample_rate: int
-
-    def __post_init__(self):
-        if not (0 < self.hop <= self.frame_len):
-            raise DataError("need 0 < hop <= frame_len")
-
-    def frame_times(self) -> np.ndarray:
-        """Center time (seconds) of each frame."""
-        starts = np.arange(self.n_frames) * self.hop
-        return (starts + self.frame_len / 2.0) / self.sample_rate
-
-
-@dataclass(frozen=True)
-class Spectrogram:
-    """Positive-frequency STFT bins, one row per frame."""
-
-    bins: np.ndarray  # complex, (n_frames, n_fft // 2 + 1)
-    grid: FrameGrid
-    n_fft: int
-
-    def __post_init__(self):
-        if self.bins.shape != (self.grid.n_frames, self.n_fft // 2 + 1):
-            raise DataError("spectrogram shape inconsistent with grid/n_fft")
-
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.bins)
-
-    def power(self) -> np.ndarray:
-        return np.abs(self.bins) ** 2
-
-
-def load_wav(path, target_rate: int | None = None) -> AudioClip:
+def load_wav(path) -> AudioClip:
     """Read a RIFF/WAVE file with 16-bit PCM samples.
 
     Stereo is downmixed by channel mean and samples are scaled by
-    1/32768. If target_rate is given and differs from the file rate,
-    the signal is resampled by an anti-aliased polyphase filter.
+    1/32768. A file at another rate than SAMPLE_RATE is resampled by an
+    anti-aliased polyphase filter.
     """
     try:
         with wave.open(str(path), "rb") as wf:
@@ -106,25 +77,26 @@ def load_wav(path, target_rate: int | None = None) -> AudioClip:
         raise DataError(f"unsupported encoding: {8 * sampwidth}-bit PCM (need 16-bit)")
     if n_channels not in (1, 2):
         raise DataError(f"unsupported channel count {n_channels}")
+    if rate <= 0:
+        raise DataError(f"unsupported sample rate {rate}")
     if len(raw) % (n_channels * sampwidth):  # data ends inside a frame
         raise DataError("unsupported encoding: truncated file")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / INT16_SCALE
     if n_channels == 2:
         data = data.reshape(-1, 2).mean(axis=1)
-    if target_rate is not None and target_rate != rate and rate > 0:
-        g = np.gcd(rate, target_rate)
-        data = scipy.signal.resample_poly(data, target_rate // g, rate // g)
-        rate = target_rate
-    return AudioClip(samples=data, sample_rate=rate, source_id=str(path))
+    if rate != SAMPLE_RATE:
+        g = np.gcd(rate, SAMPLE_RATE)
+        data = scipy.signal.resample_poly(data, SAMPLE_RATE // g, rate // g)
+    return AudioClip(samples=data, source_id=str(path))
 
 
 def save_wav(path, clip: AudioClip) -> None:
-    """Write a clip as mono 16-bit PCM WAV."""
+    """Write a clip as mono 16-bit PCM WAV at SAMPLE_RATE."""
     pcm = np.clip(np.round(clip.samples * INT16_SCALE), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
-        wf.setframerate(clip.sample_rate)
+        wf.setframerate(SAMPLE_RATE)
         wf.writeframes(pcm.tobytes())
 
 
@@ -134,74 +106,62 @@ def row_chunks(n_rows: int):
             for start in range(0, n_rows, CHUNK_ROWS)]
 
 
-def frame_grid(n_samples: int, sample_rate: int, frame_ms: float,
-               hop_ms: float) -> FrameGrid:
-    """Overlapping frames over n_samples; the trailing remainder is dropped."""
-    frame_len = int(round(sample_rate * frame_ms / 1000.0))
-    hop = int(round(sample_rate * hop_ms / 1000.0))
-    if n_samples < frame_len:
+def frame_count(n_samples: int) -> int:
+    """Frames over n_samples; the trailing remainder is dropped."""
+    if n_samples < FRAME_LEN:
         raise DataError(f"span of {n_samples} samples is shorter than one frame "
-                        f"({frame_len})")
-    # a hop below one sample is left to FrameGrid to reject
-    n_frames = (n_samples - frame_len) // max(hop, 1) + 1
-    return FrameGrid(frame_len=frame_len, hop=hop, n_frames=n_frames,
-                     sample_rate=sample_rate)
+                        f"({FRAME_LEN})")
+    return (n_samples - FRAME_LEN) // HOP + 1
 
 
-def frame_signal(clip: AudioClip) -> FrameGrid:
-    """The clip's grid of FRAME_MS frames every HOP_MS (see frame_grid)."""
-    return frame_grid(len(clip.samples), clip.sample_rate, FRAME_MS, HOP_MS)
+def frame_signal(clip: AudioClip) -> int:
+    """The clip's frame count (see frame_count)."""
+    return frame_count(len(clip.samples))
 
 
-def frame_matrix(clip: AudioClip, grid: FrameGrid) -> np.ndarray:
-    """The grid's frames as a read-only (n_frames, frame_len) view."""
-    windows = np.lib.stride_tricks.sliding_window_view(clip.samples, grid.frame_len)
-    return windows[:: grid.hop][: grid.n_frames]
+def frame_times(n_frames: int) -> np.ndarray:
+    """Center time (seconds) of each of n_frames frames."""
+    starts = np.arange(n_frames) * HOP
+    return (starts + FRAME_LEN / 2.0) / SAMPLE_RATE
 
 
-def _window(grid: FrameGrid) -> np.ndarray:
-    # periodic Hamming: satisfies constant-overlap-add at 50% overlap
-    return scipy.signal.get_window("hamming", grid.frame_len, fftbins=True)
+def frame_matrix(clip: AudioClip) -> np.ndarray:
+    """The clip's frames as a read-only (n_frames, FRAME_LEN) view."""
+    n_frames = frame_signal(clip)
+    windows = np.lib.stride_tricks.sliding_window_view(clip.samples, FRAME_LEN)
+    return windows[::HOP][:n_frames]
 
 
-def stft(clip: AudioClip, grid: FrameGrid, n_fft: int = N_FFT) -> Spectrogram:
-    """Hamming-windowed FFT per frame, zero-padded to n_fft."""
-    if n_fft < grid.frame_len:
-        raise DataError(f"n_fft {n_fft} smaller than frame length {grid.frame_len}")
-    if n_fft & (n_fft - 1):
-        raise DataError(f"n_fft {n_fft} is not a power of two")
-    frames = frame_matrix(clip, grid)
-    win = _window(grid)
-    bins = np.empty((grid.n_frames, n_fft // 2 + 1), dtype=np.complex128)
-    for rows in row_chunks(grid.n_frames):
-        bins[rows] = np.fft.rfft(frames[rows] * win, n=n_fft, axis=1)
-    return Spectrogram(bins=bins, grid=grid, n_fft=n_fft)
+def stft(clip: AudioClip) -> np.ndarray:
+    """Hamming-windowed FFT per frame, zero-padded to N_FFT.
+
+    Returns the complex (n_frames, N_FFT // 2 + 1) positive-frequency bins.
+    """
+    frames = frame_matrix(clip)
+    bins = np.empty((len(frames), N_FFT // 2 + 1), dtype=np.complex128)
+    for rows in row_chunks(len(frames)):
+        bins[rows] = np.fft.rfft(frames[rows] * WINDOW, n=N_FFT, axis=1)
+    return bins
 
 
-def istft(spec: Spectrogram) -> AudioClip:
+def istft(bins: np.ndarray) -> AudioClip:
     """Windowed overlap-add inverse, normalized by the summed squared window."""
-    grid = spec.grid
-    win = _window(grid)
-    if not scipy.signal.check_COLA(win, grid.frame_len, grid.frame_len - grid.hop,
-                                   tol=1e-6):
-        raise DataError(
-            f"hop {grid.hop} violates constant overlap-add for the window"
-        )
-    # Hamming is COLA only for hops dividing the frame: piece c of frame i
-    # lands on output piece i + c. Frames are added in frame order, a
-    # chunk of frames at a time, each chunk with the largest c first.
-    m = grid.frame_len // grid.hop
-    wsq = (win ** 2).reshape(m, grid.hop)
-    num = np.zeros((grid.n_frames + m - 1, grid.hop))
+    # HOP divides FRAME_LEN: piece c of frame i lands on output piece
+    # i + c. Frames are added in frame order, a chunk of frames at a
+    # time, each chunk with the largest c first.
+    n_frames = len(bins)
+    m = FRAME_LEN // HOP
+    wsq = (WINDOW ** 2).reshape(m, HOP)
+    num = np.zeros((n_frames + m - 1, HOP))
     den = np.zeros_like(num)
-    for rows in row_chunks(grid.n_frames):
-        frames = np.fft.irfft(spec.bins[rows], n=spec.n_fft, axis=1)
-        pieces = (frames[:, : grid.frame_len] * win).reshape(-1, m, grid.hop)
+    for rows in row_chunks(n_frames):
+        frames = np.fft.irfft(bins[rows], n=N_FFT, axis=1)
+        pieces = (frames[:, :FRAME_LEN] * WINDOW).reshape(-1, m, HOP)
         for c in range(m - 1, -1, -1):
             num[rows.start + c : rows.stop + c] += pieces[:, c]
     for c in range(m - 1, -1, -1):
-        den[c : c + grid.n_frames] += wsq[c]
+        den[c : c + n_frames] += wsq[c]
     covered = den > 1e-12
     np.divide(num, den, out=num, where=covered)
     num[~covered] = 0.0
-    return AudioClip(samples=num.ravel(), sample_rate=grid.sample_rate)
+    return AudioClip(samples=num.ravel())

@@ -21,8 +21,8 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import evaluation, features, model, pipeline, separation, smoothing
-from .audio import (FRAME_MS, HOP_MS, SAMPLE_RATE, AudioClip, frame_grid,
-                    frame_signal, load_wav, save_wav)
+from .audio import (FRAME_LEN, HOP, SAMPLE_RATE, AudioClip, frame_count,
+                    frame_signal, frame_times, load_wav, save_wav)
 from .errors import DataError, DivergenceError
 from .pipeline import PipelineConfig
 
@@ -124,14 +124,13 @@ def write_manifest(writer, out_dir, command, cfg, inputs):
 def accompaniment(clip: AudioClip, vocal: AudioClip) -> AudioClip:
     """The mixture minus its vocal estimate where frames cover it, zero
     after: the masks sum to one, so the accompaniment mask would give it."""
-    grid = frame_signal(clip)
     samples = clip.samples - vocal.samples
-    samples[(grid.n_frames - 1) * grid.hop + grid.frame_len :] = 0.0
-    return AudioClip(samples=samples, sample_rate=clip.sample_rate)
+    samples[(frame_signal(clip) - 1) * HOP + FRAME_LEN :] = 0.0
+    return AudioClip(samples=samples)
 
 
 def cmd_separate(args, cfg, writer):
-    clip = load_wav(args.input, target_rate=SAMPLE_RATE)
+    clip = load_wav(args.input)
     vocal = separation.separate(clip)
     stem = Path(args.input).stem
     out_dir = Path(args.out_dir)
@@ -142,8 +141,7 @@ def cmd_separate(args, cfg, writer):
 
 
 def cmd_features(args, cfg, writer):
-    clip = load_wav(args.input, target_rate=SAMPLE_RATE)
-    raw = pipeline.clip_features(clip, cfg)
+    raw = pipeline.clip_features(load_wav(args.input), cfg)
     out = writer.register(args.out)
     features.features_to_csv(
         out, features.apply_norm(raw, features.fit_norm_stats([raw])))
@@ -179,14 +177,13 @@ def cmd_predict(args, cfg, writer):
         if front_end.get(key) != value:
             raise DataError(f"checkpoint was trained with {key}="
                             f"{front_end.get(key)!r}, the config has {value!r}")
-    clip = load_wav(args.input, target_rate=SAMPLE_RATE)
-    raw = pipeline.clip_features(clip, cfg)
+    raw = pipeline.clip_features(load_wav(args.input), cfg)
     feat = features.apply_norm(raw, stats)
     track = model.predict_track(feat, params, lrcn_cfg)
     smoothed = smoothing.smooth(track, cfg.smoothing_method,
                                 cfg.median_window)
     out = writer.register(args.out)
-    times = feat.grid.frame_times()
+    times = frame_times(len(track.posteriors))
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["frame_time", "posterior", "smoothed_label"])
@@ -204,9 +201,9 @@ def cmd_evaluate(args, cfg, writer):
     end = max([s.end for s in pred_segs + truth_segs], default=0.0)
     if end <= 0.0:
         raise DataError("label files contain no segments")
-    grid = frame_grid(round(end * SAMPLE_RATE), SAMPLE_RATE, FRAME_MS, HOP_MS)
-    pred = evaluation.load_labels(args.pred, grid)
-    truth = evaluation.load_labels(args.truth, grid)
+    n_frames = frame_count(round(end * SAMPLE_RATE))
+    pred = evaluation.load_labels(args.pred, n_frames)
+    truth = evaluation.load_labels(args.truth, n_frames)
     report = evaluation.metrics(evaluation.confusion_counts(pred, truth))
     out = writer.register(args.out)
     out.write_text(report.to_json() + "\n")

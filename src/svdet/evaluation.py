@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .audio import FrameGrid
+from .audio import HOP, SAMPLE_RATE, frame_times
 from .errors import DataError
 from .tracks import LabelTrack
 
@@ -42,6 +42,8 @@ def parse_label_file(path) -> list[Segment]:
             start, end = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: unparseable time") from exc
+        if not (np.isfinite(start) and np.isfinite(end)):
+            raise DataError(f"{path}:{lineno}: non-finite time")
         token = parts[2].lower()
         if token in POSITIVE_TOKENS:
             label = 1
@@ -59,28 +61,28 @@ def parse_label_file(path) -> list[Segment]:
     return segments
 
 
-def load_labels(path, grid: FrameGrid) -> LabelTrack:
-    """Rasterize a segment label file onto a frame grid.
+def load_labels(path, n_frames: int) -> LabelTrack:
+    """Rasterize a segment label file onto the first n_frames frames.
 
     A frame is vocal iff its center time falls inside a sing segment;
     time not covered by any segment defaults to non-vocal.
     """
     segments = parse_label_file(path)
-    centers = grid.frame_times()
-    labels = np.zeros(grid.n_frames, dtype=np.int8)
+    centers = frame_times(n_frames)
+    labels = np.zeros(n_frames, dtype=np.int8)
     for seg in segments:
         if seg.label == 1:
             labels[(centers >= seg.start) & (centers < seg.end)] = 1
-    return LabelTrack(labels=labels, grid=grid)
+    return LabelTrack(labels=labels)
 
 
 def save_labels(path, track: LabelTrack) -> None:
     """Write a label track as merged 'start end sing|nosing' segments."""
     # boundaries halfway between frame centers, so rasterizing the file
-    # back onto the same grid reproduces the track exactly
-    centers = track.grid.frame_times()
-    hop_s = track.grid.hop / track.grid.sample_rate
+    # back onto the same number of frames reproduces the track exactly
     labels = track.labels
+    centers = frame_times(len(labels))
+    hop_s = HOP / SAMPLE_RATE
     # runs are labels[i:j] between consecutive cuts; an empty track has none
     cuts = np.r_[0, np.flatnonzero(labels[1:] != labels[:-1]) + 1, len(labels)]
     lines = [f"{centers[i] - hop_s / 2:.6f} {centers[j - 1] + hop_s / 2:.6f} "

@@ -1,7 +1,8 @@
 """Per-frame acoustic features: MFCC, LPCC, PLP, and block packing.
 
-All extractors return a FeatureMatrix aligned to the spectrogram's
-frame grid, computed for all frames at once. Combinations follow the
+All extractors take a spectrogram's complex bins (audio.stft) and
+return a FeatureMatrix with one row per frame, computed for all frames
+at once. Combinations follow the
 feature set tags in FEATURE_SETS; fit_norm_stats and apply_norm
 min-max scale the columns with statistics fit on training data.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dct
 
-from .audio import FrameGrid, Spectrogram, row_chunks
+from .audio import N_FFT, SAMPLE_RATE, row_chunks
 from .errors import DataError
 
 LOG_FLOOR = 1e-10
@@ -41,7 +42,6 @@ class FeatureMatrix:
 
     values: np.ndarray  # (n_frames, dim)
     feature_tag: str
-    grid: FrameGrid
     degenerate_frames: tuple = ()  # frames zeroed for singular autocorrelation
 
     def __post_init__(self):
@@ -85,8 +85,7 @@ def apply_norm(feat: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
     scaled = np.zeros_like(feat.values)
     nz = span > 0
     scaled[:, nz] = (feat.values[:, nz] - stats.col_min[nz]) / span[nz]
-    return FeatureMatrix(values=scaled, feature_tag=feat.feature_tag,
-                         grid=feat.grid)
+    return FeatureMatrix(values=scaled, feature_tag=feat.feature_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +99,14 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
-    """Triangular mel filters over the rfft bins, 0 Hz to Nyquist."""
-    nyq = sample_rate / 2.0
-    mel_pts = np.linspace(hz_to_mel(0.0), hz_to_mel(nyq), n_mels + 2)
+def mel_filterbank() -> np.ndarray:
+    """N_MELS triangular mel filters over the rfft bins, 0 Hz to Nyquist."""
+    nyq = SAMPLE_RATE / 2.0
+    mel_pts = np.linspace(hz_to_mel(0.0), hz_to_mel(nyq), N_MELS + 2)
     hz_pts = mel_to_hz(mel_pts)
-    freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate)
-    fb = np.zeros((n_mels, len(freqs)))
-    for m in range(n_mels):
+    freqs = np.fft.rfftfreq(N_FFT, d=1.0 / SAMPLE_RATE)
+    fb = np.zeros((N_MELS, len(freqs)))
+    for m in range(N_MELS):
         lo, ctr, hi = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
         up = (freqs - lo) / (ctr - lo)
         down = (hi - freqs) / (hi - ctr)
@@ -121,16 +120,15 @@ def cepstra_from_log_energies(log_e: np.ndarray, n_coeffs: int) -> np.ndarray:
     return cep[:, 1 : n_coeffs + 1]
 
 
-def mfcc(spec: Spectrogram) -> FeatureMatrix:
+def mfcc(bins: np.ndarray) -> FeatureMatrix:
     """Mel filterbank energies -> log -> DCT-II, keeping coefficients
     1..N_CEPSTRA of N_MELS; the 0-th (energy) coefficient is dropped."""
-    if spec.grid.n_frames == 0:
+    if len(bins) == 0:
         raise DataError("empty spectrogram")
-    fb = mel_filterbank(N_MELS, spec.n_fft, spec.grid.sample_rate)
-    energies = spec.power() @ fb.T
+    energies = np.abs(bins) ** 2 @ mel_filterbank().T
     log_e = np.log(np.maximum(energies, LOG_FLOOR))
     return FeatureMatrix(values=cepstra_from_log_energies(log_e, N_CEPSTRA),
-                         feature_tag="mfcc", grid=spec.grid)
+                         feature_tag="mfcc")
 
 
 # ---------------------------------------------------------------------------
@@ -188,28 +186,28 @@ def _lpc_cepstra(r: np.ndarray, order: int, n_coeffs: int):
     return lpc_to_cepstrum(a, n_coeffs), tuple(int(t) for t in np.flatnonzero(~ok))
 
 
-def autocorr_from_spectrogram(spec: Spectrogram, max_lag: int) -> np.ndarray:
+def autocorr_from_spectrogram(bins: np.ndarray, max_lag: int) -> np.ndarray:
     """Autocorrelation of each windowed frame via its power spectrum.
 
     Runs a chunk of frames at a time and keeps lags 0..max_lag of each.
     """
-    n_lags = min(max_lag + 1, spec.n_fft)
-    r = np.empty((spec.grid.n_frames, n_lags))
-    for rows in row_chunks(spec.grid.n_frames):
-        power = np.abs(spec.bins[rows]) ** 2
-        r[rows] = np.fft.irfft(power, n=spec.n_fft, axis=1)[:, :n_lags]
+    n_lags = min(max_lag + 1, N_FFT)
+    r = np.empty((len(bins), n_lags))
+    for rows in row_chunks(len(bins)):
+        power = np.abs(bins[rows]) ** 2
+        r[rows] = np.fft.irfft(power, n=N_FFT, axis=1)[:, :n_lags]
     return r
 
 
-def lpcc(spec: Spectrogram) -> FeatureMatrix:
+def lpcc(bins: np.ndarray) -> FeatureMatrix:
     """Linear-prediction cepstra per frame, solved for all frames at once.
 
     The autocorrelation comes from the power spectrum. All-zero frames
     produce all-zero coefficients rather than an error.
     """
-    r = autocorr_from_spectrogram(spec, LPC_ORDER)
+    r = autocorr_from_spectrogram(bins, LPC_ORDER)
     values, degenerate = _lpc_cepstra(r, LPC_ORDER, N_CEPSTRA)
-    return FeatureMatrix(values=values, feature_tag="lpcc", grid=spec.grid,
+    return FeatureMatrix(values=values, feature_tag="lpcc",
                          degenerate_frames=degenerate)
 
 
@@ -225,14 +223,14 @@ def bark_to_hz(z):
     return 600.0 * np.sinh(np.asarray(z, dtype=np.float64) / 6.0)
 
 
-def bark_filterbank(n_fft: int, sample_rate: int):
-    """Critical-band masking curves at ~1 Bark spacing.
+def bark_filterbank():
+    """Critical-band masking curves at ~1 Bark spacing over the rfft bins.
 
     Returns (weights (n_bands, n_bins), center frequencies in Hz).
     """
-    freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate)
+    freqs = np.fft.rfftfreq(N_FFT, d=1.0 / SAMPLE_RATE)
     z = hz_to_bark(freqs)
-    z_max = hz_to_bark(sample_rate / 2.0)
+    z_max = hz_to_bark(SAMPLE_RATE / 2.0)
     n_bands = int(np.ceil(z_max)) + 1
     centers_z = np.linspace(0.0, z_max, n_bands)
     # flat top one Bark wide, 25 dB/Bark lower skirt, 10 dB/Bark upper skirt
@@ -250,16 +248,16 @@ def equal_loudness(f):
     return (fsq / (fsq + 1.6e5)) ** 2 * ((fsq + 1.44e6) / (fsq + 9.61e6))
 
 
-def plp(spec: Spectrogram) -> FeatureMatrix:
+def plp(bins: np.ndarray) -> FeatureMatrix:
     """Perceptual linear prediction cepstra per frame.
 
     Bark-band integration -> equal-loudness weighting -> cube-root
     compression -> inverse DFT to autocorrelation -> LPC -> cepstra.
     """
-    if spec.grid.n_frames == 0:
+    if len(bins) == 0:
         raise DataError("empty spectrogram")
-    fb, centers_hz = bark_filterbank(spec.n_fft, spec.grid.sample_rate)
-    bands = np.maximum(spec.power() @ fb.T, LOG_FLOOR)
+    fb, centers_hz = bark_filterbank()
+    bands = np.maximum(np.abs(bins) ** 2 @ fb.T, LOG_FLOOR)
     bands = bands * equal_loudness(centers_hz)
     bands = bands ** (1.0 / 3.0)
     # duplicate edge bands to flatten the spectrum ends before the IDFT
@@ -268,19 +266,19 @@ def plp(spec: Spectrogram) -> FeatureMatrix:
     # IDFT of the even extension of the bands
     r = np.fft.irfft(bands, n=2 * (bands.shape[1] - 1), axis=1)[:, : LPC_ORDER + 1]
     values, degenerate = _lpc_cepstra(r, LPC_ORDER, N_CEPSTRA)
-    return FeatureMatrix(values=values, feature_tag="plp", grid=spec.grid,
+    return FeatureMatrix(values=values, feature_tag="plp",
                          degenerate_frames=degenerate)
 
 
 # ---------------------------------------------------------------------------
 # Combination, blocking
 
-def extract_features(spec: Spectrogram, tag: str) -> list[FeatureMatrix]:
+def extract_features(bins: np.ndarray, tag: str) -> list[FeatureMatrix]:
     """Base feature matrices for a feature set tag, in tag order."""
     if tag not in FEATURE_SETS:
         raise DataError(f"unknown feature set {tag!r}")
     extractors = {"mfcc": mfcc, "lpcc": lpcc, "plp": plp}
-    return [extractors[name](spec) for name in FEATURE_SETS[tag]]
+    return [extractors[name](bins) for name in FEATURE_SETS[tag]]
 
 
 def blockify(values: np.ndarray, block_len: int, stride: int = 1,

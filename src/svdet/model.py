@@ -424,7 +424,7 @@ def predict_track(feat: FeatureMatrix, params: dict,
     for start in range(0, len(x), PREDICT_BATCH):
         post[start : start + PREDICT_BATCH] = forward_blocks(
             x[start : start + PREDICT_BATCH], params, cfg)
-    return PredictionTrack(posteriors=post, grid=feat.grid)
+    return PredictionTrack(posteriors=post)
 
 
 # ---------------------------------------------------------------------------

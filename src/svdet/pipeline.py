@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audio, evaluation, features, model, separation, smoothing
-from .audio import AudioClip, frame_signal, load_wav, stft
+from .audio import AudioClip, load_wav, stft
 from .errors import ClipTooShortError, DataError
 from .features import FEATURE_SETS, FeatureMatrix, apply_norm, fit_norm_stats
 
@@ -92,11 +92,9 @@ def clip_features(clip: AudioClip, cfg: PipelineConfig) -> FeatureMatrix:
         except ClipTooShortError as exc:
             logging.getLogger(__name__).warning(
                 "%s: %s; using the unseparated mixture", clip.source_id, exc)
-    grid = frame_signal(clip)
-    spec = stft(clip, grid)
-    parts = features.extract_features(spec, cfg.feature_tag)
+    parts = features.extract_features(stft(clip), cfg.feature_tag)
     values = np.concatenate([p.values for p in parts], axis=1)
-    return FeatureMatrix(values=values, feature_tag=cfg.feature_tag, grid=grid)
+    return FeatureMatrix(values=values, feature_tag=cfg.feature_tag)
 
 
 def _training_arrays(stems, feats, labels, stats, cfg: PipelineConfig):
@@ -148,11 +146,10 @@ def load_corpus(audio_dir, label_dir, cfg: PipelineConfig):
         raise DataError(f"no wav/label pairs under {audio_dir}")
     feats, labels = {}, {}
     for stem in stems:
-        clip = load_wav(audio_dir / f"{stem}.wav", target_rate=audio.SAMPLE_RATE)
-        feat = clip_features(clip, cfg)
+        feat = clip_features(load_wav(audio_dir / f"{stem}.wav"), cfg)
         feats[stem] = feat
         labels[stem] = evaluation.load_labels(label_dir / f"{stem}.lab",
-                                              feat.grid)
+                                              len(feat.values))
     return stems, feats, labels
 
 

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .audio import AudioClip, frame_signal, istft, row_chunks, stft
+from .audio import (HOP, SAMPLE_RATE, AudioClip, frame_signal, istft,
+                    row_chunks, stft)
 from .errors import ClipTooShortError, DataError
 
 MASK_EPS = 1e-10
 
-# the REPET period search range in seconds
-MIN_PERIOD_S = 0.8
-MAX_PERIOD_S = 8.0
+# the REPET period search range, 0.8 s to 8 s, in frames: 40 to 400
+MIN_PERIOD = round(0.8 * SAMPLE_RATE / HOP)
+MAX_PERIOD = round(8.0 * SAMPLE_RATE / HOP)
 
 
 def beat_spectrum(mag: np.ndarray) -> np.ndarray:
@@ -108,13 +109,6 @@ def repet_mask(mag: np.ndarray, period: int) -> np.ndarray:
     return np.clip(weights, 0.0, 1.0, out=weights)
 
 
-def period_search_range(grid) -> tuple[int, int]:
-    """The REPET period search range in frames of grid."""
-    frames_per_s = grid.sample_rate / grid.hop
-    return (max(1, int(round(MIN_PERIOD_S * frames_per_s))),
-            int(round(MAX_PERIOD_S * frames_per_s)))
-
-
 def separate(clip: AudioClip) -> AudioClip:
     """The vocal estimate of a mixture, zero after the end of its last frame.
 
@@ -122,30 +116,27 @@ def separate(clip: AudioClip) -> AudioClip:
     mixture phase and inverted.
     """
     try:
-        grid = frame_signal(clip)
+        n_frames = frame_signal(clip)
     except DataError as exc:
         raise ClipTooShortError(f"clip too short to separate: {exc}") from exc
-    lo, hi = period_search_range(grid)
-    if grid.n_frames < 3 * lo:
+    if n_frames < 3 * MIN_PERIOD:
         raise ClipTooShortError(
-            f"clip too short: {grid.n_frames} frames < 3 periods of {lo}"
+            f"clip too short: {n_frames} frames < 3 periods of {MIN_PERIOD}"
         )
-    hi = min(hi, grid.n_frames // 3)
-    spec = stft(clip, grid)
-    mag = spec.magnitude()
+    bins = stft(clip)
+    mag = np.abs(bins)
     bs = beat_spectrum(mag)
-    period = estimate_period(bs, (lo, hi))
+    period = estimate_period(bs, (MIN_PERIOD, min(MAX_PERIOD, n_frames // 3)))
     # each full-size array is dropped after its last use; the vocal
     # weights replace the REPET mask in its buffer, and the mixture STFT
     # becomes the vocal's in place
     weights = repet_mask(mag, period)
     del mag
     np.subtract(1.0, weights, out=weights)
-    np.multiply(spec.bins, weights, out=spec.bins)
+    np.multiply(bins, weights, out=bins)
     del weights
-    voc_clip = istft(spec)
-    del spec
+    voc_clip = istft(bins)
+    del bins
     vocal = np.zeros(len(clip.samples))
     vocal[: len(voc_clip.samples)] = voc_clip.samples
-    return AudioClip(samples=vocal, sample_rate=clip.sample_rate,
-                     source_id=clip.source_id)
+    return AudioClip(samples=vocal, source_id=clip.source_id)

@@ -93,7 +93,7 @@ def median_filter(track: PredictionTrack, window: int) -> LabelTrack:
     padded = np.pad(binary, half, mode="edge")
     windows = np.lib.stride_tricks.sliding_window_view(padded, window)
     smoothed = (windows.mean(axis=1) > 0.5).astype(np.int8)
-    return LabelTrack(labels=smoothed, grid=track.grid)
+    return LabelTrack(labels=smoothed)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ def viterbi_decode(model: HmmGmmModel, track: PredictionTrack) -> LabelTrack:
     path[-1] = int(delta[-1].argmax())
     for t in range(T - 2, -1, -1):
         path[t] = psi[t + 1][path[t + 1]]
-    return LabelTrack(labels=path, grid=track.grid)
+    return LabelTrack(labels=path)
 
 
 def smooth(track: PredictionTrack, method: str, median_window: int,

@@ -17,15 +17,15 @@ LOOP_PERIOD_S = 2.0
 LOOP_TONES = 6
 
 
-def repeating_loop(rng, duration: float, sr: int) -> np.ndarray:
+def repeating_loop(rng, duration: float) -> np.ndarray:
     """Exactly periodic accompaniment with a vocal-like phrase inside.
 
     Tones carry a stepped amplitude pattern; a vibrato harmonic phrase
     repeats with the loop, so it confuses a classifier fed the raw
     mixture but is removed by repetition-based separation.
     """
-    n_period = int(round(LOOP_PERIOD_S * sr))
-    t = np.arange(n_period) / sr
+    n_period = int(round(LOOP_PERIOD_S * SAMPLE_RATE))
+    t = np.arange(n_period) / SAMPLE_RATE
     base = np.zeros(n_period)
     freqs = rng.uniform(80.0, 600.0, size=LOOP_TONES)
     for f in freqs:
@@ -37,27 +37,27 @@ def repeating_loop(rng, duration: float, sr: int) -> np.ndarray:
     f0 = rng.uniform(250.0, 450.0)
     vib = 1.0 + 0.03 * np.sin(2.0 * np.pi * 6.0 * t)
     inst = f0 * vib * (1.0 + 0.1 * np.sin(2.0 * np.pi * 0.5 * t))
-    phase = 2.0 * np.pi * np.cumsum(inst) / sr
+    phase = 2.0 * np.pi * np.cumsum(inst) / SAMPLE_RATE
     fake = np.zeros(n_period)
     for h in range(1, 5):
         fake += np.sin(h * phase) / h
     gate = np.zeros(n_period)
-    gate[int(0.3 * sr) : int(1.4 * sr)] = 1.0
+    gate[int(0.3 * SAMPLE_RATE) : int(1.4 * SAMPLE_RATE)] = 1.0
     base += 2.0 * gate * fake
     base /= max(np.abs(base).max(), 1e-9)
-    reps = int(np.ceil(duration * sr / n_period))
-    return np.tile(base, reps)[: int(round(duration * sr))]
+    reps = int(np.ceil(duration * SAMPLE_RATE / n_period))
+    return np.tile(base, reps)[: int(round(duration * SAMPLE_RATE))]
 
 
-def vibrato_voice(rng, duration: float, sr: int):
+def vibrato_voice(rng, duration: float):
     """Gated vibrato harmonic chirp; returns (signal, vocal segments)."""
-    n = int(round(duration * sr))
-    t = np.arange(n) / sr
+    n = int(round(duration * SAMPLE_RATE))
+    t = np.arange(n) / SAMPLE_RATE
     f0 = rng.uniform(250.0, 450.0)
     chirp = f0 * (1.0 + 0.15 * np.sin(2.0 * np.pi * rng.uniform(0.05, 0.15) * t))
     vib = 1.0 + 0.03 * np.sin(2.0 * np.pi * rng.uniform(5.0, 7.0) * t)
     inst_freq = chirp * vib
-    phase = 2.0 * np.pi * np.cumsum(inst_freq) / sr
+    phase = 2.0 * np.pi * np.cumsum(inst_freq) / SAMPLE_RATE
     voice = np.zeros(n)
     for h in range(1, 5):
         voice += np.sin(h * phase) / h
@@ -69,11 +69,11 @@ def vibrato_voice(rng, duration: float, sr: int):
     while pos < duration - 1.5:
         seg_len = rng.uniform(1.5, 3.0)
         end = min(pos + seg_len, duration - 0.1)
-        i0, i1 = int(pos * sr), int(end * sr)
+        i0, i1 = int(pos * SAMPLE_RATE), int(end * SAMPLE_RATE)
         gate[i0:i1] = 1.0
         segments.append((pos, end))
         pos = end + rng.uniform(1.0, 2.5)
-    fade = int(0.01 * sr)
+    fade = int(0.01 * SAMPLE_RATE)
     if fade:
         kernel = np.ones(fade) / fade
         gate = np.convolve(gate, kernel, mode="same")
@@ -83,16 +83,14 @@ def vibrato_voice(rng, duration: float, sr: int):
 def synthetic_clip(seed: int, duration: float = 10.0):
     """A loop-plus-voice mixture; returns (clip, vocal segments)."""
     rng = np.random.default_rng(seed)
-    loop = repeating_loop(rng, duration, SAMPLE_RATE)
-    voice, segments = vibrato_voice(rng, duration, SAMPLE_RATE)
+    loop = repeating_loop(rng, duration)
+    voice, segments = vibrato_voice(rng, duration)
     # accompaniment-dominated mix: separation has to earn its keep
     mix = 0.8 * loop + 0.2 * voice
     peak = np.abs(mix).max()
     if peak > 0.95:
         mix *= 0.95 / peak
-    clip = AudioClip(samples=mix, sample_rate=SAMPLE_RATE,
-                     source_id=f"synth-{seed}")
-    return clip, segments
+    return AudioClip(samples=mix, source_id=f"synth-{seed}"), segments
 
 
 def write_corpus(out_dir, n_clips: int, seed: int = 0, duration: float = 10.0):

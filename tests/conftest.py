@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svdet.audio import AudioClip, frame_signal, stft
+from svdet.audio import AudioClip, stft
 
 
 @pytest.fixture
@@ -12,10 +12,9 @@ def rng():
 @pytest.fixture
 def random_clip(rng):
     return AudioClip(samples=0.3 * rng.standard_normal(16000),
-                     sample_rate=16000, source_id="random")
+                     source_id="random")
 
 
 @pytest.fixture
 def random_spectrogram(random_clip):
-    grid = frame_signal(random_clip)
-    return stft(random_clip, grid)
+    return stft(random_clip)

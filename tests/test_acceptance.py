@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from svdet.audio import AudioClip, frame_signal, istft, stft
+from svdet.audio import FRAME_LEN, HOP, AudioClip, frame_signal, istft, stft
 from svdet.evaluation import metrics
 from svdet.model import (LrcnConfig, bce_loss, forward_blocks, init_params,
                          lrcn_backward, lrcn_cell_step, param_views,
@@ -25,7 +25,6 @@ from svdet.synth import repeating_loop, write_corpus
 from svdet.tracks import PredictionTrack
 from test_features import lpc_normal_equations, mfcc_oracle, plp_oracle
 
-from svdet.audio import FrameGrid
 from svdet.features import levinson_durbin, lpcc, mfcc, plp
 
 
@@ -38,10 +37,7 @@ def announce(capsys):
 
 
 def make_track(posteriors):
-    posteriors = np.asarray(posteriors, dtype=np.float64)
-    grid = FrameGrid(frame_len=640, hop=320, n_frames=len(posteriors),
-                     sample_rate=16000)
-    return PredictionTrack(posteriors=posteriors, grid=grid)
+    return PredictionTrack(posteriors=np.asarray(posteriors, dtype=np.float64))
 
 
 def counts_for(precision, recall, scale=10_000_000):
@@ -160,10 +156,9 @@ def test_06_stft_roundtrip(announce):
     worst = 0.0
     for _ in range(20):
         n = int(rng.integers(2000, 30000))
-        clip = AudioClip(samples=rng.standard_normal(n), sample_rate=16000)
-        grid = frame_signal(clip)
-        rec = istft(stft(clip, grid))
-        covered = (grid.n_frames - 1) * grid.hop + grid.frame_len
+        clip = AudioClip(samples=rng.standard_normal(n))
+        rec = istft(stft(clip))
+        covered = (frame_signal(clip) - 1) * HOP + FRAME_LEN
         worst = max(worst,
                     float(np.abs(rec.samples[:covered]
                                  - clip.samples[:covered]).max()))
@@ -175,7 +170,7 @@ def test_06_stft_roundtrip(announce):
 def test_07_repet_routing(announce):
     rng = np.random.default_rng(0)
     sr = 16000
-    loop = 0.3 * repeating_loop(rng, 12.0, sr)  # exactly 2 s periodic
+    loop = 0.3 * repeating_loop(rng, 12.0)  # exactly 2 s periodic
     burst = np.zeros_like(loop)
     rms = float(np.sqrt(np.mean(loop ** 2)))
     amp = np.sqrt(10.0) * rms * np.sqrt(2.0)  # +10 dB over the loop
@@ -183,14 +178,12 @@ def test_07_repet_routing(announce):
         i = int(t0 * sr)
         n = int(0.03 * sr)
         burst[i:i + n] += amp * np.sin(2 * np.pi * 3333.0 * np.arange(n) / sr)
-    mix = AudioClip(samples=loop + burst, sample_rate=sr)
-    grid = frame_signal(mix)
-    mag = stft(mix, grid).magnitude()
-    period = int(round(2.0 * sr / grid.hop))  # known loop period in frames
+    mag = np.abs(stft(AudioClip(samples=loop + burst)))
+    period = int(round(2.0 * sr / HOP))  # known loop period in frames
     acc = repet_mask(mag, period)
     voc = 1.0 - acc
     comp_ok = bool(np.all(acc + voc == 1.0))
-    bspec = stft(AudioClip(samples=burst, sample_rate=sr), grid).magnitude()
+    bspec = np.abs(stft(AudioClip(samples=burst)))
     trans = bspec > 0.1 * bspec.max()
     routed = float(np.sum((voc[trans] * mag[trans]) ** 2)
                    / np.sum(bspec[trans] ** 2))
@@ -216,17 +209,18 @@ def test_09_feature_oracles(announce):
     rng = np.random.default_rng(9)
     t = np.arange(3200) / 16000
     clip = AudioClip(samples=0.5 * np.sin(2 * np.pi * 1000.0 * t)
-                     + 0.1 * rng.standard_normal(3200), sample_rate=16000)
-    spec = stft(clip, frame_signal(clip))
+                     + 0.1 * rng.standard_normal(3200))
+    spec = stft(clip)
     ok = True
     mf = mfcc(spec)
     pl = plp(spec)
-    for fi in (0, spec.grid.n_frames - 1):
-        if np.abs(mf.values[fi] - mfcc_oracle(spec.power()[fi], 16000,
-                                              spec.n_fft)).max() >= 1e-6:
+    power = np.abs(spec) ** 2
+    for fi in (0, len(spec) - 1):
+        if np.abs(mf.values[fi] - mfcc_oracle(power[fi], 16000,
+                                              1024)).max() >= 1e-6:
             ok = False
-        if np.abs(pl.values[fi] - plp_oracle(spec.power()[fi], 16000,
-                                             spec.n_fft)).max() >= 1e-6:
+        if np.abs(pl.values[fi] - plp_oracle(power[fi], 16000,
+                                             1024)).max() >= 1e-6:
             ok = False
     for _ in range(5):
         x = rng.standard_normal(640)

@@ -53,6 +53,15 @@ def test_hooked_function_keeps_bound_parameters(name):
         assert param in params, f"svdet.{name} lost parameter {param!r}"
 
 
+def test_output_checks_use_the_front_end():
+    # the benchmark's output checks count frames and place frame times
+    # with their own copies of the fixed frame layout
+    from svdet import audio
+    workloads = load("workloads")
+    for name in ("SAMPLE_RATE", "FRAME_LEN", "HOP"):
+        assert getattr(workloads, name) == getattr(audio, name), name
+
+
 def test_benchmark_imports_load_every_traced_module():
     # the tracer finds each module in sys.modules by name, and the package
     # root imports none of them: the imports perfbench/run.py makes must

@@ -15,33 +15,32 @@ import pytest
 import scipy.signal
 
 from svdet import audio, cli, separation
-from svdet.audio import (AudioClip, Spectrogram, frame_matrix, frame_signal,
+from svdet.audio import (FRAME_LEN, HOP, AudioClip, frame_matrix, frame_signal,
                          istft, stft)
 from svdet.features import autocorr_from_spectrogram, lpcc
-from svdet.separation import (beat_spectrum, estimate_period,
-                              period_search_range, repet_mask, separate)
+from svdet.separation import (MAX_PERIOD, MIN_PERIOD, beat_spectrum,
+                              estimate_period, repet_mask, separate)
 from svdet.synth import repeating_loop, vibrato_voice
 
-SR = 16000
+
+def reference_stft(clip):
+    win = scipy.signal.get_window("hamming", FRAME_LEN, fftbins=True)
+    return np.fft.rfft(frame_matrix(clip) * win, n=1024, axis=1)
 
 
-def reference_stft(clip, grid, n_fft=1024):
-    win = scipy.signal.get_window("hamming", grid.frame_len, fftbins=True)
-    return np.fft.rfft(frame_matrix(clip, grid) * win, n=n_fft, axis=1)
-
-
-def reference_istft(bins, grid, n_fft=1024):
-    win = scipy.signal.get_window("hamming", grid.frame_len, fftbins=True)
-    frames = np.fft.irfft(bins, n=n_fft, axis=1)[:, : grid.frame_len]
+def reference_istft(bins):
+    win = scipy.signal.get_window("hamming", FRAME_LEN, fftbins=True)
+    frames = np.fft.irfft(bins, n=1024, axis=1)[:, :FRAME_LEN]
     frames *= win
-    m = grid.frame_len // grid.hop
-    chunks = frames.reshape(grid.n_frames, m, grid.hop)
-    wsq = (win ** 2).reshape(m, grid.hop)
-    num = np.zeros((grid.n_frames + m - 1, grid.hop))
+    n_frames = len(bins)
+    m = FRAME_LEN // HOP
+    chunks = frames.reshape(n_frames, m, HOP)
+    wsq = (win ** 2).reshape(m, HOP)
+    num = np.zeros((n_frames + m - 1, HOP))
     den = np.zeros_like(num)
     for c in range(m - 1, -1, -1):
-        num[c : c + grid.n_frames] += chunks[:, c]
-        den[c : c + grid.n_frames] += wsq[c]
+        num[c : c + n_frames] += chunks[:, c]
+        den[c : c + n_frames] += wsq[c]
     return np.divide(num, den, out=np.zeros_like(num), where=den > 1e-12).ravel()
 
 
@@ -65,20 +64,18 @@ def reference_beat_spectrum(mag):
     return ac.mean(axis=0)
 
 
-def reference_autocorr(spec, max_lag):
-    return np.fft.irfft(spec.power(), n=spec.n_fft, axis=1)[:, : max_lag + 1]
+def reference_autocorr(bins, max_lag):
+    return np.fft.irfft(np.abs(bins) ** 2, n=1024, axis=1)[:, : max_lag + 1]
 
 
 def reference_separate(clip):
     """Whole-array separation: (vocal, accompaniment, period)."""
-    grid = frame_signal(clip)
-    lo, hi = period_search_range(grid)
-    bins = reference_stft(clip, grid)
+    bins = reference_stft(clip)
     mag = np.abs(bins)
     period = estimate_period(reference_beat_spectrum(mag),
-                             (lo, min(hi, grid.n_frames // 3)))
+                             (MIN_PERIOD, min(MAX_PERIOD, frame_signal(clip) // 3)))
     voc = 1.0 - repet_mask(mag, period)
-    samples = reference_istft(bins * voc, grid)
+    samples = reference_istft(bins * voc)
     span = len(samples)
     vocal, accompaniment = np.zeros(len(clip.samples)), np.zeros(len(clip.samples))
     vocal[:span] = samples
@@ -88,9 +85,8 @@ def reference_separate(clip):
 
 def song(duration, seed=5):
     rng = np.random.default_rng(seed)
-    x = (repeating_loop(rng, duration, SR)
-         + 0.5 * vibrato_voice(rng, duration, SR)[0])
-    return AudioClip(samples=x, sample_rate=SR)
+    x = repeating_loop(rng, duration) + 0.5 * vibrato_voice(rng, duration)[0]
+    return AudioClip(samples=x)
 
 
 @pytest.fixture(params=[1, 3, 7])
@@ -99,21 +95,15 @@ def few_rows(request, monkeypatch):
     return request.param
 
 
-# 8500 samples make 25 frames at a 20 ms hop and 50 at 10 ms, so the
-# last chunk of 3 or 7 rows is partial.
+# 8500 samples make 25 frames, so the last chunk of 3 or 7 rows is partial.
 class TestChunksMatchWholeArray:
     def test_stft(self, few_rows, rng):
-        clip = AudioClip(samples=rng.standard_normal(8500), sample_rate=SR)
-        grid = frame_signal(clip)
-        assert np.array_equal(stft(clip, grid).bins, reference_stft(clip, grid))
+        clip = AudioClip(samples=rng.standard_normal(8500))
+        assert np.array_equal(stft(clip), reference_stft(clip))
 
-    @pytest.mark.parametrize("hop_ms", [20.0, 10.0])
-    def test_istft(self, few_rows, rng, hop_ms):
-        clip = AudioClip(samples=rng.standard_normal(8500), sample_rate=SR)
-        grid = audio.frame_grid(len(clip.samples), SR, 40.0, hop_ms)
-        bins = reference_stft(clip, grid)
-        got = istft(Spectrogram(bins=bins, grid=grid, n_fft=1024)).samples
-        assert np.array_equal(got, reference_istft(bins, grid))
+    def test_istft(self, few_rows, rng):
+        bins = reference_stft(AudioClip(samples=rng.standard_normal(8500)))
+        assert np.array_equal(istft(bins).samples, reference_istft(bins))
 
     def test_beat_spectrum(self, few_rows, rng):
         mag = rng.uniform(0.0, 1.0, size=(61, 40))
@@ -156,16 +146,16 @@ def traced_peak(fn, *args):
 @pytest.fixture(scope="module")
 def minute_song():
     clip = song(60.0, seed=11)
-    return clip, stft(clip, frame_signal(clip))
+    return clip, stft(clip)
 
 
 class TestMemoryFollowsTheStft:
     """Peaks in units of the clip's complex STFT (2999 x 513 x 16 bytes)."""
 
     def test_separate_peak(self, minute_song):
-        clip, spec = minute_song
-        assert traced_peak(separate, clip) <= 4.0 * spec.bins.nbytes
+        clip, bins = minute_song
+        assert traced_peak(separate, clip) <= 4.0 * bins.nbytes
 
     def test_lpcc_peak(self, minute_song):
-        _, spec = minute_song
-        assert traced_peak(lpcc, spec) <= 0.5 * spec.bins.nbytes
+        _, bins = minute_song
+        assert traced_peak(lpcc, bins) <= 0.5 * bins.nbytes

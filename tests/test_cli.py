@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svdet import model, pipeline
-from svdet.audio import SAMPLE_RATE, AudioClip, FrameGrid, load_wav, save_wav
+from svdet.audio import AudioClip, load_wav, save_wav
 from svdet.cli import UsageError, main, resolve_config
 from svdet.errors import DataError
 from svdet.features import (FeatureMatrix, NormStats, apply_norm,
@@ -297,7 +297,7 @@ class TestSeparateCommand:
     def test_too_short_cleans_up(self, tmp_path, rng):
         from svdet.audio import AudioClip, save_wav
         wav = tmp_path / "short.wav"
-        save_wav(wav, AudioClip(samples=np.zeros(800), sample_rate=16000))
+        save_wav(wav, AudioClip(samples=np.zeros(800)))
         out = tmp_path / "sep"
         assert main(["separate", str(wav), "--out-dir", str(out)]) == 2
         assert not list(out.glob("*.wav")) if out.exists() else True
@@ -322,7 +322,7 @@ class TestFeaturesCommand:
         out = tmp_path / "feat.csv"
         assert main(FAST + ["features", str(wav), "--out", str(out)]) == 0
         cfg = resolve_config(None, FAST[1::2])
-        raw = pipeline.clip_features(load_wav(wav, SAMPLE_RATE), cfg)
+        raw = pipeline.clip_features(load_wav(wav), cfg)
         features_to_csv(tmp_path / "ref.csv",
                         apply_norm(raw, fit_norm_stats([raw])))
         assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -432,9 +432,7 @@ class TestPredictDataErrors:
                                       "checkpoint was trained with feature_tag")
         with pytest.raises(DataError, match="26"):
             pipeline.apply_norm(
-                FeatureMatrix(values=np.zeros((3, 26)), feature_tag="mfcc_plp",
-                              grid=FrameGrid(frame_len=640, hop=320, n_frames=3,
-                                             sample_rate=16000)),
+                FeatureMatrix(values=np.zeros((3, 26)), feature_tag="mfcc_plp"),
                 NormStats(col_min=np.zeros(13), col_max=np.ones(13)))
 
     @pytest.mark.parametrize("item, message", [
@@ -555,8 +553,7 @@ class TestPipelineCommand:
 class TestShortClipFallback:
     def test_predict_on_2s_clip_uses_mixture(self, tmp_path, rng, caplog):
         wav = tmp_path / "short.wav"
-        save_wav(wav, AudioClip(samples=0.3 * rng.standard_normal(32000),
-                                sample_rate=16000))
+        save_wav(wav, AudioClip(samples=0.3 * rng.standard_normal(32000)))
         ckpt = zero_checkpoint(tmp_path / "zero.npz", separate=True)
         out = tmp_path / "pred.csv"
         with caplog.at_level(logging.WARNING, logger="svdet"):
@@ -607,8 +604,7 @@ def fuzz_inputs(trained, tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     rng = np.random.default_rng(7)
     good = root / "good.wav"
-    save_wav(good, AudioClip(samples=0.3 * rng.standard_normal(48000),
-                             sample_rate=16000))
+    save_wav(good, AudioClip(samples=0.3 * rng.standard_normal(48000)))
     data = good.read_bytes()
     (root / "truncated.wav").write_bytes(data[:30])
     (root / "cut.wav").write_bytes(data[:-1])  # ends inside a sample
@@ -620,6 +616,7 @@ def fuzz_inputs(trained, tmp_path_factory):
     (root / "good.lab").write_text("0.0 1.5 sing\n1.5 3.0 nosing\n")
     (root / "garbage.lab").write_text("1.0 x\n")
     (root / "latin1.lab").write_bytes(b"# caf\xe9\n0.0 1.5 sing\n")
+    (root / "nonfinite.lab").write_text("0.0 nan sing\n")
     # a one-clip corpus for train: garbage.wav above has a .lab beside it
     for sub, name in (("audio", "good.wav"), ("labels", "good.lab")):
         (root / "corpus" / sub).mkdir(parents=True)
@@ -634,7 +631,7 @@ class TestExitCodeFuzz:
                                     "predict", "evaluate"]),
            wav=st.sampled_from(["good", "truncated", "cut", "garbage"]),
            ckpt=st.sampled_from(["good", "truncated", "garbage"]),
-           lab=st.sampled_from(["good", "garbage", "latin1"]))
+           lab=st.sampled_from(["good", "garbage", "latin1", "nonfinite"]))
     def test_main_returns_an_exit_code(self, fuzz_inputs, sets, command, wav,
                                        ckpt, lab):
         """Any config and any corrupted input ends in 0-3, never a raise."""

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svdet.audio import FrameGrid
+from svdet.audio import frame_times
 from svdet.cli import main
 from svdet.errors import DataError
 from svdet.evaluation import (Segment, confusion_counts, kfold_split,
@@ -11,14 +11,11 @@ from svdet.evaluation import (Segment, confusion_counts, kfold_split,
                               pooled_report, save_labels)
 from svdet.tracks import LabelTrack
 
-GRID_2S = FrameGrid(frame_len=640, hop=320, n_frames=99, sample_rate=16000)
+FRAMES_2S = 99
 
 
-def track(labels, grid=None):
-    labels = np.asarray(labels, dtype=np.int8)
-    grid = grid or FrameGrid(frame_len=640, hop=320, n_frames=len(labels),
-                             sample_rate=16000)
-    return LabelTrack(labels=labels, grid=grid)
+def track(labels):
+    return LabelTrack(labels=np.asarray(labels, dtype=np.int8))
 
 
 class TestParseLabelFile:
@@ -85,25 +82,45 @@ class TestParseLabelFile:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["0.0 nan sing", "0 inf sing",
+                                      "-inf 1.0 nosing", "nan nan sing"])
+    def test_non_finite_time(self, tmp_path, line):
+        p = tmp_path / "a.lab"
+        p.write_text(f"0.0 0.5 nosing\n{line}\n")
+        with pytest.raises(DataError, match=r"a\.lab:2: non-finite time"):
+            parse_label_file(p)
+
+    @pytest.mark.parametrize("end", ["nan", "inf"])
+    def test_non_finite_evaluate_exits_2(self, tmp_path, capsys, end):
+        pred, truth = tmp_path / "pred.lab", tmp_path / "truth.lab"
+        pred.write_text(f"0 {end} sing\n")
+        truth.write_text("0.0 1.0 sing\n")
+        out = tmp_path / "r.json"
+        assert main(["evaluate", "--pred", str(pred), "--truth", str(truth),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: data: {pred}:1: non-finite time\n"
+        assert not out.exists()
+
 
 class TestLoadLabels:
     def test_first_second_vocal(self, tmp_path):
         p = tmp_path / "a.lab"
         p.write_text("0.0 1.0 sing\n")
-        lab = load_labels(p, GRID_2S)
-        centers = GRID_2S.frame_times()
+        lab = load_labels(p, FRAMES_2S)
+        centers = frame_times(FRAMES_2S)
         assert np.array_equal(lab.labels, (centers < 1.0).astype(np.int8))
 
     def test_empty_file_all_nonvocal(self, tmp_path):
         p = tmp_path / "a.lab"
         p.write_text("")
-        assert np.all(load_labels(p, GRID_2S).labels == 0)
+        assert np.all(load_labels(p, FRAMES_2S).labels == 0)
 
     def test_uncovered_time_defaults_nonvocal(self, tmp_path):
         p = tmp_path / "a.lab"
         p.write_text("1.5 1.8 sing\n")
-        lab = load_labels(p, GRID_2S)
-        centers = GRID_2S.frame_times()
+        lab = load_labels(p, FRAMES_2S)
+        centers = frame_times(FRAMES_2S)
         expect = ((centers >= 1.5) & (centers < 1.8)).astype(np.int8)
         assert np.array_equal(lab.labels, expect)
 
@@ -115,16 +132,16 @@ class TestLoadLabels:
         t = track(labels)
         path = tmp_path_factory.mktemp("rt") / "a.lab"
         save_labels(path, t)
-        back = load_labels(path, t.grid)
+        back = load_labels(path, len(labels))
         assert np.array_equal(back.labels, labels)
 
 
 def loop_save_labels(path, track):
     """The per-frame run scan save_labels replaced, kept as its reference."""
-    centers = track.grid.frame_times()
-    hop_s = track.grid.hop / track.grid.sample_rate
-    lines = []
     labels = track.labels
+    centers = frame_times(len(labels))
+    hop_s = 320 / 16000
+    lines = []
     i = 0
     while i < len(labels):
         j = i

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svdet import features
-from svdet.audio import AudioClip, FrameGrid, Spectrogram, frame_signal, stft
+from svdet.audio import AudioClip, stft
 from svdet.errors import DataError
 from svdet.features import (FeatureMatrix, NormStats, apply_norm,
                             autocorr_from_spectrogram, bark_filterbank,
@@ -16,10 +16,8 @@ from svdet.pipeline import PipelineConfig, _training_arrays
 from svdet.tracks import LabelTrack
 
 
-def make_spec(samples, sr=16000):
-    clip = AudioClip(samples=samples, sample_rate=sr)
-    grid = frame_signal(clip)
-    return stft(clip, grid)
+def make_spec(samples):
+    return stft(AudioClip(samples=samples))
 
 
 def sine_clip(freq, n=16000, sr=16000, amp=0.5):
@@ -160,8 +158,8 @@ class TestMfcc:
     def test_against_direct_summation_oracle(self):
         spec = make_spec(sine_clip(1000.0, n=3200))
         feat = mfcc(spec)
-        for t in (0, spec.grid.n_frames - 1):
-            expected = mfcc_oracle(spec.power()[t], 16000, spec.n_fft)
+        for t in (0, len(spec) - 1):
+            expected = mfcc_oracle(np.abs(spec[t]) ** 2, 16000, 1024)
             assert np.abs(feat.values[t] - expected).max() < 1e-6
 
     def test_finite_on_silence_and_noise(self, random_spectrogram):
@@ -199,7 +197,7 @@ class TestLevinsonLpcc:
         spec = make_spec(np.zeros(3200))
         feat = lpcc(spec)
         assert np.allclose(feat.values, 0.0)
-        assert feat.degenerate_frames == tuple(range(spec.grid.n_frames))
+        assert feat.degenerate_frames == tuple(range(len(spec)))
 
     def test_lpcc_dim_default_13(self, random_spectrogram):
         assert lpcc(random_spectrogram).dim == 13
@@ -210,12 +208,11 @@ class TestBatchedLpc:
 
     @pytest.fixture
     def spec_with_degenerate_frames(self, random_spectrogram):
-        bins = random_spectrogram.bins.copy()
+        bins = random_spectrogram.copy()
         bins[3] = 0.0   # all-zero frame: r[0] == 0
         bins[5] = 0.0
         bins[5, 0] = 1.0  # flat autocorrelation: err hits 0 after step 1
-        return Spectrogram(bins=bins, grid=random_spectrogram.grid,
-                           n_fft=random_spectrogram.n_fft)
+        return bins
 
     @pytest.mark.parametrize("extractor", [lpcc, plp])
     def test_matches_per_frame_loop(self, extractor, spec_with_degenerate_frames,
@@ -239,7 +236,7 @@ class TestBatchedLpc:
 
     def test_spectrogram_autocorrelation_matches_full_ifft(self,
                                                           random_spectrogram):
-        power = random_spectrogram.power()
+        power = np.abs(random_spectrogram) ** 2
         full = np.concatenate([power, power[:, -2:0:-1]], axis=1)
         ref = np.fft.ifft(full, axis=1).real[:, :13]
         r = autocorr_from_spectrogram(random_spectrogram, 12)
@@ -287,8 +284,8 @@ class TestPlp:
     def test_against_staged_oracle(self):
         spec = make_spec(sine_clip(440.0, n=3200) + 0.3 * sine_clip(880.0, n=3200))
         feat = plp(spec)
-        for t in (0, spec.grid.n_frames - 1):
-            expected = plp_oracle(spec.power()[t], 16000, spec.n_fft)
+        for t in (0, len(spec) - 1):
+            expected = plp_oracle(np.abs(spec[t]) ** 2, 16000, 1024)
             assert np.abs(feat.values[t] - expected).max() < 1e-6
 
 
@@ -304,39 +301,34 @@ class TestConcatNormalize:
             parts = extract_features(random_spectrogram, tag)
             feat = FeatureMatrix(
                 values=np.concatenate([p.values for p in parts], axis=1),
-                feature_tag=tag, grid=random_spectrogram.grid)
+                feature_tag=tag)
             assert fit_apply(feat).dim == dim
 
     def test_constant_column_maps_to_zero(self):
-        grid = FrameGrid(frame_len=640, hop=320, n_frames=3, sample_rate=16000)
         fm = FeatureMatrix(values=np.array([[5.0], [5.0], [5.0]]),
-                           feature_tag="mfcc", grid=grid)
+                           feature_tag="mfcc")
         assert np.all(fit_apply(fm).values == 0.0)
 
     def test_affine_map(self):
-        grid = FrameGrid(frame_len=640, hop=320, n_frames=3, sample_rate=16000)
         fm = FeatureMatrix(values=np.array([[2.0], [4.0], [6.0]]),
-                           feature_tag="mfcc", grid=grid)
+                           feature_tag="mfcc")
         assert np.allclose(fit_apply(fm).values.ravel(), [0.0, 0.5, 1.0])
 
     def test_train_fit_in_unit_interval_test_not_clipped(self, rng):
-        grid = FrameGrid(frame_len=640, hop=320, n_frames=10, sample_rate=16000)
         train = FeatureMatrix(values=rng.standard_normal((10, 4)),
-                              feature_tag="mfcc", grid=grid)
+                              feature_tag="mfcc")
         stats = fit_norm_stats([train])
         scaled = apply_norm(train, stats)
         assert scaled.values.min() >= 0.0 and scaled.values.max() <= 1.0
-        test = FeatureMatrix(values=train.values + 5.0, feature_tag="mfcc",
-                             grid=grid)
+        test = FeatureMatrix(values=train.values + 5.0, feature_tag="mfcc")
         assert apply_norm(test, stats).values.max() > 1.0  # not clipped
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
     def test_train_scaling_always_unit_interval(self, seed):
         r = np.random.default_rng(seed)
-        grid = FrameGrid(frame_len=640, hop=320, n_frames=8, sample_rate=16000)
         fm = FeatureMatrix(values=r.normal(scale=10.0, size=(8, 3)),
-                           feature_tag="mfcc", grid=grid)
+                           feature_tag="mfcc")
         scaled = fit_apply(fm)
         assert scaled.values.min() >= 0.0
         assert scaled.values.max() <= 1.0 + 1e-12
@@ -374,15 +366,13 @@ class TestBlockify:
         assert padded.strides[0] == padded.strides[1]
 
     def test_center_label(self):
-        grid = FrameGrid(frame_len=640, hop=320, n_frames=40, sample_rate=16000)
         labels = np.zeros(40, dtype=int)
         labels[20] = 1
-        feat = FeatureMatrix(values=self._values(40), feature_tag="mfcc",
-                             grid=grid)
+        feat = FeatureMatrix(values=self._values(40), feature_tag="mfcc")
         stats = NormStats(col_min=np.zeros(2), col_max=np.ones(2))
         cfg = PipelineConfig(block_len=29, train_stride=3)
         x, y = _training_arrays(["a"], {"a": feat},
-                                {"a": LabelTrack(labels=labels, grid=grid)},
+                                {"a": LabelTrack(labels=labels)},
                                 stats, cfg)
         centers = np.arange(0, 40 - 29 + 1, 3) + 14
         assert np.array_equal(x[:, 14], feat.values[centers])

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svdet import model
-from svdet.audio import FrameGrid
 from svdet.errors import DataError, DivergenceError
 from svdet.features import FeatureMatrix, NormStats, blockify
 from svdet.model import (KERNEL_WIDTH, POOL_LEN, LrcnConfig, bce_loss,
@@ -496,9 +495,7 @@ class TestFlatBufferTraining:
 
 class TestPredictTrack:
     def _feat(self, values):
-        grid = FrameGrid(frame_len=640, hop=320, n_frames=len(values),
-                         sample_rate=16000)
-        return FeatureMatrix(values=values, feature_tag="mfcc", grid=grid)
+        return FeatureMatrix(values=values, feature_tag="mfcc")
 
     def test_constant_features_constant_track(self, rng):
         p = small_params(seed=11)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from svdet.audio import AudioClip, Spectrogram, frame_signal, istft, stft
+from svdet.audio import AudioClip, frame_signal, istft, stft
 from svdet.cli import accompaniment
 from svdet.errors import ClipTooShortError, DataError
-from svdet.separation import (MASK_EPS, beat_spectrum, estimate_period,
-                              period_search_range, repet_mask, separate)
+from svdet.separation import (MASK_EPS, MAX_PERIOD, MIN_PERIOD, beat_spectrum,
+                              estimate_period, repet_mask, separate)
 from svdet.synth import repeating_loop
 
 
@@ -147,18 +147,15 @@ class TestRepetMask:
 
 def reference_separate(clip):
     """Both estimates through their own ISTFT, padded and cut to the clip."""
-    grid = frame_signal(clip)
-    lo, hi = period_search_range(grid)
-    spec = stft(clip, grid)
-    mag = spec.magnitude()
+    bins = stft(clip)
+    mag = np.abs(bins)
     period = estimate_period(beat_spectrum(mag),
-                             (lo, min(hi, grid.n_frames // 3)))
+                             (MIN_PERIOD, min(MAX_PERIOD, frame_signal(clip) // 3)))
     acc = repet_mask(mag, period)
     n = len(clip.samples)
     out = []
     for mask in (1.0 - acc, acc):
-        rec = istft(Spectrogram(bins=spec.bins * mask, grid=grid,
-                                n_fft=spec.n_fft)).samples
+        rec = istft(bins * mask).samples
         out.append(np.pad(rec, (0, max(0, n - len(rec))))[:n])
     return out, len(rec)
 
@@ -172,10 +169,10 @@ def separate_both(clip):
 class TestSeparate:
     @pytest.mark.parametrize("extra", [0, 123, 319])
     def test_one_istft_matches_two(self, rng, extra):
-        loop = repeating_loop(rng, 6.0, 16000)
+        loop = repeating_loop(rng, 6.0)
         samples = 0.5 * loop + 0.05 * rng.standard_normal(len(loop))
         clip = AudioClip(samples=np.concatenate(
-            [samples, 0.3 * rng.standard_normal(extra)]), sample_rate=16000)
+            [samples, 0.3 * rng.standard_normal(extra)]))
         voc, acc = separate_both(clip)
         (ref_voc, ref_acc), span = reference_separate(clip)
         assert len(voc.samples) == len(acc.samples) == len(clip.samples)
@@ -187,40 +184,36 @@ class TestSeparate:
         assert np.all(voc.samples[span:] == 0.0)
 
     def test_reconstruction_sums_to_mixture(self, rng):
-        loop = repeating_loop(rng, 8.0, 16000)
-        clip = AudioClip(samples=0.5 * loop + 0.05 * rng.standard_normal(len(loop)),
-                         sample_rate=16000)
+        loop = repeating_loop(rng, 8.0)
+        clip = AudioClip(samples=0.5 * loop + 0.05 * rng.standard_normal(len(loop)))
         voc, acc = separate_both(clip)
-        grid = frame_signal(clip)
-        mix_resynth = istft(stft(clip, grid)).samples
+        mix_resynth = istft(stft(clip)).samples
         total = voc.samples + acc.samples
         n = min(len(total), len(mix_resynth))
         assert np.abs(total[:n] - mix_resynth[:n]).max() < 1e-6
 
     def test_loop_only_accompaniment_correlation(self, rng):
-        loop = repeating_loop(rng, 10.0, 16000)
-        clip = AudioClip(samples=0.5 * loop, sample_rate=16000)
+        loop = repeating_loop(rng, 10.0)
+        clip = AudioClip(samples=0.5 * loop)
         voc, acc = separate_both(clip)
         corr = np.corrcoef(acc.samples, clip.samples)[0, 1]
         assert corr > 0.99
 
     def test_energy_split_bounded(self, rng):
-        loop = repeating_loop(rng, 8.0, 16000)
-        clip = AudioClip(samples=0.4 * loop + 0.1 * rng.standard_normal(len(loop)),
-                         sample_rate=16000)
+        loop = repeating_loop(rng, 8.0)
+        clip = AudioClip(samples=0.4 * loop + 0.1 * rng.standard_normal(len(loop)))
         voc, acc = separate_both(clip)
-        grid = frame_signal(clip)
-        mix = istft(stft(clip, grid)).samples
+        mix = istft(stft(clip)).samples
         mix_energy = np.sum(mix ** 2)
         assert (np.sum(voc.samples ** 2) + np.sum(acc.samples ** 2)
                 <= mix_energy + 1e-6)
 
     def test_too_short_clip(self):
-        clip = AudioClip(samples=np.zeros(1600), sample_rate=16000)  # 0.1 s
+        clip = AudioClip(samples=np.zeros(1600))  # 0.1 s
         with pytest.raises(DataError, match="too short"):
             separate(clip)
 
     def test_shorter_than_three_periods(self):
-        clip = AudioClip(samples=np.zeros(32000), sample_rate=16000)  # 2 s
+        clip = AudioClip(samples=np.zeros(32000))  # 2 s
         with pytest.raises(ClipTooShortError, match="3 periods"):
             separate(clip)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from svdet.audio import FrameGrid
 from svdet.errors import DataError
 from svdet.pipeline import PipelineConfig
 from svdet.smoothing import (Gmm1d, HmmGmmModel, _logsumexp_rows, fit_gmm_1d,
@@ -15,17 +14,11 @@ from svdet.tracks import LabelTrack, PredictionTrack
 
 
 def make_track(posteriors):
-    posteriors = np.asarray(posteriors, dtype=np.float64)
-    grid = FrameGrid(frame_len=640, hop=320, n_frames=len(posteriors),
-                     sample_rate=16000)
-    return PredictionTrack(posteriors=posteriors, grid=grid)
+    return PredictionTrack(posteriors=np.asarray(posteriors, dtype=np.float64))
 
 
 def make_labels(labels):
-    labels = np.asarray(labels, dtype=np.int8)
-    grid = FrameGrid(frame_len=640, hop=320, n_frames=len(labels),
-                     sample_rate=16000)
-    return LabelTrack(labels=labels, grid=grid)
+    return LabelTrack(labels=np.asarray(labels, dtype=np.int8))
 
 
 class TestPredictionTrack:
