@@ -2,9 +2,9 @@
 
 All extractors take a spectrogram's complex bins (audio.stft) and
 return a FeatureMatrix with one row per frame, computed for all frames
-at once. Combinations follow the
-feature set tags in FEATURE_SETS; fit_norm_stats and apply_norm
-min-max scale the columns with statistics fit on training data.
+at once. Combinations follow the feature set tags in FEATURE_SETS;
+fit_norm_stats and apply_norm min-max scale the columns with
+statistics fit on training data.
 """
 
 from __future__ import annotations
