@@ -125,7 +125,7 @@ def mfcc(bins: np.ndarray) -> FeatureMatrix:
     1..N_CEPSTRA of N_MELS; the 0-th (energy) coefficient is dropped."""
     if len(bins) == 0:
         raise DataError("empty spectrogram")
-    energies = np.abs(bins) ** 2 @ mel_filterbank().T
+    energies = np.abs(bins) ** 2 @ MEL_FB.T
     log_e = np.log(np.maximum(energies, LOG_FLOOR))
     return FeatureMatrix(values=cepstra_from_log_energies(log_e, N_CEPSTRA),
                          feature_tag="mfcc")
@@ -248,6 +248,14 @@ def equal_loudness(f):
     return (fsq / (fsq + 1.6e5)) ** 2 * ((fsq + 1.44e6) / (fsq + 9.61e6))
 
 
+# fixed by the front end, like audio.WINDOW: built once, read-only
+MEL_FB = mel_filterbank()
+BARK_FB, _centers_hz = bark_filterbank()
+BARK_LOUDNESS = equal_loudness(_centers_hz)
+MEL_FB.flags.writeable = BARK_FB.flags.writeable = False
+BARK_LOUDNESS.flags.writeable = False
+
+
 def plp(bins: np.ndarray) -> FeatureMatrix:
     """Perceptual linear prediction cepstra per frame.
 
@@ -256,9 +264,8 @@ def plp(bins: np.ndarray) -> FeatureMatrix:
     """
     if len(bins) == 0:
         raise DataError("empty spectrogram")
-    fb, centers_hz = bark_filterbank()
-    bands = np.maximum(np.abs(bins) ** 2 @ fb.T, LOG_FLOOR)
-    bands = bands * equal_loudness(centers_hz)
+    bands = np.maximum(np.abs(bins) ** 2 @ BARK_FB.T, LOG_FLOOR)
+    bands = bands * BARK_LOUDNESS
     bands = bands ** (1.0 / 3.0)
     # duplicate edge bands to flatten the spectrum ends before the IDFT
     bands[:, 0] = bands[:, 1]

@@ -19,9 +19,12 @@ reparameterizes the input projection. Stride-1 inference runs on a
 window view of one padded feature matrix, and forward_blocks projects
 each frame under such a view once, not once per block it falls in.
 
-Training keeps the parameters, gradients and momentum in flat vectors,
-reads params and grads as named views of them and updates all three in
-place, and each cell step writes straight into the forward cache.
+Each cell step keeps the stacked (B, 4h) matrix products and writes its
+gates gate-major, (4, B, h), straight into the forward cache, so every
+elementwise op runs on a contiguous gate; a batched per-gate product
+would round differently at some batch and hidden sizes. Training keeps
+the parameters, gradients and momentum in flat vectors, reads params
+and grads as named views of them and updates all three in place.
 
 Everything is float64 numpy; forward/backward are batched over blocks.
 """
@@ -156,8 +159,10 @@ def _fuse_params(params: dict, cfg: LrcnConfig) -> dict:
     pad_l = (KERNEL_WIDTH - 1) // 2
     W3 = params["W_z"].reshape(4 * cfg.hidden_size, cfg.n_filters, d)
     # G[m, j, k]: weight of gate row m on padded input j + k, which conv
-    # tap k reads for output j; summing over j + k gives A
-    G = np.tensordot(W3, params["conv_k"], axes=([1], [0]))
+    # tap k reads for output j; summing over j + k gives A. The product is
+    # the np.dot of np.tensordot(W3, conv_k, axes=([1], [0])).
+    G = np.dot(W3.transpose(0, 2, 1).reshape(-1, cfg.n_filters),
+               params["conv_k"]).reshape(len(W3), d, KERNEL_WIDTH)
     A_pad = np.zeros((len(W3), d + KERNEL_WIDTH - 1))
     for k in range(KERNEL_WIDTH):
         A_pad[:, k : k + d] += G[:, :, k]
@@ -167,27 +172,29 @@ def _fuse_params(params: dict, cfg: LrcnConfig) -> dict:
 
 
 def _cell_step(proj: np.ndarray, h: np.ndarray, c: np.ndarray, params: dict,
-               a: np.ndarray, h_new: np.ndarray, c_new: np.ndarray,
-               tanh_c: np.ndarray) -> None:
-    """One fused LSTM step from the projected input proj (B, 4h).
+               hw: np.ndarray, a: np.ndarray, h_new: np.ndarray,
+               c_new: np.ndarray, tanh_c: np.ndarray) -> None:
+    """One fused LSTM step from the projected input proj (4, B, h).
 
-    Writes the activated i, f, g and o side by side into a (B, 4h), and
-    the new hidden state, cell state and tanh(cell state) into h_new,
-    c_new and tanh_c (B, h); none of them may alias h or c.
+    Each product runs on the stacked (B, 4h) rows, h @ W_h.T into the
+    scratch hw (B, 4h), and is read through a (4, B, h) view, so the
+    activated i, f, g and o go gate-major into a (4, B, h), each gate
+    contiguous, and the new hidden state, cell state and tanh(cell state)
+    into h_new, c_new and tanh_c (B, h); none may alias h or c.
     """
-    n = h.shape[1]
-    np.matmul(h, params["W_h"].T, out=a)
-    a += proj
-    a[:, : 2 * n] += c @ params["W_c"].T
-    expit(a[:, : 2 * n], out=a[:, : 2 * n])
-    np.tanh(a[:, 2 * n : 3 * n], out=a[:, 2 * n : 3 * n])
-    np.multiply(a[:, n : 2 * n], c, out=c_new)
-    c_new += a[:, :n] * a[:, 2 * n : 3 * n]
+    B, n = h.shape
+    np.matmul(h, params["W_h"].T, out=hw)
+    np.add(hw.reshape(B, 4, n).transpose(1, 0, 2), proj, out=a)
+    a[:2] += (c @ params["W_c"].T).reshape(B, 2, n).transpose(1, 0, 2)
+    expit(a[:2], out=a[:2])
+    np.tanh(a[2], out=a[2])
+    np.multiply(a[1], c, out=c_new)
+    c_new += a[0] * a[2]
     # the output gate sees the freshly updated cell state
-    a[:, 3 * n :] += c_new @ params["Wo_c"].T
-    expit(a[:, 3 * n :], out=a[:, 3 * n :])
+    a[3] += c_new @ params["Wo_c"].T
+    expit(a[3], out=a[3])
     np.tanh(c_new, out=tanh_c)
-    np.multiply(a[:, 3 * n :], tanh_c, out=h_new)
+    np.multiply(a[3], tanh_c, out=h_new)
 
 
 def forward_blocks(x: np.ndarray, params: dict, cfg: LrcnConfig,
@@ -209,15 +216,17 @@ def forward_blocks(x: np.ndarray, params: dict, cfg: LrcnConfig,
     else:
         proj = (x.reshape(B * T, d) @ fused["A"].T
                 + fused["b"]).reshape(B, T, 4 * n)
+    proj = proj.reshape(B, T, 4, n).transpose(1, 2, 0, 3)  # (T, 4, B, n)
     # hs[t], cs[t]: state entering step t. The cache keeps every step;
     # inference alternates between two state slots and one gate slot.
     S, G = (T + 1, T) if want_cache else (2, 1)
     hs = np.zeros((S, B, n))
     cs = np.zeros((S, B, n))
-    gates = np.empty((G, B, 4 * n))
+    gates = np.empty((G, 4, B, n))
     tanh_cs = np.empty((G, B, n))
+    hw = np.empty((B, 4 * n))
     for t in range(T):
-        _cell_step(proj[:, t], hs[t % S], cs[t % S], params, gates[t % G],
+        _cell_step(proj[t], hs[t % S], cs[t % S], params, hw, gates[t % G],
                    hs[(t + 1) % S], cs[(t + 1) % S], tanh_cs[t % G])
     h = hs[T % S]
     # head: max-pool pairs of hidden units, dense tanh stack, sigmoid
@@ -243,10 +252,11 @@ def lrcn_cell_step(x_vec: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     fused = _fuse_params(params, cfg)
     proj = x_vec[None] @ fused["A"].T + fused["b"]
     n = cfg.hidden_size
-    a = np.empty((1, 4 * n))
+    a = np.empty((4, 1, n))
     h, c, tanh_c = np.empty((3, 1, n))
-    _cell_step(proj, h_prev[None], c_prev[None], params, a, h, c, tanh_c)
-    gates = {"i": a[0, :n], "f": a[0, n : 2 * n], "o": a[0, 3 * n :]}
+    _cell_step(proj.reshape(4, 1, n), h_prev[None], c_prev[None], params,
+               np.empty((1, 4 * n)), a, h, c, tanh_c)
+    gates = {"i": a[0, 0], "f": a[1, 0], "o": a[3, 0]}
     return h[0], c[0], gates
 
 
@@ -294,7 +304,7 @@ def lrcn_backward(x: np.ndarray, y: np.ndarray, params: dict, cfg: LrcnConfig,
     # Every gate-local derivative depends only on the forward pass, so it
     # is formed for all steps at once; the time loop only carries dh, dc.
     hs, cs, tanh_cs = cache["h"], cache["c"], cache["tanh_c"]
-    i, f, g, o = np.moveaxis(cache["gates"].reshape(T, B, 4, n), 2, 0)
+    i, f, g, o = cache["gates"].swapaxes(0, 1)
     # d pre-activation of i, f, c per unit of dc; of o per unit of dh
     dc_to_ifc = np.stack([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f),
                           i * (1.0 - g ** 2)], axis=2)
@@ -302,15 +312,19 @@ def lrcn_backward(x: np.ndarray, y: np.ndarray, params: dict, cfg: LrcnConfig,
     dh_to_c = o * (1.0 - tanh_cs ** 2)
     # dpre[t]: gradient of the stacked i, f, c, o pre-activations at step t
     dpre = np.empty((T, B, 4, n))
-    dc_carry = np.zeros((B, n))
+    dc, dc_carry = np.empty((B, n)), np.zeros((B, n))
     for t in reversed(range(T)):
         da = dpre[t]
-        da[:, 3] = dh * dh_to_o[t]
-        dc = dh * dh_to_c[t] + dc_carry + da[:, 3] @ params["Wo_c"]
-        da[:, :3] = dc[:, None] * dc_to_ifc[t]
+        np.multiply(dh, dh_to_o[t], out=da[:, 3])
+        # dc = dh * dh_to_c[t] + dc_carry + da[:, 3] @ Wo_c, in that order
+        np.multiply(dh, dh_to_c[t], out=dc)
+        dc += dc_carry
+        dc += da[:, 3] @ params["Wo_c"]
+        np.multiply(dc[:, None], dc_to_ifc[t], out=da[:, :3])
         da = da.reshape(B, 4 * n)
-        dh = da @ params["W_h"]
-        dc_carry = dc * f[t] + da[:, : 2 * n] @ params["W_c"]
+        np.matmul(da, params["W_h"], out=dh)
+        np.multiply(dc, f[t], out=dc_carry)
+        dc_carry += da[:, : 2 * n] @ params["W_c"]
 
     # sums over all steps and blocks, with the np.dot np.tensordot would
     # call (`@` rounds these transposed products differently at small h)
@@ -321,17 +335,20 @@ def lrcn_backward(x: np.ndarray, y: np.ndarray, params: dict, cfg: LrcnConfig,
     np.dot(dpre[:, : 2 * n].T, cs[:-1].reshape(T * B, n), out=grads["W_c"])
     np.dot(dpre[:, 3 * n :].T, cs[1:].reshape(T * B, n), out=grads["Wo_c"])
 
-    # chain dA and db back through the fold: dG[m, j, k] = dA_pad[m, j + k]
-    # is the gradient of the G that _fuse_params sums into A
+    # chain dA and db back through the fold: dG[m * d + j, k] = dA_pad[m,
+    # j + k] is the gradient of the G that _fuse_params sums into A. The
+    # products are np.tensordot's own transposes, reshapes and np.dot.
     pad_l = (KERNEL_WIDTH - 1) // 2
     W3 = cache["fused"]["W3"]
     dA_pad = np.zeros((4 * n, d + KERNEL_WIDTH - 1))
     dA_pad[:, pad_l : pad_l + d] = dA
-    dG = np.lib.stride_tricks.sliding_window_view(dA_pad, KERNEL_WIDTH, axis=1)
-    grads["conv_k"][...] = np.tensordot(W3, dG, axes=([0, 2], [0, 1]))
+    dG = np.lib.stride_tricks.sliding_window_view(
+        dA_pad, KERNEL_WIDTH, axis=1).reshape(-1, KERNEL_WIDTH)
+    grads["conv_k"][...] = np.dot(
+        W3.transpose(1, 0, 2).reshape(cfg.n_filters, -1), dG)
     np.matmul(W3.sum(axis=2).T, db, out=grads["conv_b"])
-    dW3 = (np.tensordot(dG, params["conv_k"], axes=([2], [1])).transpose(0, 2, 1)
-           + np.outer(db, params["conv_b"])[:, :, None])
+    dW3 = (np.dot(dG, params["conv_k"].T).reshape(4 * n, d, cfg.n_filters)
+           .transpose(0, 2, 1) + np.outer(db, params["conv_b"])[:, :, None])
     grads["W_z"][...] = dW3.reshape(4 * n, cfg.conv_dim)
     return loss, grads
 

@@ -268,6 +268,15 @@ class TestBatchedLpc:
             assert np.array_equal(c[t], lpc_to_cepstrum(a[t], 13))
 
 
+def test_filterbanks_built_once_read_only():
+    fb, centers_hz = bark_filterbank()
+    for fixed, built in ((features.MEL_FB, mel_filterbank()),
+                         (features.BARK_FB, fb),
+                         (features.BARK_LOUDNESS, equal_loudness(centers_hz))):
+        assert fixed.tobytes() == built.tobytes()
+        assert not fixed.flags.writeable
+
+
 class TestPlp:
     def test_zero_signal_constant_rows(self):
         spec = make_spec(np.zeros(3200))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from svdet import model
 from svdet.errors import DataError, DivergenceError
@@ -246,7 +247,59 @@ class TestInitParams:
             assert got[name].tobytes() == want[name].tobytes(), name
 
 
+def strided_cell_step(proj, h, c, p):
+    """Reference: one cell step on the stacked (B, 4h) gate rows, each gate
+    a strided column slice, with the same products and order of operations
+    as the gate-major step. Returns (gates (B, 4h), h, c, tanh(c))."""
+    n = h.shape[1]
+    a = np.empty((len(h), 4 * n))
+    np.matmul(h, p["W_h"].T, out=a)
+    a += proj
+    a[:, : 2 * n] += c @ p["W_c"].T
+    a[:, : 2 * n] = expit(a[:, : 2 * n])
+    a[:, 2 * n : 3 * n] = np.tanh(a[:, 2 * n : 3 * n])
+    c_new = a[:, n : 2 * n] * c + a[:, :n] * a[:, 2 * n : 3 * n]
+    a[:, 3 * n :] += c_new @ p["Wo_c"].T
+    a[:, 3 * n :] = expit(a[:, 3 * n :])
+    tanh_c = np.tanh(c_new)
+    return a, a[:, 3 * n :] * tanh_c, c_new, tanh_c
+
+
 class TestCellStep:
+    # includes shapes (h = 32 at B = 32 and 33, h = 64 at B = 5) where a
+    # batched per-gate product np.matmul(h, W_h as (4, h, h)) rounds
+    # differently from the stacked h @ W_h.T
+    @pytest.mark.parametrize("n", [2, 16, 32, 64])
+    @pytest.mark.parametrize("B", [1, 2, 3, 5, 32, 33])
+    def test_gate_major_bitwise_equal_to_strided(self, B, n):
+        cfg = LrcnConfig(input_dim=13, block_len=5, n_filters=4,
+                         hidden_size=n, dense_sizes=())
+        r = np.random.default_rng(100 * B + n)
+        p = {name: 0.5 * r.standard_normal(shape)
+             for name, shape in param_shapes(cfg)}
+        proj, h, c = (r.standard_normal((B, m)) for m in (4 * n, n, n))
+        a_ref, h_ref, c_ref, tanh_ref = strided_cell_step(proj, h, c, p)
+        a = np.empty((4, B, n))
+        h_new, c_new, tanh_c = np.empty((3, B, n))
+        model._cell_step(proj.reshape(B, 4, n).transpose(1, 0, 2), h, c, p,
+                         np.empty((B, 4 * n)), a, h_new, c_new, tanh_c)
+        assert np.array_equal(a, a_ref.reshape(B, 4, n).transpose(1, 0, 2))
+        assert np.array_equal(h_new, h_ref)
+        assert np.array_equal(c_new, c_ref)
+        assert np.array_equal(tanh_c, tanh_ref)
+
+    def test_gates_dict(self, rng):
+        p = small_params(seed=3)
+        x, h_prev, c_prev = rng.standard_normal(6), *rng.standard_normal((2, 8))
+        h, c, gates = lrcn_cell_step(x, h_prev, c_prev, p, SMALL)
+        fused = model._fuse_params(p, SMALL)
+        a_ref, h_ref, c_ref, _ = strided_cell_step(
+            x[None] @ fused["A"].T + fused["b"], h_prev[None], c_prev[None], p)
+        assert sorted(gates) == ["f", "i", "o"]
+        for r, name in ((0, "i"), (1, "f"), (3, "o")):
+            assert np.array_equal(gates[name], a_ref[0, r * 8 : (r + 1) * 8])
+        assert np.array_equal(h, h_ref[0]) and np.array_equal(c, c_ref[0])
+
     def test_zero_params_cprev_one(self):
         p = zero_params(SMALL)
         h, c, gates = lrcn_cell_step(np.ones(6), np.zeros(8), np.ones(8), p, SMALL)
