@@ -19,12 +19,11 @@ reparameterizes the input projection. Stride-1 inference runs on a
 window view of one padded feature matrix, and forward_blocks projects
 each frame under such a view once, not once per block it falls in.
 
-Each cell step keeps the stacked (B, 4h) matrix products and writes its
-gates gate-major, (4, B, h), straight into the forward cache, so every
-elementwise op runs on a contiguous gate; a batched per-gate product
-would round differently at some batch and hidden sizes. Training keeps
-the parameters, gradients and momentum in flat vectors, reads params
-and grads as named views of them and updates all three in place.
+Each cell step keeps the stacked (B, 4h) products (a batched per-gate
+product rounds differently at some shapes) and writes its gates
+gate-major, (4, B, h), into the forward cache, so every elementwise op
+runs on a contiguous gate. Training updates flat vectors of parameters,
+gradients and momentum in place, through named views of them.
 
 Everything is float64 numpy; forward/backward are batched over blocks.
 """
@@ -176,11 +175,10 @@ def _cell_step(proj: np.ndarray, h: np.ndarray, c: np.ndarray, params: dict,
                c_new: np.ndarray, tanh_c: np.ndarray) -> None:
     """One fused LSTM step from the projected input proj (4, B, h).
 
-    Each product runs on the stacked (B, 4h) rows, h @ W_h.T into the
-    scratch hw (B, 4h), and is read through a (4, B, h) view, so the
-    activated i, f, g and o go gate-major into a (4, B, h), each gate
-    contiguous, and the new hidden state, cell state and tanh(cell state)
-    into h_new, c_new and tanh_c (B, h); none may alias h or c.
+    The products run on the stacked (B, 4h) rows (h @ W_h.T into the
+    scratch hw) and are read as (4, B, h) views: the activated i, f, g, o
+    go gate-major into a (4, B, h), and the new h, c and tanh(c) into
+    h_new, c_new and tanh_c (B, h); none of them may alias h or c.
     """
     B, n = h.shape
     np.matmul(h, params["W_h"].T, out=hw)
@@ -335,9 +333,8 @@ def lrcn_backward(x: np.ndarray, y: np.ndarray, params: dict, cfg: LrcnConfig,
     np.dot(dpre[:, : 2 * n].T, cs[:-1].reshape(T * B, n), out=grads["W_c"])
     np.dot(dpre[:, 3 * n :].T, cs[1:].reshape(T * B, n), out=grads["Wo_c"])
 
-    # chain dA and db back through the fold: dG[m * d + j, k] = dA_pad[m,
-    # j + k] is the gradient of the G that _fuse_params sums into A. The
-    # products are np.tensordot's own transposes, reshapes and np.dot.
+    # chain dA and db back through the fold (with np.tensordot's own
+    # products): dG[m * d + j, k] = dA_pad[m, j + k] is the gradient of G
     pad_l = (KERNEL_WIDTH - 1) // 2
     W3 = cache["fused"]["W3"]
     dA_pad = np.zeros((4 * n, d + KERNEL_WIDTH - 1))

@@ -267,8 +267,8 @@ def strided_cell_step(proj, h, c, p):
 
 class TestCellStep:
     # includes shapes (h = 32 at B = 32 and 33, h = 64 at B = 5) where a
-    # batched per-gate product np.matmul(h, W_h as (4, h, h)) rounds
-    # differently from the stacked h @ W_h.T
+    # batched per-gate product np.matmul(h, W_h as (4, h, h)) rounded
+    # differently from the stacked h @ W_h.T (scipy-openblas 0.3.31)
     @pytest.mark.parametrize("n", [2, 16, 32, 64])
     @pytest.mark.parametrize("B", [1, 2, 3, 5, 32, 33])
     def test_gate_major_bitwise_equal_to_strided(self, B, n):
