@@ -4,7 +4,9 @@ All extractors take a spectrogram's complex bins (audio.stft) and
 return a FeatureMatrix with one row per frame, computed for all frames
 at once. Combinations follow the feature set tags in FEATURE_SETS;
 fit_norm_stats and apply_norm min-max scale the columns with
-statistics fit on training data.
+statistics fit on training data. blockify views every frame's centered
+block; prediction uses them all, training every train_stride-th block
+that lies inside one clip, picked by its center frame.
 """
 
 from __future__ import annotations
@@ -288,28 +290,20 @@ def extract_features(bins: np.ndarray, tag: str) -> list[FeatureMatrix]:
     return [extractors[name](bins) for name in FEATURE_SETS[tag]]
 
 
-def blockify(values: np.ndarray, block_len: int, stride: int = 1,
-             pad: bool = False) -> np.ndarray:
-    """Fixed-length blocks of frames as one (n_blocks, block_len, dim) view.
+def blockify(values: np.ndarray, block_len: int) -> np.ndarray:
+    """Every frame's block, as one (n_frames, block_len, dim) window view.
 
-    Training mode (pad=False): non-padded windows at the given stride;
-    block i is centered on frame i * stride + block_len // 2, whose
-    label is the block's label. Inference mode (pad=True): stride is
-    forced to 1 and the matrix is edge-replicated so every frame is the
-    center of exactly one block. Consecutive blocks share memory, so a
-    stride-1 view has equal strides on its first two axes.
+    The matrix is edge-replicated so that block i is centered on frame i
+    (at position block_len // 2); training picks its blocks by center
+    frame. Consecutive blocks share memory: the view has equal strides
+    on its first two axes.
     """
     if len(values) == 0:
         raise DataError("empty feature matrix")
-    if pad:
-        half = block_len // 2
-        values = np.pad(values, ((half, block_len - 1 - half), (0, 0)),
-                        mode="edge")
-        stride = 1
-    elif len(values) < block_len:
-        raise DataError("fewer frames than one block")
+    values = np.pad(values, ((block_len // 2, (block_len - 1) // 2), (0, 0)),
+                    mode="edge")
     windows = np.lib.stride_tricks.sliding_window_view(values, block_len, axis=0)
-    return windows.transpose(0, 2, 1)[::stride]
+    return windows.transpose(0, 2, 1)
 
 
 def features_to_csv(path, feat: FeatureMatrix) -> None:

@@ -212,8 +212,8 @@ def forward_blocks(x: np.ndarray, params: dict, cfg: LrcnConfig,
         proj = np.lib.stride_tricks.sliding_window_view(
             frames @ fused["A"].T + fused["b"], T, axis=0).transpose(0, 2, 1)
     else:
-        proj = (x.reshape(B * T, d) @ fused["A"].T
-                + fused["b"]).reshape(B, T, 4 * n)
+        proj = x.reshape(B * T, d) @ fused["A"].T
+        proj += fused["b"]
     proj = proj.reshape(B, T, 4, n).transpose(1, 2, 0, 3)  # (T, 4, B, n)
     # hs[t], cs[t]: state entering step t. The cache keeps every step;
     # inference alternates between two state slots and one gate slot.
@@ -363,16 +363,18 @@ def binary_f1(pred: np.ndarray, truth: np.ndarray) -> float:
     return 2.0 * tp / (2 * tp + fp + fn)
 
 
-def train_lrcn(train_x, train_y, cfg: LrcnConfig, pcfg: PipelineConfig,
-               valid_x=None, valid_y=None):
+def train_lrcn(blocks, centers, train_y, cfg: LrcnConfig,
+               pcfg: PipelineConfig, valid_x=None, valid_y=None):
     """Mini-batch gradient descent with momentum.
 
+    Trains on blocks[centers[i]] labelled train_y[i]; each batch gathers
+    its blocks by index, so blocks can be a blockify view of all frames.
     Reads learning_rate, momentum, epochs, batch_size, seed and patience
     from pcfg. Returns (best params, history). With a validation set, the
     params with the best validation F1 are kept and early stopping uses
     the patience; otherwise the final params are returned.
     """
-    if len(train_x) == 0:
+    if len(centers) == 0:
         raise DataError("empty training set")
     rng = np.random.default_rng(pcfg.seed)
     # params and grads are named views of theta and gvec, updated in place
@@ -384,15 +386,15 @@ def train_lrcn(train_x, train_y, cfg: LrcnConfig, pcfg: PipelineConfig,
     best_theta = theta.copy()
     best_score = -np.inf
     stale = 0
-    n = len(train_x)
+    n = len(centers)
     for epoch in range(pcfg.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         n_batches = 0
         for start in range(0, n, pcfg.batch_size):
             idx = order[start : start + pcfg.batch_size]
-            loss, _ = lrcn_backward(train_x[idx], train_y[idx], params, cfg,
-                                    grads)
+            loss, _ = lrcn_backward(blocks[centers[idx]], train_y[idx], params,
+                                    cfg, grads)
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, batch {n_batches}"
@@ -433,7 +435,7 @@ def predict_track(feat: FeatureMatrix, params: dict,
     The blocks are a window view of one padded matrix, so forward_blocks
     projects each frame once rather than once per block it falls in.
     """
-    x = blockify(feat.values, block_len=cfg.block_len, pad=True)
+    x = blockify(feat.values, cfg.block_len)
     post = np.empty(len(x))
     for start in range(0, len(x), PREDICT_BATCH):
         post[start : start + PREDICT_BATCH] = forward_blocks(

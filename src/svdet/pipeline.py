@@ -97,15 +97,22 @@ def clip_features(clip: AudioClip, cfg: PipelineConfig) -> FeatureMatrix:
     return FeatureMatrix(values=values, feature_tag=cfg.feature_tag)
 
 
-def _training_arrays(stems, feats, labels, stats, cfg: PipelineConfig):
-    xs, ys = [], []
+def _training_blocks(stems, feats, labels, stats, cfg: PipelineConfig):
+    """The blockify view of the stems' stacked frames, the centers of its
+    train_stride-spaced blocks that lie inside one stem, and their labels."""
+    centers, start = [], 0
     for stem in stems:
-        x = features.blockify(apply_norm(feats[stem], stats).values,
-                              block_len=cfg.block_len, stride=cfg.train_stride)
-        centers = np.arange(len(x)) * cfg.train_stride + cfg.block_len // 2
-        xs.append(x)
-        ys.append(labels[stem].labels[centers].astype(np.float64))
-    return np.concatenate(xs), np.concatenate(ys)
+        n = len(feats[stem].values)
+        if n < cfg.block_len:
+            raise DataError(f"{stem}: {n} frames, fewer than one block of "
+                            f"{cfg.block_len}")
+        centers.append(np.arange(start, start + n - cfg.block_len + 1,
+                                 cfg.train_stride) + cfg.block_len // 2)
+        start += n
+    centers = np.concatenate(centers)
+    frames = np.concatenate([apply_norm(feats[s], stats).values for s in stems])
+    y = np.concatenate([labels[s].labels for s in stems])[centers].astype(float)
+    return features.blockify(frames, cfg.block_len), centers, y
 
 
 def train_classifier(stems, feats, labels, cfg: PipelineConfig):
@@ -119,11 +126,13 @@ def train_classifier(stems, feats, labels, cfg: PipelineConfig):
     n_val = max(1, len(stems) // 5) if len(stems) > 1 else 0
     fit, valid = stems[:len(stems) - n_val], stems[len(stems) - n_val:]
     stats = fit_norm_stats([feats[s] for s in fit])
-    x_tr, y_tr = _training_arrays(fit, feats, labels, stats, cfg)
-    x_va, y_va = (_training_arrays(valid, feats, labels, stats, cfg) if valid
-                  else (None, None))
-    lrcn_cfg = cfg.lrcn_config(input_dim=x_tr.shape[2])
-    params, history = model.train_lrcn(x_tr, y_tr, lrcn_cfg, cfg,
+    blocks, centers, y_tr = _training_blocks(fit, feats, labels, stats, cfg)
+    x_va = y_va = None
+    if valid:
+        va, c_va, y_va = _training_blocks(valid, feats, labels, stats, cfg)
+        x_va = va[c_va]
+    lrcn_cfg = cfg.lrcn_config(input_dim=blocks.shape[2])
+    params, history = model.train_lrcn(blocks, centers, y_tr, lrcn_cfg, cfg,
                                        valid_x=x_va, valid_y=y_va)
     return params, lrcn_cfg, stats, history
 

@@ -4,8 +4,9 @@ stft, istft, the LPC autocorrelation and the beat spectrum fill their
 result CHUNK_ROWS rows at a time. The references below are the
 whole-array versions they replaced; with the chunk size patched to a
 few rows, chunk boundaries fall mid-array and the results must still be
-bitwise equal. The memory tests trace numpy's buffers with tracemalloc,
-which counts them deterministically.
+bitwise equal. Training gathers its batches from one window view of the
+frames. The memory tests trace numpy's buffers with tracemalloc, which
+counts them deterministically.
 """
 
 import tracemalloc
@@ -17,10 +18,12 @@ import scipy.signal
 from svdet import audio, cli, separation
 from svdet.audio import (FRAME_LEN, HOP, AudioClip, frame_matrix, frame_signal,
                          istft, stft)
-from svdet.features import autocorr_from_spectrogram, lpcc
+from svdet.features import FeatureMatrix, autocorr_from_spectrogram, lpcc
+from svdet.pipeline import PipelineConfig, train_classifier
 from svdet.separation import (MAX_PERIOD, MIN_PERIOD, beat_spectrum,
                               estimate_period, repet_mask, separate)
 from svdet.synth import repeating_loop, vibrato_voice
+from svdet.tracks import LabelTrack
 
 
 def reference_stft(clip):
@@ -159,3 +162,18 @@ class TestMemoryFollowsTheStft:
     def test_lpcc_peak(self, minute_song):
         _, bins = minute_song
         assert traced_peak(lpcc, bins) <= 0.5 * bins.nbytes
+
+
+def test_train_classifier_peak_follows_the_features():
+    # copying every block of 29 frames at train_stride 5 held each frame
+    # about 5.8 times, and peaked at 9.8 times the feature bytes here
+    rng = np.random.default_rng(7)
+    stems = [f"clip{i}" for i in range(10)]
+    feats = {s: FeatureMatrix(values=rng.standard_normal((1500, 39)),
+                              feature_tag="lpcc_mfcc_plp") for s in stems}
+    labels = {s: LabelTrack(labels=rng.integers(0, 2, 1500, dtype=np.int8))
+              for s in stems}
+    cfg = PipelineConfig(feature_tag="lpcc_mfcc_plp", epochs=1)
+    feature_bytes = sum(f.values.nbytes for f in feats.values())
+    peak = traced_peak(train_classifier, stems, feats, labels, cfg)
+    assert peak <= 6.0 * feature_bytes

@@ -280,6 +280,29 @@ class TestExitCodes:
         assert not (out / "checkpoint.npz").exists()
 
 
+    @pytest.mark.parametrize("short", ["a_short", "z_short"])  # fit, valid
+    def test_clip_shorter_than_a_block_named(self, short, corpus, tmp_path,
+                                             capsys):
+        audio, labels = tmp_path / "audio", tmp_path / "labels"
+        audio.mkdir()
+        labels.mkdir()
+        for src in sorted((corpus / "audio").glob("*.wav")):
+            (audio / src.name).write_bytes(src.read_bytes())
+            lab = corpus / "labels" / f"{src.stem}.lab"
+            (labels / lab.name).write_bytes(lab.read_bytes())
+        # 0.5 s is 24 frames, fewer than the 29 of a block
+        save_wav(audio / f"{short}.wav", AudioClip(samples=np.zeros(8000)))
+        (labels / f"{short}.lab").write_text("0.000000 0.500000 nosing\n")
+        out = tmp_path / "run"
+        rc = main(FAST + ["train", "--audio-dir", str(audio),
+                          "--label-dir", str(labels), "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: data: {short}: 24 frames, fewer than one "
+                       "block of 29\n")
+        assert not (out / "checkpoint.npz").exists()
+
+
 class TestSeparateCommand:
     def test_writes_both_stems_and_manifest(self, corpus, tmp_path):
         wav = sorted((corpus / "audio").glob("*.wav"))[0]

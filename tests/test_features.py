@@ -12,7 +12,7 @@ from svdet.features import (FeatureMatrix, NormStats, apply_norm,
                             equal_loudness, extract_features, fit_norm_stats,
                             hz_to_bark, levinson_durbin, lpc_to_cepstrum, lpcc,
                             mel_filterbank, mfcc, plp)
-from svdet.pipeline import PipelineConfig, _training_arrays
+from svdet.pipeline import PipelineConfig, _training_blocks
 from svdet.tracks import LabelTrack
 
 
@@ -343,67 +343,108 @@ class TestConcatNormalize:
         assert scaled.values.max() <= 1.0 + 1e-12
 
 
+def training_blocks(values_by_stem, labels_by_stem, block_len, stride):
+    """_training_blocks on raw values under identity normalization."""
+    stems = list(values_by_stem)
+    dim = next(iter(values_by_stem.values())).shape[1]
+    feats = {s: FeatureMatrix(values=v, feature_tag="mfcc")
+             for s, v in values_by_stem.items()}
+    labels = {s: LabelTrack(labels=l) for s, l in labels_by_stem.items()}
+    stats = NormStats(col_min=np.zeros(dim), col_max=np.ones(dim))
+    cfg = PipelineConfig(block_len=block_len, train_stride=stride)
+    return _training_blocks(stems, feats, labels, stats, cfg)
+
+
 class TestBlockify:
     def _values(self, n_frames, dim=2):
         return np.arange(n_frames * dim, dtype=float).reshape(n_frames, dim)
 
+    def _one_stem(self, values, stride, labels=None):
+        if labels is None:
+            labels = np.zeros(len(values), dtype=np.int8)
+        return training_blocks({"a": values}, {"a": labels}, 29, stride)
+
     def test_stride_29_counts(self):
-        blocks = blockify(self._values(100), block_len=29, stride=29)
-        assert blocks.shape == (3, 29, 2)
-        assert list(blocks[:, 0, 0]) == [0.0, 58.0, 116.0]
+        blocks, centers, _ = self._one_stem(self._values(100), stride=29)
+        assert list(centers) == [14, 43, 72]
+        assert list(blocks[centers][:, 0, 0]) == [0.0, 58.0, 116.0]
 
     def test_single_block_center(self):
         values = self._values(29)
-        blocks = blockify(values, block_len=29, stride=1)
-        assert len(blocks) == 1
-        assert np.array_equal(blocks[0, 14], values[14])
+        blocks, centers, _ = self._one_stem(values, stride=1)
+        assert list(centers) == [14]
+        assert np.array_equal(blocks[centers[0]], values)
 
     def test_inference_one_block_per_frame(self):
         values = self._values(29)
-        blocks = blockify(values, block_len=29, pad=True)
+        blocks = blockify(values, block_len=29)
         assert len(blocks) == 29
         # frame i is the center of block i
         assert np.array_equal(blocks[:, 14], values)
 
     def test_is_a_window_view(self):
         values = self._values(40)
-        blocks = blockify(values, block_len=29, stride=3)
-        assert np.shares_memory(blocks, values)
-        assert blocks.strides[0] == 3 * blocks.strides[1]
-        padded = blockify(values, block_len=29, pad=True)
-        assert np.shares_memory(padded[0], padded[1])
-        assert padded.strides[0] == padded.strides[1]
+        blocks = blockify(values, block_len=29)
+        assert np.shares_memory(blocks[0], blocks[1])
+        assert blocks.strides[0] == blocks.strides[1]
+        train_blocks, _, _ = self._one_stem(values, stride=3)
+        assert train_blocks.strides[0] == train_blocks.strides[1]
 
     def test_center_label(self):
-        labels = np.zeros(40, dtype=int)
+        labels = np.zeros(40, dtype=np.int8)
         labels[20] = 1
-        feat = FeatureMatrix(values=self._values(40), feature_tag="mfcc")
-        stats = NormStats(col_min=np.zeros(2), col_max=np.ones(2))
-        cfg = PipelineConfig(block_len=29, train_stride=3)
-        x, y = _training_arrays(["a"], {"a": feat},
-                                {"a": LabelTrack(labels=labels)},
-                                stats, cfg)
-        centers = np.arange(0, 40 - 29 + 1, 3) + 14
-        assert np.array_equal(x[:, 14], feat.values[centers])
+        values = self._values(40)
+        blocks, centers, y = self._one_stem(values, stride=3, labels=labels)
+        assert list(centers) == list(np.arange(0, 40 - 29 + 1, 3) + 14)
+        assert np.array_equal(blocks[centers][:, 14], values[centers])
         assert np.array_equal(y, labels[centers])
         assert y.dtype == np.float64
 
+    @given(lens=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+           block_len=st.integers(1, 9), stride=st.integers(1, 8),
+           seed=st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_stay_inside_one_stem(self, lens, block_len, stride, seed):
+        rng = np.random.default_rng(seed)
+        lens = [n + block_len - 1 for n in lens]  # at least one block each
+        # column 0 names the stem, column 1 numbers the frame within it
+        values = {f"s{k}": np.column_stack([np.full(n, k), np.arange(n)])
+                  .astype(float) for k, n in enumerate(lens)}
+        labels = {s: rng.integers(0, 2, size=len(v), dtype=np.int8)
+                  for s, v in values.items()}
+        blocks, centers, y = training_blocks(values, labels, block_len, stride)
+        picked = blocks[centers]
+        stem_of, frame_of = picked[:, block_len // 2].T.astype(int)
+        # no block takes a frame from another stem, or an edge replica
+        assert np.all(picked[:, :, 0] == stem_of[:, None])
+        assert np.all(np.diff(picked[:, :, 1], axis=1) == 1)
+        for k, n in enumerate(lens):
+            local = frame_of[stem_of == k]
+            # the first center is block_len // 2 into the stem, the rest
+            # train_stride apart, and every block fits inside the stem
+            assert local[0] == block_len // 2
+            assert np.all(np.diff(local) == stride)
+            assert len(local) == (n - block_len) // stride + 1
+            assert np.array_equal(y[stem_of == k], labels[f"s{k}"][local])
+
     def test_edges_replicated(self):
         values = self._values(10)
-        blocks = blockify(values, block_len=29, pad=True)
+        blocks = blockify(values, block_len=29)
         assert np.array_equal(blocks[0, :15], np.repeat(values[:1], 15, axis=0))
         assert np.array_equal(blocks[-1, 14:], np.repeat(values[-1:], 15, axis=0))
         assert np.array_equal(blocks[4, 10:20], values)
 
     def test_fewer_frames_than_one_block(self):
-        with pytest.raises(DataError, match="fewer frames"):
-            blockify(self._values(28), block_len=29, stride=5)
-        assert len(blockify(self._values(28), block_len=29, pad=True)) == 28
+        assert len(blockify(self._values(28), block_len=29)) == 28
+        values = {"long": self._values(40), "short_clip": self._values(28)}
+        labels = {s: np.zeros(len(v), dtype=np.int8) for s, v in values.items()}
+        with pytest.raises(DataError, match="^short_clip: 28 frames, fewer "
+                                            "than one block of 29$"):
+            training_blocks(values, labels, 29, 5)
 
     def test_empty_matrix(self):
-        for pad in (False, True):
-            with pytest.raises(DataError):
-                blockify(np.zeros((0, 2)), block_len=29, stride=5, pad=pad)
+        with pytest.raises(DataError):
+            blockify(np.zeros((0, 2)), block_len=29)
 
 
 class TestShiftCovariance:

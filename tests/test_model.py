@@ -10,13 +10,15 @@ from scipy.special import expit
 
 from svdet import model
 from svdet.errors import DataError, DivergenceError
-from svdet.features import FeatureMatrix, NormStats, blockify
+from svdet.features import (FeatureMatrix, NormStats, apply_norm, blockify,
+                            fit_norm_stats)
 from svdet.model import (KERNEL_WIDTH, POOL_LEN, LrcnConfig, bce_loss,
                          binary_f1, forward_blocks, init_params, lrcn_backward,
                          lrcn_cell_step, param_shapes, param_views,
                          params_to_vector, predict_track, read_checkpoint,
                          save_checkpoint, train_lrcn, zero_params)
-from svdet.pipeline import PipelineConfig
+from svdet.pipeline import PipelineConfig, train_classifier
+from svdet.tracks import LabelTrack
 
 SMALL = LrcnConfig(input_dim=6, block_len=5, n_filters=8, hidden_size=8,
                    dense_sizes=(4,))
@@ -429,7 +431,7 @@ class TestTraining:
         x, y = self._separable(rng)
         cfg = PipelineConfig(learning_rate=0.05, momentum=0.9, epochs=200,
                              batch_size=8, seed=0, patience=10)
-        params, history = train_lrcn(x, y, SMALL, cfg)
+        params, history = train_lrcn(x, np.arange(len(x)), y, SMALL, cfg)
         post = forward_blocks(x, params, SMALL)
         assert np.all((post >= 0.5) == (y == 1.0))
 
@@ -437,7 +439,7 @@ class TestTraining:
         x, y = self._separable(rng)
         cfg = PipelineConfig(learning_rate=0.0, momentum=0.9, epochs=5,
                              batch_size=4, seed=1, patience=10)
-        params, history = train_lrcn(x, y, SMALL, cfg)
+        params, history = train_lrcn(x, np.arange(len(x)), y, SMALL, cfg)
         init = init_params(SMALL, seed=1)
         assert np.array_equal(params_to_vector(params, SMALL),
                               params_to_vector(init, SMALL))
@@ -448,8 +450,8 @@ class TestTraining:
         x, y = self._separable(rng)
         cfg = PipelineConfig(learning_rate=0.01, momentum=0.9, epochs=10,
                              batch_size=4, seed=7, patience=10)
-        _, h1 = train_lrcn(x, y, SMALL, cfg)
-        _, h2 = train_lrcn(x, y, SMALL, cfg)
+        _, h1 = train_lrcn(x, np.arange(len(x)), y, SMALL, cfg)
+        _, h2 = train_lrcn(x, np.arange(len(x)), y, SMALL, cfg)
         assert h1 == h2
 
     def test_divergence_aborts(self, rng):
@@ -458,12 +460,12 @@ class TestTraining:
         cfg = PipelineConfig(learning_rate=0.01, momentum=0.9, epochs=5,
                              batch_size=8, seed=0, patience=10)
         with pytest.raises(DivergenceError):
-            train_lrcn(x, y, SMALL, cfg)
+            train_lrcn(x, np.arange(len(x)), y, SMALL, cfg)
 
     def test_empty_training_set(self):
         with pytest.raises(DataError):
-            train_lrcn(np.zeros((0, 5, 6)), np.zeros(0), SMALL,
-                       PipelineConfig())
+            train_lrcn(np.zeros((0, 5, 6)), np.zeros(0, dtype=int),
+                       np.zeros(0), SMALL, PipelineConfig())
 
 
 def dict_loop_train(train_x, train_y, cfg, pcfg, valid_x=None, valid_y=None):
@@ -518,8 +520,8 @@ class TestFlatBufferTraining:
         valid = (x[n_train:], y[n_train:]) if n_valid else ()
         pcfg = PipelineConfig(learning_rate=0.3, momentum=0.9, epochs=8,
                               batch_size=batch_size, seed=3, patience=patience)
-        params, history = train_lrcn(x[:n_train], y[:n_train], SMALL, pcfg,
-                                     *valid)
+        params, history = train_lrcn(x[:n_train], np.arange(n_train),
+                                     y[:n_train], SMALL, pcfg, *valid)
         ref_theta, ref_history = dict_loop_train(x[:n_train], y[:n_train],
                                                  SMALL, pcfg, *valid)
         assert params_to_vector(params, SMALL).tobytes() == ref_theta.tobytes()
@@ -544,6 +546,62 @@ class TestFlatBufferTraining:
         x = rng.standard_normal((batch, 5, 6))
         cached, _ = forward_blocks(x, p, SMALL, want_cache=True)
         assert forward_blocks(x, p, SMALL).tobytes() == cached.tobytes()
+
+
+def materialized_training_arrays(stems, feats, labels, stats, cfg):
+    """Reference: every training block copied out, one stem at a time, as
+    the unpadded windows that start every train_stride frames, with the
+    labels of their center frames."""
+    xs, ys = [], []
+    for stem in stems:
+        values = apply_norm(feats[stem], stats).values
+        x = np.lib.stride_tricks.sliding_window_view(
+            values, cfg.block_len, axis=0).transpose(0, 2, 1)
+        x = x[:: cfg.train_stride]
+        centers = np.arange(len(x)) * cfg.train_stride + cfg.block_len // 2
+        xs.append(x)
+        ys.append(labels[stem].labels[centers].astype(np.float64))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+class TestCenterIndexedTraining:
+    @pytest.mark.parametrize("block_len, stride, lens", [
+        (29, 5, (60, 45, 29, 80, 52)),
+        (4, 3, (20, 4, 13, 31, 9)),
+        (5, 7, (26, 5, 40, 18, 12)),
+        (29, 5, (90,)),  # one stem: no validation
+    ])
+    def test_matches_materialized_blocks_bitwise(self, block_len, stride,
+                                                 lens):
+        rng = np.random.default_rng(block_len * 100 + stride)
+        stems = [f"clip{i}" for i in range(len(lens))]
+        feats = {s: FeatureMatrix(values=rng.standard_normal((n, 6)),
+                                  feature_tag="mfcc")
+                 for s, n in zip(stems, lens)}
+        labels = {s: LabelTrack(labels=rng.integers(0, 2, n, dtype=np.int8))
+                  for s, n in zip(stems, lens)}
+        pcfg = PipelineConfig(block_len=block_len, train_stride=stride,
+                              n_filters=4, hidden_size=8, dense_sizes=(4,),
+                              learning_rate=0.3, epochs=4, batch_size=5,
+                              patience=1, seed=2)
+        params, lrcn_cfg, stats, history = train_classifier(
+            stems, feats, labels, pcfg)
+        # train_classifier holds out the last stem of five, none of one
+        n_val = 1 if len(stems) > 1 else 0
+        fit, valid = stems[:len(stems) - n_val], stems[len(stems) - n_val:]
+        ref_stats = fit_norm_stats([feats[s] for s in fit])
+        x_tr, y_tr = materialized_training_arrays(fit, feats, labels,
+                                                  ref_stats, pcfg)
+        valid_xy = (materialized_training_arrays(valid, feats, labels,
+                                                 ref_stats, pcfg)
+                    if valid else ())
+        ref_params, ref_history = train_lrcn(x_tr, np.arange(len(x_tr)), y_tr,
+                                             lrcn_cfg, pcfg, *valid_xy)
+        assert stats.col_min.tobytes() == ref_stats.col_min.tobytes()
+        assert (params_to_vector(params, lrcn_cfg).tobytes()
+                == params_to_vector(ref_params, lrcn_cfg).tobytes())
+        assert history == ref_history
+        assert all(("valid_f1" in e) == bool(valid) for e in history)
 
 
 class TestPredictTrack:
@@ -590,8 +648,7 @@ class TestPredictTrack:
 
     def test_window_view_matches_contiguous_copy(self, rng):
         p = small_params(seed=14)
-        x = blockify(rng.standard_normal((40, 6)), block_len=SMALL.block_len,
-                     pad=True)
+        x = blockify(rng.standard_normal((40, 6)), block_len=SMALL.block_len)
         assert x.strides[0] == x.strides[1]
         assert np.array_equal(forward_blocks(x, p, SMALL),
                               forward_blocks(np.ascontiguousarray(x), p, SMALL))
