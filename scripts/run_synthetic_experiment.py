@@ -10,9 +10,11 @@ enabled and once without, printing pooled metrics for both.
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
+from svdet.errors import DataError
 from svdet.features import FEATURE_SETS
 from svdet.pipeline import PipelineConfig, report_payload, run_corpus
 from svdet.smoothing import SMOOTHING_METHODS
@@ -31,7 +33,20 @@ def main():
     parser.add_argument("--smoothing", default="median",
                         choices=SMOOTHING_METHODS)
     args = parser.parse_args()
+    try:
+        experiment(args)
+    except DataError as exc:
+        print(f"error: data: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
+
+def experiment(args):
+    # both configs first, so a bad setting is refused before any work
+    cfgs = [PipelineConfig(separate=separate, folds=args.folds,
+                           seed=args.seed, feature_tag=args.feature_tag,
+                           smoothing_method=args.smoothing)
+            for separate in (True, False)]
     work = Path(args.work_dir)
     audio_dir, label_dir = work / "audio", work / "labels"
     if not audio_dir.exists():
@@ -39,23 +54,21 @@ def main():
                      duration=args.duration)
         print(f"generated {args.clips} clips under {work}")
 
-    for separate in (True, False):
-        cfg = PipelineConfig(separate=separate, folds=args.folds,
-                             seed=args.seed, feature_tag=args.feature_tag,
-                             smoothing_method=args.smoothing)
+    for cfg in cfgs:
         t0 = time.time()
         run = run_corpus(audio_dir, label_dir, cfg)
         took = time.time() - t0
         rep = run.report
-        tag = "on " if separate else "off"
+        tag = "on " if cfg.separate else "off"
         print(f"separation {tag}: acc={rep.accuracy:.4f} "
               f"P={rep.precision:.4f} R={rep.recall:.4f} F1={rep.f1:.4f} "
               f"({took:.0f}s)")
-        out = work / f"report_separation_{'on' if separate else 'off'}.json"
+        name = f"report_separation_{'on' if cfg.separate else 'off'}.json"
+        out = work / name
         out.write_text(json.dumps(report_payload(run, cfg), sort_keys=True,
                                   indent=2) + "\n")
         print(f"  wrote {out}")
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

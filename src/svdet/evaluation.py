@@ -13,6 +13,8 @@ from .tracks import LabelTrack
 
 POSITIVE_TOKENS = {"sing", "1", "vocal"}
 NEGATIVE_TOKENS = {"nosing", "0", "nonvocal"}
+# label times past this are refused: evaluate rasterizes up to the last end
+MAX_LABEL_SECONDS = 24 * 3600.0
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,9 @@ def parse_label_file(path) -> list[Segment]:
             raise DataError(f"{path}:{lineno}: unparseable time") from exc
         if not (np.isfinite(start) and np.isfinite(end)):
             raise DataError(f"{path}:{lineno}: non-finite time")
+        if max(start, end) > MAX_LABEL_SECONDS:
+            raise DataError(f"{path}:{lineno}: time {max(start, end)} s is "
+                            f"past the {MAX_LABEL_SECONDS:g} s bound")
         token = parts[2].lower()
         if token in POSITIVE_TOKENS:
             label = 1

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
+from numbers import Integral
 from typing import TYPE_CHECKING
 from zipfile import BadZipFile
 
@@ -55,6 +56,23 @@ KERNEL_WIDTH = 4  # taps of each conv filter along the feature axis
 POOL_LEN = 2  # hidden units per max-pool group of the head
 
 
+def check_shape(**sizes) -> None:
+    """DataError unless each given model size (LrcnConfig's fields, every
+    one of dense_sizes) is an int of at least 1, and hidden_size, if
+    given, is a multiple of POOL_LEN."""
+    for name, value in sizes.items():
+        each = "all " if name == "dense_sizes" else ""
+        for size in value if each else (value,):
+            if isinstance(size, bool) or not isinstance(size, Integral):
+                raise DataError(f"{name} must {each}be of type int, "
+                                f"got {value!r}")
+            if size < 1:
+                raise DataError(f"{name} must {each}be at least 1, got {value}")
+    if sizes.get("hidden_size", 0) % POOL_LEN:
+        raise DataError(f"hidden_size must be a multiple of {POOL_LEN}, "
+                        f"got {sizes['hidden_size']}")
+
+
 @dataclass(frozen=True)
 class LrcnConfig:
     """Model shape; PipelineConfig holds the defaults of the free fields."""
@@ -66,9 +84,8 @@ class LrcnConfig:
     dense_sizes: tuple
 
     def __post_init__(self):
-        if self.hidden_size % POOL_LEN:
-            raise DataError(f"hidden_size must be a multiple of {POOL_LEN}")
         object.__setattr__(self, "dense_sizes", tuple(self.dense_sizes))
+        check_shape(**vars(self))
 
     @property
     def conv_dim(self) -> int:
@@ -363,16 +380,17 @@ def binary_f1(pred: np.ndarray, truth: np.ndarray) -> float:
     return 2.0 * tp / (2 * tp + fp + fn)
 
 
-def train_lrcn(blocks, centers, train_y, cfg: LrcnConfig,
-               pcfg: PipelineConfig, valid_x=None, valid_y=None):
+def train_lrcn(blocks, labels, centers, valid_centers, cfg: LrcnConfig,
+               pcfg: PipelineConfig):
     """Mini-batch gradient descent with momentum.
 
-    Trains on blocks[centers[i]] labelled train_y[i]; each batch gathers
-    its blocks by index, so blocks can be a blockify view of all frames.
-    Reads learning_rate, momentum, epochs, batch_size, seed and patience
-    from pcfg. Returns (best params, history). With a validation set, the
-    params with the best validation F1 are kept and early stopping uses
-    the patience; otherwise the final params are returned.
+    Block i of blocks is labelled labels[i]. Trains on the blocks at
+    centers and validates each epoch on those at valid_centers, gathering
+    each by index, so blocks can be a blockify view of all frames. Reads
+    learning_rate, momentum, epochs, batch_size, seed and patience from
+    pcfg. Returns (best params, history): with validation centers, the
+    params with the best validation F1, stopping early by the patience;
+    with none, the final params.
     """
     if len(centers) == 0:
         raise DataError("empty training set")
@@ -392,9 +410,9 @@ def train_lrcn(blocks, centers, train_y, cfg: LrcnConfig,
         epoch_loss = 0.0
         n_batches = 0
         for start in range(0, n, pcfg.batch_size):
-            idx = order[start : start + pcfg.batch_size]
-            loss, _ = lrcn_backward(blocks[centers[idx]], train_y[idx], params,
-                                    cfg, grads)
+            batch = centers[order[start : start + pcfg.batch_size]]
+            loss, _ = lrcn_backward(blocks[batch], labels[batch], params, cfg,
+                                    grads)
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, batch {n_batches}"
@@ -409,9 +427,9 @@ def train_lrcn(blocks, centers, train_y, cfg: LrcnConfig,
         if not np.all(np.isfinite(theta)):
             raise DivergenceError(f"non-finite parameters after epoch {epoch}")
         entry = {"epoch": epoch, "train_loss": epoch_loss / n_batches}
-        if valid_x is not None and len(valid_x):
-            vp = forward_blocks(valid_x, params, cfg)
-            score = binary_f1((vp >= 0.5).astype(int), valid_y.astype(int))
+        if len(valid_centers):
+            vp = forward_blocks(blocks[valid_centers], params, cfg)
+            score = binary_f1((vp >= 0.5).astype(int), labels[valid_centers])
             entry["valid_f1"] = score
             if score > best_score:
                 best_score = score
@@ -470,9 +488,7 @@ def read_checkpoint(path):
             meta = json.loads(bytes(data["__meta__"]).decode())
             version = meta["format_version"]
             if version == CHECKPOINT_VERSION:
-                c = meta["config"]
-                c["dense_sizes"] = tuple(c["dense_sizes"])
-                cfg = LrcnConfig(**c)
+                cfg = LrcnConfig(**meta["config"])
                 params = {n: data[n] for n, _ in param_shapes(cfg)}
                 stats = NormStats(col_min=data["__norm_min__"],
                                   col_max=data["__norm_max__"])

@@ -52,21 +52,17 @@ class PipelineConfig:
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise DataError(f"{name} must be finite, got {value}")
-        for name, low in (("folds", 2), ("block_len", 1), ("train_stride", 1),
-                          ("n_filters", 1), ("hidden_size", 1),
+        for name, low in (("folds", 2), ("train_stride", 1),
                           ("batch_size", 1), ("hmm_components", 1),
                           ("epochs", 1), ("patience", 0),
                           ("learning_rate", 0), ("momentum", 0), ("seed", 0)):
             value = getattr(self, name)
             if not value >= low:
                 raise DataError(f"{name} must be at least {low}, got {value}")
-        if self.hidden_size % model.POOL_LEN:
-            raise DataError(f"hidden_size must be a multiple of "
-                            f"{model.POOL_LEN}, got {self.hidden_size}")
-        object.__setattr__(self, "dense_sizes", tuple(self.dense_sizes))
-        if min(self.dense_sizes, default=1) < 1:
-            raise DataError(f"dense_sizes must all be at least 1, "
-                            f"got {self.dense_sizes}")
+        self.dense_sizes = tuple(self.dense_sizes)
+        model.check_shape(block_len=self.block_len, n_filters=self.n_filters,
+                          hidden_size=self.hidden_size,
+                          dense_sizes=self.dense_sizes)
         if self.median_window < 1 or self.median_window % 2 == 0:
             raise DataError(f"median_window must be odd and at least 1, "
                             f"got {self.median_window}")
@@ -98,8 +94,9 @@ def clip_features(clip: AudioClip, cfg: PipelineConfig) -> FeatureMatrix:
 
 
 def _training_blocks(stems, feats, labels, stats, cfg: PipelineConfig):
-    """The blockify view of the stems' stacked frames, the centers of its
-    train_stride-spaced blocks that lie inside one stem, and their labels."""
+    """The blockify view of the stems' stacked frames, their stacked
+    frame labels, and per stem the centers of its train_stride-spaced
+    blocks that lie inside it."""
     centers, start = [], 0
     for stem in stems:
         n = len(feats[stem].values)
@@ -109,31 +106,27 @@ def _training_blocks(stems, feats, labels, stats, cfg: PipelineConfig):
         centers.append(np.arange(start, start + n - cfg.block_len + 1,
                                  cfg.train_stride) + cfg.block_len // 2)
         start += n
-    centers = np.concatenate(centers)
     frames = np.concatenate([apply_norm(feats[s], stats).values for s in stems])
-    y = np.concatenate([labels[s].labels for s in stems])[centers].astype(float)
-    return features.blockify(frames, cfg.block_len), centers, y
+    y = np.concatenate([labels[s].labels for s in stems])
+    return features.blockify(frames, cfg.block_len), y, centers
 
 
 def train_classifier(stems, feats, labels, cfg: PipelineConfig):
     """Train on stems; returns (params, lrcn_cfg, stats, history).
 
-    The last fifth of the stems (at least one) is held out for
-    validation and early stopping; the normalization statistics are fit
-    on the rest. A single stem trains without validation and keeps the
-    final parameters.
+    The last fifth of the stems (at least one) is held out: early
+    stopping scores its blocks in the view all stems share, and the
+    normalization statistics are fit on the rest. A single stem trains
+    without validation and keeps the final parameters.
     """
-    n_val = max(1, len(stems) // 5) if len(stems) > 1 else 0
-    fit, valid = stems[:len(stems) - n_val], stems[len(stems) - n_val:]
-    stats = fit_norm_stats([feats[s] for s in fit])
-    blocks, centers, y_tr = _training_blocks(fit, feats, labels, stats, cfg)
-    x_va = y_va = None
-    if valid:
-        va, c_va, y_va = _training_blocks(valid, feats, labels, stats, cfg)
-        x_va = va[c_va]
+    n_fit = len(stems) - (max(1, len(stems) // 5) if len(stems) > 1 else 0)
+    stats = fit_norm_stats([feats[s] for s in stems[:n_fit]])
+    blocks, y, centers = _training_blocks(stems, feats, labels, stats, cfg)
+    fit_c, valid_c = np.split(np.concatenate(centers),
+                              [sum(map(len, centers[:n_fit]))])
     lrcn_cfg = cfg.lrcn_config(input_dim=blocks.shape[2])
-    params, history = model.train_lrcn(blocks, centers, y_tr, lrcn_cfg, cfg,
-                                       valid_x=x_va, valid_y=y_va)
+    params, history = model.train_lrcn(blocks, y, fit_c, valid_c, lrcn_cfg,
+                                       cfg)
     return params, lrcn_cfg, stats, history
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from svdet import audio, cli, separation
+from svdet import audio, cli, model, separation
 from svdet.audio import (FRAME_LEN, HOP, AudioClip, frame_matrix, frame_signal,
                          istft, stft)
 from svdet.features import FeatureMatrix, autocorr_from_spectrogram, lpcc
@@ -164,9 +164,8 @@ class TestMemoryFollowsTheStft:
         assert traced_peak(lpcc, bins) <= 0.5 * bins.nbytes
 
 
-def test_train_classifier_peak_follows_the_features():
-    # copying every block of 29 frames at train_stride 5 held each frame
-    # about 5.8 times, and peaked at 9.8 times the feature bytes here
+def ten_stems():
+    """(stems, feats, labels, cfg, feature bytes): 10 x 1500 frames x 39."""
     rng = np.random.default_rng(7)
     stems = [f"clip{i}" for i in range(10)]
     feats = {s: FeatureMatrix(values=rng.standard_normal((1500, 39)),
@@ -174,6 +173,33 @@ def test_train_classifier_peak_follows_the_features():
     labels = {s: LabelTrack(labels=rng.integers(0, 2, 1500, dtype=np.int8))
               for s in stems}
     cfg = PipelineConfig(feature_tag="lpcc_mfcc_plp", epochs=1)
-    feature_bytes = sum(f.values.nbytes for f in feats.values())
+    return stems, feats, labels, cfg, sum(f.values.nbytes
+                                          for f in feats.values())
+
+
+def test_train_classifier_peak_follows_the_features():
+    # copying every block of 29 frames at train_stride 5 held each frame
+    # about 5.8 times, and peaked at 9.8 times the feature bytes here
+    stems, feats, labels, cfg, feature_bytes = ten_stems()
     peak = traced_peak(train_classifier, stems, feats, labels, cfg)
     assert peak <= 6.0 * feature_bytes
+
+
+def test_training_batches_hold_no_validation_copy(monkeypatch):
+    # a copy of every validation block, held for the whole run, put 2.5
+    # times the feature bytes in memory as each training batch started
+    stems, feats, labels, cfg, feature_bytes = ten_stems()
+    held, backward = [], model.lrcn_backward
+
+    def spy(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(model, "lrcn_backward", spy)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train_classifier(stems, feats, labels, cfg)
+    finally:
+        tracemalloc.stop()
+    assert held and max(held) - base <= 2.0 * feature_bytes

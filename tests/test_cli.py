@@ -2,8 +2,9 @@ import csv
 import json
 import logging
 import tempfile
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,22 +35,26 @@ def corpus(tmp_path_factory):
     return root
 
 
+ZERO_CFG = LrcnConfig(input_dim=13, block_len=29, n_filters=4, hidden_size=4,
+                      dense_sizes=(4,))
+
+
 def zero_checkpoint(path, **config):
     """An all-zero MFCC model (posterior 0.5 everywhere) with unit stats."""
-    cfg = LrcnConfig(input_dim=13, block_len=29, n_filters=4, hidden_size=4,
-                     dense_sizes=(4,))
     stats = NormStats(col_min=np.zeros(13), col_max=np.ones(13))
-    save_checkpoint(path, zero_params(cfg), cfg, stats,
+    save_checkpoint(path, zero_params(ZERO_CFG), ZERO_CFG, stats,
                     PipelineConfig(**config).front_end())
     return path
 
 
-def rewrite_checkpoint(src, dst, front_end=(), **arrays):
-    """A copy of a checkpoint with front-end entries or arrays replaced."""
+def rewrite_checkpoint(src, dst, front_end=(), config=(), **arrays):
+    """A copy of a checkpoint with front-end or model config entries, or
+    arrays, replaced."""
     with np.load(src) as data:
         out = {k: data[k] for k in data.files}
     meta = json.loads(bytes(out["__meta__"]).decode())
     meta["front_end"].update(front_end)
+    meta["config"].update(config)
     out["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(),
                                     dtype=np.uint8)
     np.savez(dst, **{**out, **arrays})
@@ -526,6 +531,29 @@ class TestPredictDataErrors:
             rc, capsys, out,
             "checkpoint parameter W_h has shape (16, 5), its config needs "
             "(16, 4)")
+
+    @pytest.mark.parametrize("config, message", [
+        ({"block_len": 0}, "block_len must be at least 1, got 0"),
+        ({"block_len": -3}, "block_len must be at least 1, got -3"),
+        ({"block_len": 29.5}, "block_len must be of type int, got 29.5"),
+        ({"block_len": "29"}, "block_len must be of type int, got '29'"),
+        ({"n_filters": 0}, "n_filters must be at least 1, got 0"),
+        ({"hidden_size": 0}, "hidden_size must be at least 1, got 0"),
+        ({"dense_sizes": [0]}, "dense_sizes must all be at least 1, got (0,)"),
+    ])
+    def test_malformed_model_config(self, corpus, tmp_path, capsys, config,
+                                    message):
+        # parameters of the shapes the config names, so only it is at fault
+        sizes = {**asdict(ZERO_CFG), **config}
+        shapes = model.param_shapes(SimpleNamespace(
+            **sizes, conv_dim=sizes["n_filters"] * sizes["input_dim"]))
+        ckpt = rewrite_checkpoint(
+            zero_checkpoint(tmp_path / "zero.npz", separate=False),
+            tmp_path / "checkpoint.npz", config=config,
+            **{name: np.zeros(shape) for name, shape in shapes})
+        out = tmp_path / "out"
+        rc = self._predict(corpus, ckpt, out)
+        self._assert_clean_data_error(rc, capsys, out, message)
 
 
 class TestZeroWeightCheckpoint:

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svdet import cli, evaluation
 from svdet.audio import frame_times
 from svdet.cli import main
 from svdet.errors import DataError
-from svdet.evaluation import (Segment, confusion_counts, kfold_split,
-                              load_labels, metrics, parse_label_file,
-                              pooled_report, save_labels)
+from svdet.evaluation import (MAX_LABEL_SECONDS, Segment, confusion_counts,
+                              kfold_split, load_labels, metrics,
+                              parse_label_file, pooled_report, save_labels)
 from svdet.tracks import LabelTrack
 
 FRAMES_2S = 99
@@ -100,6 +101,31 @@ class TestParseLabelFile:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: data: {pred}:1: non-finite time\n"
+        assert not out.exists()
+
+    def test_time_at_the_bound_parses(self, tmp_path):
+        p = tmp_path / "a.lab"
+        p.write_text(f"0 {MAX_LABEL_SECONDS} sing\n")
+        assert parse_label_file(p) == [Segment(0.0, MAX_LABEL_SECONDS, 1)]
+
+    @pytest.mark.parametrize("end", [
+        "1e300", str(float(np.nextafter(MAX_LABEL_SECONDS, np.inf)))])
+    def test_time_past_the_bound_exits_2(self, tmp_path, capsys, monkeypatch,
+                                         end):
+        # refused while parsing, before a frame count or array is made
+        def no_frames(*args):
+            raise AssertionError("frames made before the labels were checked")
+
+        monkeypatch.setattr(cli, "frame_count", no_frames)
+        monkeypatch.setattr(evaluation, "frame_times", no_frames)
+        pred = tmp_path / "pred.lab"
+        pred.write_text(f"0.0 1.0 nosing\n1.0 {end} sing\n")
+        out = tmp_path / "r.json"
+        assert main(["evaluate", "--pred", str(pred), "--truth", str(pred),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: data: {pred}:2: time {float(end)} s is past "
+                       f"the 86400 s bound\n")
         assert not out.exists()
 
 

@@ -365,13 +365,13 @@ class TestBlockify:
         return training_blocks({"a": values}, {"a": labels}, 29, stride)
 
     def test_stride_29_counts(self):
-        blocks, centers, _ = self._one_stem(self._values(100), stride=29)
+        blocks, _, (centers,) = self._one_stem(self._values(100), stride=29)
         assert list(centers) == [14, 43, 72]
         assert list(blocks[centers][:, 0, 0]) == [0.0, 58.0, 116.0]
 
     def test_single_block_center(self):
         values = self._values(29)
-        blocks, centers, _ = self._one_stem(values, stride=1)
+        blocks, _, (centers,) = self._one_stem(values, stride=1)
         assert list(centers) == [14]
         assert np.array_equal(blocks[centers[0]], values)
 
@@ -394,11 +394,11 @@ class TestBlockify:
         labels = np.zeros(40, dtype=np.int8)
         labels[20] = 1
         values = self._values(40)
-        blocks, centers, y = self._one_stem(values, stride=3, labels=labels)
+        blocks, y, (centers,) = self._one_stem(values, stride=3, labels=labels)
         assert list(centers) == list(np.arange(0, 40 - 29 + 1, 3) + 14)
         assert np.array_equal(blocks[centers][:, 14], values[centers])
-        assert np.array_equal(y, labels[centers])
-        assert y.dtype == np.float64
+        # one label per frame, so block i is labelled y[i]
+        assert np.array_equal(y, labels)
 
     @given(lens=st.lists(st.integers(1, 40), min_size=1, max_size=5),
            block_len=st.integers(1, 9), stride=st.integers(1, 8),
@@ -412,10 +412,13 @@ class TestBlockify:
                   .astype(float) for k, n in enumerate(lens)}
         labels = {s: rng.integers(0, 2, size=len(v), dtype=np.int8)
                   for s, v in values.items()}
-        blocks, centers, y = training_blocks(values, labels, block_len, stride)
-        picked = blocks[centers]
+        blocks, y, centers = training_blocks(values, labels, block_len, stride)
+        picked = blocks[np.concatenate(centers)]
         stem_of, frame_of = picked[:, block_len // 2].T.astype(int)
-        # no block takes a frame from another stem, or an edge replica
+        # centers[k] are stem k's blocks, and no block takes a frame from
+        # another stem, or an edge replica
+        assert np.array_equal(stem_of, np.repeat(np.arange(len(lens)),
+                                                 [len(c) for c in centers]))
         assert np.all(picked[:, :, 0] == stem_of[:, None])
         assert np.all(np.diff(picked[:, :, 1], axis=1) == 1)
         for k, n in enumerate(lens):
@@ -425,7 +428,7 @@ class TestBlockify:
             assert local[0] == block_len // 2
             assert np.all(np.diff(local) == stride)
             assert len(local) == (n - block_len) // stride + 1
-            assert np.array_equal(y[stem_of == k], labels[f"s{k}"][local])
+            assert np.array_equal(y[centers[k]], labels[f"s{k}"][local])
 
     def test_edges_replicated(self):
         values = self._values(10)

@@ -431,7 +431,7 @@ class TestTraining:
         x, y = self._separable(rng)
         cfg = PipelineConfig(learning_rate=0.05, momentum=0.9, epochs=200,
                              batch_size=8, seed=0, patience=10)
-        params, history = train_lrcn(x, np.arange(len(x)), y, SMALL, cfg)
+        params, history = train_lrcn(x, y, np.arange(len(x)), [], SMALL, cfg)
         post = forward_blocks(x, params, SMALL)
         assert np.all((post >= 0.5) == (y == 1.0))
 
@@ -439,7 +439,7 @@ class TestTraining:
         x, y = self._separable(rng)
         cfg = PipelineConfig(learning_rate=0.0, momentum=0.9, epochs=5,
                              batch_size=4, seed=1, patience=10)
-        params, history = train_lrcn(x, np.arange(len(x)), y, SMALL, cfg)
+        params, history = train_lrcn(x, y, np.arange(len(x)), [], SMALL, cfg)
         init = init_params(SMALL, seed=1)
         assert np.array_equal(params_to_vector(params, SMALL),
                               params_to_vector(init, SMALL))
@@ -450,8 +450,8 @@ class TestTraining:
         x, y = self._separable(rng)
         cfg = PipelineConfig(learning_rate=0.01, momentum=0.9, epochs=10,
                              batch_size=4, seed=7, patience=10)
-        _, h1 = train_lrcn(x, np.arange(len(x)), y, SMALL, cfg)
-        _, h2 = train_lrcn(x, np.arange(len(x)), y, SMALL, cfg)
+        _, h1 = train_lrcn(x, y, np.arange(len(x)), [], SMALL, cfg)
+        _, h2 = train_lrcn(x, y, np.arange(len(x)), [], SMALL, cfg)
         assert h1 == h2
 
     def test_divergence_aborts(self, rng):
@@ -460,12 +460,12 @@ class TestTraining:
         cfg = PipelineConfig(learning_rate=0.01, momentum=0.9, epochs=5,
                              batch_size=8, seed=0, patience=10)
         with pytest.raises(DivergenceError):
-            train_lrcn(x, np.arange(len(x)), y, SMALL, cfg)
+            train_lrcn(x, y, np.arange(len(x)), [], SMALL, cfg)
 
     def test_empty_training_set(self):
         with pytest.raises(DataError):
-            train_lrcn(np.zeros((0, 5, 6)), np.zeros(0, dtype=int),
-                       np.zeros(0), SMALL, PipelineConfig())
+            train_lrcn(np.zeros((0, 5, 6)), np.zeros(0),
+                       np.zeros(0, dtype=int), [], SMALL, PipelineConfig())
 
 
 def dict_loop_train(train_x, train_y, cfg, pcfg, valid_x=None, valid_y=None):
@@ -520,8 +520,8 @@ class TestFlatBufferTraining:
         valid = (x[n_train:], y[n_train:]) if n_valid else ()
         pcfg = PipelineConfig(learning_rate=0.3, momentum=0.9, epochs=8,
                               batch_size=batch_size, seed=3, patience=patience)
-        params, history = train_lrcn(x[:n_train], np.arange(n_train),
-                                     y[:n_train], SMALL, pcfg, *valid)
+        params, history = train_lrcn(x, y, np.arange(n_train),
+                                     np.arange(n_train, len(x)), SMALL, pcfg)
         ref_theta, ref_history = dict_loop_train(x[:n_train], y[:n_train],
                                                  SMALL, pcfg, *valid)
         assert params_to_vector(params, SMALL).tobytes() == ref_theta.tobytes()
@@ -590,13 +590,14 @@ class TestCenterIndexedTraining:
         n_val = 1 if len(stems) > 1 else 0
         fit, valid = stems[:len(stems) - n_val], stems[len(stems) - n_val:]
         ref_stats = fit_norm_stats([feats[s] for s in fit])
-        x_tr, y_tr = materialized_training_arrays(fit, feats, labels,
-                                                  ref_stats, pcfg)
-        valid_xy = (materialized_training_arrays(valid, feats, labels,
-                                                 ref_stats, pcfg)
-                    if valid else ())
-        ref_params, ref_history = train_lrcn(x_tr, np.arange(len(x_tr)), y_tr,
-                                             lrcn_cfg, pcfg, *valid_xy)
+        # the held-out stem's blocks follow the fit stems' in one array
+        x_tr, _ = materialized_training_arrays(fit, feats, labels, ref_stats,
+                                               pcfg)
+        x, y = materialized_training_arrays(stems, feats, labels, ref_stats,
+                                            pcfg)
+        ref_params, ref_history = train_lrcn(x, y, np.arange(len(x_tr)),
+                                             np.arange(len(x_tr), len(x)),
+                                             lrcn_cfg, pcfg)
         assert stats.col_min.tobytes() == ref_stats.col_min.tobytes()
         assert (params_to_vector(params, lrcn_cfg).tobytes()
                 == params_to_vector(ref_params, lrcn_cfg).tobytes())

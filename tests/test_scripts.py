@@ -10,17 +10,29 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_experiment(work, *args):
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_synthetic_experiment.py"),
+         "--work-dir", str(work), "--clips", "1", *args],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("flag, value", [("--feature-tag", "bogus"),
                                          ("--smoothing", "viterbi")])
 def test_experiment_rejects_choice_before_writing_corpus(flag, value,
                                                          tmp_path):
     work = tmp_path / "exp"
-    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_synthetic_experiment.py"),
-         "--work-dir", str(work), "--clips", "1", flag, value],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
-        capture_output=True, text=True, timeout=120)
+    proc = run_experiment(work, flag, value)
     assert proc.returncode == 2
     assert "invalid choice" in proc.stderr
+    assert not work.exists()
+
+
+def test_experiment_rejects_config_before_writing_corpus(tmp_path):
+    work = tmp_path / "exp"
+    proc = run_experiment(work, "--folds", "1")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: data: folds must be at least 2, got 1\n"
     assert not work.exists()
