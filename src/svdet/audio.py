@@ -100,10 +100,11 @@ def save_wav(path, clip: AudioClip) -> None:
         wf.writeframes(pcm.tobytes())
 
 
-def row_chunks(n_rows: int):
-    """Consecutive slices of at most CHUNK_ROWS rows covering n_rows."""
-    return [slice(start, min(start + CHUNK_ROWS, n_rows))
-            for start in range(0, n_rows, CHUNK_ROWS)]
+def row_chunks(n_rows: int, size: int | None = None):
+    """Consecutive slices of at most size (CHUNK_ROWS) rows over n_rows."""
+    size = size or CHUNK_ROWS
+    return [slice(start, min(start + size, n_rows))
+            for start in range(0, n_rows, size)]
 
 
 def frame_count(n_samples: int) -> int:

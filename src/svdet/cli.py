@@ -295,7 +295,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # a missing input or an unwritable output path
+    # an OSError is a missing input or an unwritable output path
+    except (OSError, DataError) as exc:
         writer.cleanup()
         print(f"error: data: {exc}", file=sys.stderr)
         return 2
@@ -303,10 +304,6 @@ def main(argv=None) -> int:
         writer.cleanup()
         print(f"error: divergence: {exc}", file=sys.stderr)
         return 3
-    except DataError as exc:
-        writer.cleanup()
-        print(f"error: data: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

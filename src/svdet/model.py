@@ -40,6 +40,7 @@ from zipfile import BadZipFile
 import numpy as np
 from scipy.special import expit
 
+from .audio import row_chunks
 from .errors import DataError, DivergenceError
 from .features import FeatureMatrix, NormStats, blockify
 from .tracks import PredictionTrack
@@ -48,26 +49,34 @@ if TYPE_CHECKING:  # pipeline imports this module
     from .pipeline import PipelineConfig
 
 CHECKPOINT_VERSION = 3
-# Blocks per forward_blocks call in predict_track. One call per clip gives
-# bitwise-equal posteriors but is slower at song length (39 features, one
-# BLAS thread, median of 5: 765 vs 495 ms at 12000 frames, 198 vs 177 at 4000).
+# Blocks per forward_blocks call in predict_track and train_lrcn's
+# validation. One call per clip is slower at song length (39 features, one
+# BLAS thread, median of 5: 765 vs 495 ms at 12000 frames, 198 vs 177 at
+# 4000), but a last batch of 1-3 blocks can round a posterior 1 ulp off.
 PREDICT_BATCH = 512
 KERNEL_WIDTH = 4  # taps of each conv filter along the feature axis
 POOL_LEN = 2  # hidden units per max-pool group of the head
+
+
+def check_ints(low: int, **values) -> None:
+    """DataError unless each given value (every one of dense_sizes) is an
+    int, not a bool, of at least low."""
+    for name, value in values.items():
+        each = "all " if name == "dense_sizes" else ""
+        for v in value if each else (value,):
+            if isinstance(v, bool) or not isinstance(v, Integral):
+                raise DataError(f"{name} must {each}be of type int, "
+                                f"got {value!r}")
+            if v < low:
+                raise DataError(f"{name} must {each}be at least {low}, "
+                                f"got {value}")
 
 
 def check_shape(**sizes) -> None:
     """DataError unless each given model size (LrcnConfig's fields, every
     one of dense_sizes) is an int of at least 1, and hidden_size, if
     given, is a multiple of POOL_LEN."""
-    for name, value in sizes.items():
-        each = "all " if name == "dense_sizes" else ""
-        for size in value if each else (value,):
-            if isinstance(size, bool) or not isinstance(size, Integral):
-                raise DataError(f"{name} must {each}be of type int, "
-                                f"got {value!r}")
-            if size < 1:
-                raise DataError(f"{name} must {each}be at least 1, got {value}")
+    check_ints(1, **sizes)
     if sizes.get("hidden_size", 0) % POOL_LEN:
         raise DataError(f"hidden_size must be a multiple of {POOL_LEN}, "
                         f"got {sizes['hidden_size']}")
@@ -385,12 +394,12 @@ def train_lrcn(blocks, labels, centers, valid_centers, cfg: LrcnConfig,
     """Mini-batch gradient descent with momentum.
 
     Block i of blocks is labelled labels[i]. Trains on the blocks at
-    centers and validates each epoch on those at valid_centers, gathering
-    each by index, so blocks can be a blockify view of all frames. Reads
-    learning_rate, momentum, epochs, batch_size, seed and patience from
-    pcfg. Returns (best params, history): with validation centers, the
-    params with the best validation F1, stopping early by the patience;
-    with none, the final params.
+    centers and validates each epoch on those at valid_centers,
+    PREDICT_BATCH at a time, gathering each batch by index, so blocks can
+    be a blockify view of all frames. Reads learning_rate, momentum,
+    epochs, batch_size, seed and patience from pcfg. Returns (best params,
+    history): with validation centers, the params with the best validation
+    F1, stopping early by the patience; with none, the final params.
     """
     if len(centers) == 0:
         raise DataError("empty training set")
@@ -401,48 +410,40 @@ def train_lrcn(blocks, labels, centers, valid_centers, cfg: LrcnConfig,
     params, grads = param_views(theta, cfg), param_views(gvec, cfg)
     velocity = np.zeros_like(theta)
     history = []
-    best_theta = theta.copy()
-    best_score = -np.inf
-    stale = 0
-    n = len(centers)
+    best_theta, best_score, stale = theta, -np.inf, 0
     for epoch in range(pcfg.epochs):
-        order = rng.permutation(n)
+        order = rng.permutation(len(centers))
+        batches = row_chunks(len(centers), pcfg.batch_size)
         epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, pcfg.batch_size):
-            batch = centers[order[start : start + pcfg.batch_size]]
+        for bi, rows in enumerate(batches):
+            batch = centers[order[rows]]
             loss, _ = lrcn_backward(blocks[batch], labels[batch], params, cfg,
                                     grads)
             if not np.isfinite(loss):
                 raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, batch {n_batches}"
-                )
+                    f"non-finite loss at epoch {epoch}, batch {bi}")
             # velocity = momentum * velocity - learning_rate * gvec
             velocity *= pcfg.momentum
             gvec *= pcfg.learning_rate
             velocity -= gvec
             theta += velocity
             epoch_loss += loss
-            n_batches += 1
         if not np.all(np.isfinite(theta)):
             raise DivergenceError(f"non-finite parameters after epoch {epoch}")
-        entry = {"epoch": epoch, "train_loss": epoch_loss / n_batches}
+        entry = {"epoch": epoch, "train_loss": epoch_loss / len(batches)}
+        history.append(entry)
         if len(valid_centers):
-            vp = forward_blocks(blocks[valid_centers], params, cfg)
+            vp = np.concatenate([
+                forward_blocks(blocks[valid_centers[rows]], params, cfg)
+                for rows in row_chunks(len(valid_centers), PREDICT_BATCH)])
             score = binary_f1((vp >= 0.5).astype(int), labels[valid_centers])
             entry["valid_f1"] = score
             if score > best_score:
-                best_score = score
-                best_theta = theta.copy()
-                stale = 0
+                best_score, best_theta, stale = score, theta.copy(), 0
             else:
                 stale += 1
             if stale > pcfg.patience:
-                history.append(entry)
                 break
-        else:
-            best_theta = theta.copy()
-        history.append(entry)
     return param_views(best_theta, cfg), history
 
 
@@ -455,9 +456,8 @@ def predict_track(feat: FeatureMatrix, params: dict,
     """
     x = blockify(feat.values, cfg.block_len)
     post = np.empty(len(x))
-    for start in range(0, len(x), PREDICT_BATCH):
-        post[start : start + PREDICT_BATCH] = forward_blocks(
-            x[start : start + PREDICT_BATCH], params, cfg)
+    for rows in row_chunks(len(x), PREDICT_BATCH):
+        post[rows] = forward_blocks(x[rows], params, cfg)
     return PredictionTrack(posteriors=post)
 
 

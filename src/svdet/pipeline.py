@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, asdict
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -48,22 +49,28 @@ class PipelineConfig:
         if self.smoothing_method not in smoothing.SMOOTHING_METHODS:
             raise DataError(
                 f"unknown smoothing method {self.smoothing_method!r}")
+        if not isinstance(self.separate, bool):
+            raise DataError(f"separate must be of type bool, "
+                            f"got {self.separate!r}")
         for name in ("learning_rate", "momentum"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise DataError(f"{name} must be a real number, got {value!r}")
             if not np.isfinite(value):
                 raise DataError(f"{name} must be finite, got {value}")
-        for name, low in (("folds", 2), ("train_stride", 1),
-                          ("batch_size", 1), ("hmm_components", 1),
-                          ("epochs", 1), ("patience", 0),
-                          ("learning_rate", 0), ("momentum", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if not value >= low:
-                raise DataError(f"{name} must be at least {low}, got {value}")
+            if not value >= 0:
+                raise DataError(f"{name} must be at least 0, got {value}")
+        model.check_ints(2, folds=self.folds)
+        model.check_ints(1, train_stride=self.train_stride,
+                         batch_size=self.batch_size,
+                         hmm_components=self.hmm_components,
+                         epochs=self.epochs, median_window=self.median_window)
+        model.check_ints(0, patience=self.patience, seed=self.seed)
         self.dense_sizes = tuple(self.dense_sizes)
         model.check_shape(block_len=self.block_len, n_filters=self.n_filters,
                           hidden_size=self.hidden_size,
                           dense_sizes=self.dense_sizes)
-        if self.median_window < 1 or self.median_window % 2 == 0:
+        if self.median_window % 2 == 0:
             raise DataError(f"median_window must be odd and at least 1, "
                             f"got {self.median_window}")
 
@@ -166,7 +173,6 @@ def run_kfold(stems, feats, labels, cfg: PipelineConfig) -> CorpusRun:
         params, lrcn_cfg, stats, history = train_classifier(
             train_stems, feats, labels, cfg)
         histories.append(history)
-        fold_counts = {}
         hmm = None
         if cfg.smoothing_method == "hmm":
             tr_tracks = [model.predict_track(apply_norm(feats[s], stats),
@@ -180,10 +186,10 @@ def run_kfold(stems, feats, labels, cfg: PipelineConfig) -> CorpusRun:
                                         params, lrcn_cfg)
             pred = smoothing.smooth(track, cfg.smoothing_method,
                                     cfg.median_window, model=hmm)
-            counts = evaluation.confusion_counts(pred, labels[stem])
-            per_file_counts[stem] = counts
-            fold_counts[stem] = counts
-        fold_reports.append(evaluation.pooled_report(fold_counts))
+            per_file_counts[stem] = evaluation.confusion_counts(pred,
+                                                                labels[stem])
+        fold_reports.append(evaluation.pooled_report(
+            {s: per_file_counts[s] for s in test_stems}))
     return CorpusRun(report=evaluation.pooled_report(per_file_counts),
                      fold_reports=fold_reports, histories=histories)
 

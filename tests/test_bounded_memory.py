@@ -4,9 +4,10 @@ stft, istft, the LPC autocorrelation and the beat spectrum fill their
 result CHUNK_ROWS rows at a time. The references below are the
 whole-array versions they replaced; with the chunk size patched to a
 few rows, chunk boundaries fall mid-array and the results must still be
-bitwise equal. Training gathers its batches from one window view of the
-frames. The memory tests trace numpy's buffers with tracemalloc, which
-counts them deterministically.
+bitwise equal. Training gathers its batches, and validation its
+PREDICT_BATCH-block batches, from one window view of the frames. The
+memory tests trace numpy's buffers with tracemalloc, which counts them
+deterministically.
 """
 
 import tracemalloc
@@ -164,13 +165,14 @@ class TestMemoryFollowsTheStft:
         assert traced_peak(lpcc, bins) <= 0.5 * bins.nbytes
 
 
-def ten_stems():
-    """(stems, feats, labels, cfg, feature bytes): 10 x 1500 frames x 39."""
+def ten_stems(n_frames=1500):
+    """(stems, feats, labels, cfg, feature bytes): 10 x n_frames x 39."""
     rng = np.random.default_rng(7)
     stems = [f"clip{i}" for i in range(10)]
-    feats = {s: FeatureMatrix(values=rng.standard_normal((1500, 39)),
+    feats = {s: FeatureMatrix(values=rng.standard_normal((n_frames, 39)),
                               feature_tag="lpcc_mfcc_plp") for s in stems}
-    labels = {s: LabelTrack(labels=rng.integers(0, 2, 1500, dtype=np.int8))
+    labels = {s: LabelTrack(labels=rng.integers(0, 2, n_frames,
+                                                dtype=np.int8))
               for s in stems}
     cfg = PipelineConfig(feature_tag="lpcc_mfcc_plp", epochs=1)
     return stems, feats, labels, cfg, sum(f.values.nbytes
@@ -179,10 +181,13 @@ def ten_stems():
 
 def test_train_classifier_peak_follows_the_features():
     # copying every block of 29 frames at train_stride 5 held each frame
-    # about 5.8 times, and peaked at 9.8 times the feature bytes here
-    stems, feats, labels, cfg, feature_bytes = ten_stems()
-    peak = traced_peak(train_classifier, stems, feats, labels, cfg)
-    assert peak <= 6.0 * feature_bytes
+    # about 5.8 times, and peaked at 9.8 times the feature bytes at 1500
+    # frames; scoring all 1190 validation blocks of 3000 frames in one
+    # forward_blocks call peaked at 4.5 times
+    for n_frames, bound in ((1500, 6.0), (3000, 3.0)):
+        stems, feats, labels, cfg, feature_bytes = ten_stems(n_frames)
+        peak = traced_peak(train_classifier, stems, feats, labels, cfg)
+        assert peak <= bound * feature_bytes, n_frames
 
 
 def test_training_batches_hold_no_validation_copy(monkeypatch):

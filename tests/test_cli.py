@@ -124,6 +124,27 @@ class TestResolveConfig:
         assert "folds must be at least 2" in err
         assert err.count("\n") == 1
 
+    # --set coerces these, so only a Python caller can pass them
+    @pytest.mark.parametrize("field, value, message", [
+        ("train_stride", 2.5, "train_stride must be of type int, got 2.5"),
+        ("batch_size", 2.5, "batch_size must be of type int, got 2.5"),
+        ("epochs", 1.5, "epochs must be of type int, got 1.5"),
+        ("epochs", True, "epochs must be of type int, got True"),
+        ("folds", 2.5, "folds must be of type int, got 2.5"),
+        ("patience", 0.5, "patience must be of type int, got 0.5"),
+        ("seed", 1.5, "seed must be of type int, got 1.5"),
+        ("hmm_components", 2.5, "hmm_components must be of type int, got 2.5"),
+        ("median_window", 9.5, "median_window must be of type int, got 9.5"),
+        ("separate", "false", "separate must be of type bool, got 'false'"),
+        ("learning_rate", "0.1",
+         "learning_rate must be a real number, got '0.1'"),
+        ("momentum", True, "momentum must be a real number, got True"),
+    ])
+    def test_wrong_type_rejected(self, field, value, message):
+        with pytest.raises(DataError) as exc:
+            PipelineConfig(**{field: value})
+        assert str(exc.value) == message
+
     # the front end is fixed, so its values are not config keys
     @pytest.mark.parametrize("item", ["sample_rate=0", "sample_rate=-16000",
                                       "hop_ms=0", "hop_ms=0.01", "hop_ms=80",

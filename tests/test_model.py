@@ -468,10 +468,12 @@ class TestTraining:
                        np.zeros(0, dtype=int), [], SMALL, PipelineConfig())
 
 
-def dict_loop_train(train_x, train_y, cfg, pcfg, valid_x=None, valid_y=None):
+def dict_loop_train(train_x, train_y, cfg, pcfg, valid_x=None, valid_y=None,
+                    valid_batch=None):
     """Reference: train_lrcn's loop over parameter dicts and out-of-place
     vectors, which rebuilt the dict, took fresh gradients and flattened
-    them again on every batch."""
+    them again on every batch. Validation runs valid_batch blocks (all,
+    by default) per forward_blocks call."""
     rng = np.random.default_rng(pcfg.seed)
     theta = params_to_vector(init_params(cfg, seed=pcfg.seed), cfg)
     velocity = np.zeros_like(theta)
@@ -490,7 +492,11 @@ def dict_loop_train(train_x, train_y, cfg, pcfg, valid_x=None, valid_y=None):
             n_batches += 1
         entry = {"epoch": epoch, "train_loss": epoch_loss / n_batches}
         if valid_x is not None:
-            vp = forward_blocks(valid_x, param_views(theta.copy(), cfg), cfg)
+            step = valid_batch or len(valid_x)
+            vp = np.concatenate([
+                forward_blocks(valid_x[s : s + step],
+                               param_views(theta.copy(), cfg), cfg)
+                for s in range(0, len(valid_x), step)])
             score = binary_f1((vp >= 0.5).astype(int), valid_y.astype(int))
             entry["valid_f1"] = score
             if score > best_score:
@@ -528,6 +534,35 @@ class TestFlatBufferTraining:
         assert history == ref_history
         if patience == 0:
             assert len(history) < pcfg.epochs  # it did stop early
+
+    @pytest.mark.parametrize("n_valid", [9, 11, 12])
+    def test_validation_in_predict_batches(self, n_valid, monkeypatch):
+        # more held-out blocks than PREDICT_BATCH: validation gathers and
+        # scores them a batch at a time, in the batches of the reference
+        rng = np.random.default_rng(n_valid)
+        n_train = 10
+        x = rng.standard_normal((n_train + n_valid, 5, 6))
+        y = (rng.random(len(x)) < 0.5).astype(np.float64)
+        valid = n_train + rng.permutation(n_valid)
+        pcfg = PipelineConfig(learning_rate=0.3, momentum=0.9, epochs=6,
+                              batch_size=4, seed=5, patience=2)
+        sizes, forward = [], model.forward_blocks
+
+        def spy(blocks, *args, want_cache=False):
+            if not want_cache:
+                sizes.append(len(blocks))
+            return forward(blocks, *args, want_cache=want_cache)
+
+        monkeypatch.setattr(model, "PREDICT_BATCH", 4)
+        monkeypatch.setattr(model, "forward_blocks", spy)
+        params, history = train_lrcn(x, y, np.arange(n_train), valid, SMALL,
+                                     pcfg)
+        assert sizes and max(sizes) <= 4
+        ref_theta, ref_history = dict_loop_train(
+            x[:n_train], y[:n_train], SMALL, pcfg, x[valid], y[valid],
+            valid_batch=4)
+        assert history == ref_history
+        assert params_to_vector(params, SMALL).tobytes() == ref_theta.tobytes()
 
     def test_backward_overwrites_nan_views(self, rng):
         p = small_params(seed=5)
