@@ -44,6 +44,9 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.feature_tag, str):
+            raise DataError(f"feature_tag must be of type str, "
+                            f"got {self.feature_tag!r}")
         if self.feature_tag not in FEATURE_SETS:
             raise DataError(f"unknown feature set {self.feature_tag!r}")
         if self.smoothing_method not in smoothing.SMOOTHING_METHODS:
@@ -66,6 +69,9 @@ class PipelineConfig:
                          hmm_components=self.hmm_components,
                          epochs=self.epochs, median_window=self.median_window)
         model.check_ints(0, patience=self.patience, seed=self.seed)
+        if not isinstance(self.dense_sizes, (tuple, list)):
+            raise DataError(f"dense_sizes must be a tuple or list, "
+                            f"got {self.dense_sizes!r}")
         self.dense_sizes = tuple(self.dense_sizes)
         model.check_shape(block_len=self.block_len, n_filters=self.n_filters,
                           hidden_size=self.hidden_size,

@@ -194,19 +194,24 @@ def viterbi_decode(model: HmmGmmModel, track: PredictionTrack) -> LabelTrack:
         raise DataError("observation has zero likelihood under both states")
     log_init = np.log(np.maximum(model.initial, LOG_EPS))
     log_a = np.log(np.maximum(model.transition, LOG_EPS))
-    T = len(x)
-    delta = np.empty((T, 2))
-    psi = np.zeros((T, 2), dtype=np.int8)
-    delta[0] = log_init + loglik[0]
-    for t in range(1, T):
-        cand = delta[t - 1][:, None] + log_a  # cand[j, s]
-        psi[t] = cand.argmax(axis=0)          # argmax prefers state 0 on ties
-        delta[t] = cand.max(axis=0) + loglik[t]
-    path = np.empty(T, dtype=np.int8)
-    path[-1] = int(delta[-1].argmax())
-    for t in range(T - 2, -1, -1):
-        path[t] = psi[t + 1][path[t + 1]]
-    return LabelTrack(labels=path)
+    # Two states: the recursion runs on Python floats, which takes a fifth
+    # of the time of 2-element arrays. Each candidate is delta[j] +
+    # log_a[j][s], and a strict > breaks ties toward state 0, as argmax does.
+    (a00, a01), (a10, a11) = log_a.tolist()
+    d0, d1 = (log_init + loglik[0]).tolist()
+    back = []  # back[t - 1]: best predecessor of states 0 and 1 at step t
+    for l0, l1 in loglik[1:].tolist():
+        c00, c10, c01, c11 = d0 + a00, d1 + a10, d0 + a01, d1 + a11
+        from1_to0, from1_to1 = c10 > c00, c11 > c01
+        d0 = (c10 if from1_to0 else c00) + l0
+        d1 = (c11 if from1_to1 else c01) + l1
+        back.append((from1_to0, from1_to1))
+    s = d1 > d0
+    path = [s]
+    for pair in reversed(back):
+        s = pair[s]
+        path.append(s)
+    return LabelTrack(labels=np.array(path[::-1], dtype=np.int8))
 
 
 def smooth(track: PredictionTrack, method: str, median_window: int,

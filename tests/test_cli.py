@@ -139,6 +139,10 @@ class TestResolveConfig:
         ("learning_rate", "0.1",
          "learning_rate must be a real number, got '0.1'"),
         ("momentum", True, "momentum must be a real number, got True"),
+        ("feature_tag", ["mfcc"],
+         "feature_tag must be of type str, got ['mfcc']"),
+        ("dense_sizes", 4, "dense_sizes must be a tuple or list, got 4"),
+        ("dense_sizes", None, "dense_sizes must be a tuple or list, got None"),
     ])
     def test_wrong_type_rejected(self, field, value, message):
         with pytest.raises(DataError) as exc:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -258,11 +259,11 @@ def strided_cell_step(proj, h, c, p):
     np.matmul(h, p["W_h"].T, out=a)
     a += proj
     a[:, : 2 * n] += c @ p["W_c"].T
-    a[:, : 2 * n] = expit(a[:, : 2 * n])
+    model._sigmoid(a[:, : 2 * n])
     a[:, 2 * n : 3 * n] = np.tanh(a[:, 2 * n : 3 * n])
     c_new = a[:, n : 2 * n] * c + a[:, :n] * a[:, 2 * n : 3 * n]
     a[:, 3 * n :] += c_new @ p["Wo_c"].T
-    a[:, 3 * n :] = expit(a[:, 3 * n :])
+    model._sigmoid(a[:, 3 * n :])
     tanh_c = np.tanh(c_new)
     return a, a[:, 3 * n :] * tanh_c, c_new, tanh_c
 
@@ -372,6 +373,43 @@ class TestForwardBlock:
         p = small_params()
         with pytest.raises(DataError):
             forward_blocks(rng.standard_normal((7, 6))[None], p, SMALL)
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 100.0, 800.0])
+    def test_matches_expit(self, scale):
+        x = scale * np.random.default_rng(int(10 * scale)).standard_normal(
+            100_000)
+        got = model._sigmoid(x.copy())
+        # atol: below about -709.8 exp(-x) overflows and the result is
+        # 0.0 where expit gives a subnormal
+        np.testing.assert_allclose(got, expit(x), rtol=2e-15, atol=1e-300)
+
+    def test_exact_at_extremes(self):
+        x = np.array([np.inf, -np.inf, 1e308, -1e308, 800.0, -800.0, 0.0,
+                      -0.0, np.nan])
+        want = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.5, 0.5, np.nan])
+        got = model._sigmoid(x.copy())
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got, expit(x), equal_nan=True)
+
+    def test_no_warning(self):
+        x = np.array([-np.inf, -1e308, -800.0, -710.0, -709.0, 0.0, 745.0,
+                      800.0, 1e308, np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model._sigmoid(x)
+
+    def test_forward_blocks_close_to_expit(self, monkeypatch):
+        # prediction's batch on a padded window view, at the default shape
+        cfg = PipelineConfig().lrcn_config(input_dim=39)
+        p = init_params(cfg, seed=16)
+        values = np.random.default_rng(16).standard_normal((999, 39))
+        x = blockify(values, cfg.block_len)[: model.PREDICT_BATCH]
+        got = forward_blocks(x, p, cfg)
+        monkeypatch.setattr(model, "_sigmoid", lambda a: expit(a, out=a))
+        want = forward_blocks(x, p, cfg)
+        assert np.abs(got - want).max() <= 1e-13
 
 
 class TestBackward:

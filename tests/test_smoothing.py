@@ -8,8 +8,9 @@ from scipy.special import logsumexp
 
 from svdet.errors import DataError
 from svdet.pipeline import PipelineConfig
-from svdet.smoothing import (Gmm1d, HmmGmmModel, _logsumexp_rows, fit_gmm_1d,
-                             fit_hmm_gmm, median_filter, smooth, viterbi_decode)
+from svdet.smoothing import (LOG_EPS, Gmm1d, HmmGmmModel, _logsumexp_rows,
+                             fit_gmm_1d, fit_hmm_gmm, median_filter, smooth,
+                             viterbi_decode)
 from svdet.tracks import LabelTrack, PredictionTrack
 
 
@@ -186,6 +187,30 @@ def uniform_gmm():
                  variances=np.array([100.0]))
 
 
+def array_viterbi(model, x):
+    """Reference: the recursion on 2-element arrays, argmax's tie-break.
+    Returns (path, count of exact ties between the two predecessors)."""
+    loglik = np.stack([model.observation[s].log_pdf(x) for s in (0, 1)],
+                      axis=1)
+    log_init = np.log(np.maximum(model.initial, LOG_EPS))
+    log_a = np.log(np.maximum(model.transition, LOG_EPS))
+    T = len(x)
+    delta = np.empty((T, 2))
+    psi = np.zeros((T, 2), dtype=np.int8)
+    delta[0] = log_init + loglik[0]
+    ties = 0
+    for t in range(1, T):
+        cand = delta[t - 1][:, None] + log_a
+        ties += int(np.sum(cand[0] == cand[1]))
+        psi[t] = cand.argmax(axis=0)
+        delta[t] = cand.max(axis=0) + loglik[t]
+    path = np.empty(T, dtype=np.int8)
+    path[-1] = delta[-1].argmax()
+    for t in range(T - 2, -1, -1):
+        path[t] = psi[t + 1][path[t + 1]]
+    return path, ties
+
+
 class TestViterbi:
     def _random_model(self, rng):
         def rand_gmm():
@@ -222,6 +247,51 @@ class TestViterbi:
             assert self._path_logprob(model, x, decoded) \
                 == pytest.approx(best_lp, abs=1e-9)
             assert tuple(decoded) == best_path
+
+    def test_matches_array_recursion(self, rng):
+        for _ in range(50):
+            model = self._random_model(rng)
+            x = rng.uniform(0.0, 1.0, int(rng.integers(1, 300)))
+            decoded = viterbi_decode(model, make_track(x)).labels
+            assert decoded.dtype == np.int8
+            assert np.array_equal(decoded, array_viterbi(model, x)[0])
+
+    def test_matches_array_recursion_on_ties(self, rng):
+        coarse = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        total_ties = 0
+        for _ in range(50):
+            rows = rng.choice(coarse, 2)
+            gmm = Gmm1d(weights=np.array([1.0]),
+                        means=rng.choice(coarse, 1),
+                        variances=np.array([0.25]))
+            other = gmm if rng.random() < 0.5 else uniform_gmm()
+            model = HmmGmmModel(initial=np.array([0.5, 0.5]),
+                                transition=np.stack([rows, 1.0 - rows], 1),
+                                observation=(gmm, other))
+            x = rng.choice(coarse, int(rng.integers(1, 60)))
+            want, ties = array_viterbi(model, x)
+            total_ties += ties
+            assert np.array_equal(viterbi_decode(model, make_track(x)).labels,
+                                  want)
+        assert total_ties > 0
+
+    def test_matches_array_recursion_with_impossible_state(self, rng):
+        # a point mass at 0: log-likelihood -inf wherever x != 0
+        spike = Gmm1d(weights=np.array([1.0]), means=np.array([0.0]),
+                      variances=np.array([1e-320]))
+        for _ in range(20):
+            model = self._random_model(rng)
+            states = (spike, model.observation[1]) if rng.random() < 0.5 \
+                else (model.observation[0], spike)
+            model = HmmGmmModel(initial=model.initial,
+                                transition=model.transition,
+                                observation=states)
+            x = np.where(rng.random(80) < 0.3, 0.0, rng.uniform(0.0, 1.0, 80))
+            with np.errstate(over="ignore"):
+                assert np.isneginf(spike.log_pdf(x)).any()
+                decoded = viterbi_decode(model, make_track(x)).labels
+                want, _ = array_viterbi(model, x)
+            assert np.array_equal(decoded, want)
 
     def test_uniform_model_ties_to_nonvocal(self):
         model = HmmGmmModel(initial=np.array([0.5, 0.5]),
