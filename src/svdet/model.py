@@ -19,16 +19,19 @@ reparameterizes the input projection. Stride-1 inference runs on a
 window view of one padded feature matrix, and forward_blocks projects
 each frame under such a view once, not once per block it falls in.
 
-Each cell step keeps the stacked (B, 4h) products (a batched per-gate
-product rounds differently at some shapes) and writes its gates
-gate-major, (4, B, h), into the forward cache, so every elementwise op
-runs on a contiguous gate. The gates and the head share one in-place
-sigmoid on numpy's vector exp: at prediction's batch of 512 blocks,
-scipy's expit (one libm exp per element) took over half of each step.
-It differs from expit only in the last bits (a few ulp), so outputs
-keep their decisions, not their bytes. Training updates flat vectors of
-parameters, gradients and momentum in place, through named views of
-them.
+The recurrence runs units x blocks: the state h, c is (h, B) and the
+gates (4h, B), with the blocks of a batch on the last, contiguous axis.
+Each step writes W_h @ h straight into the gate rows and adds W_c @ c to
+the i, f rows, so gate i, f, c, o is the plain row slice
+a[k*h:(k+1)*h] and no step builds a reshape or a transposed view; the
+projection is laid out (T, 4h, B) by one copy per call, and the forward
+cache and the backward pass keep the same layout. The gates and the
+head share one in-place sigmoid on numpy's vector exp: at prediction's
+batch of 512 blocks, scipy's expit (one libm exp per element) took over
+half of each step. It differs from expit only in the last bits (a few
+ulp), so outputs keep their decisions, not their bytes. Training
+updates flat vectors of parameters, gradients and momentum in place,
+through named views of them.
 
 Everything is float64 numpy; forward/backward are batched over blocks.
 """
@@ -55,9 +58,17 @@ if TYPE_CHECKING:  # pipeline imports this module
 CHECKPOINT_VERSION = 3
 # Blocks per forward_blocks call in predict_track and train_lrcn's
 # validation. One call per clip is slower at song length (39 features, one
-# BLAS thread, median of 5: 765 vs 495 ms at 12000 frames, 198 vs 177 at
-# 4000), but a last batch of 1-3 blocks can round a posterior 1 ulp off.
+# BLAS thread, median of 5: 237-277 vs 182-214 ms at 12000 frames, 62-63
+# vs 53-55 at 4000). A batch's posteriors can differ in the last bit from
+# one call's on all blocks: on 999 frames, a last batch of 4 to 64 blocks
+# did at some lengths for 2 of 5 random models of 39 features, and at
+# lengths 7 mod 8 for 1 of 5 of 13 features.
 PREDICT_BATCH = 512
+# Gathered blocks are projected PROJ_BLOCKS to 2 * PROJ_BLOCKS - 1 at a
+# time, so a batch's product and its (T, 4h, B) layout are never both held
+# whole; a training batch is one product. Rows of chunks this large came
+# out bitwise equal to those of one product (d 6-40, h 4-32, T 5 and 29).
+PROJ_BLOCKS = 32
 KERNEL_WIDTH = 4  # taps of each conv filter along the feature axis
 POOL_LEN = 2  # hidden units per max-pool group of the head
 
@@ -78,8 +89,13 @@ def check_ints(low: int, **values) -> None:
 
 def check_shape(**sizes) -> None:
     """DataError unless each given model size (LrcnConfig's fields, every
-    one of dense_sizes) is an int of at least 1, and hidden_size, if
-    given, is a multiple of POOL_LEN."""
+    one of dense_sizes, which must be a tuple or list) is an int of at
+    least 1, and hidden_size, if given, is a multiple of POOL_LEN."""
+    if "dense_sizes" in sizes:
+        if not isinstance(sizes["dense_sizes"], (tuple, list)):
+            raise DataError(f"dense_sizes must be a tuple or list, "
+                            f"got {sizes['dense_sizes']!r}")
+        sizes["dense_sizes"] = tuple(sizes["dense_sizes"])
     check_ints(1, **sizes)
     if sizes.get("hidden_size", 0) % POOL_LEN:
         raise DataError(f"hidden_size must be a multiple of {POOL_LEN}, "
@@ -97,8 +113,8 @@ class LrcnConfig:
     dense_sizes: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "dense_sizes", tuple(self.dense_sizes))
         check_shape(**vars(self))
+        object.__setattr__(self, "dense_sizes", tuple(self.dense_sizes))
 
     @property
     def conv_dim(self) -> int:
@@ -214,28 +230,29 @@ def _sigmoid(a: np.ndarray) -> np.ndarray:
 
 
 def _cell_step(proj: np.ndarray, h: np.ndarray, c: np.ndarray, params: dict,
-               hw: np.ndarray, a: np.ndarray, h_new: np.ndarray,
-               c_new: np.ndarray, tanh_c: np.ndarray) -> None:
-    """One fused LSTM step from the projected input proj (4, B, h).
+               a: np.ndarray, h_new: np.ndarray, c_new: np.ndarray,
+               tanh_c: np.ndarray) -> None:
+    """One fused LSTM step from the projected input proj (4h, B).
 
-    The products run on the stacked (B, 4h) rows (h @ W_h.T into the
-    scratch hw) and are read as (4, B, h) views: the activated i, f, g, o
-    go gate-major into a (4, B, h), and the new h, c and tanh(c) into
-    h_new, c_new and tanh_c (B, h); none of them may alias h or c.
+    Units run down the rows and blocks along the contiguous last axis: h
+    and c are (h, B), and the activated i, f, g, o go into the row slices
+    a[:h], a[h:2h], a[2h:3h] and a[3h:] of a (4h, B). The new h, c and
+    tanh(c) go into h_new, c_new and tanh_c (h, B); none of them may
+    alias h or c.
     """
-    B, n = h.shape
-    np.matmul(h, params["W_h"].T, out=hw)
-    np.add(hw.reshape(B, 4, n).transpose(1, 0, 2), proj, out=a)
-    a[:2] += (c @ params["W_c"].T).reshape(B, 2, n).transpose(1, 0, 2)
-    _sigmoid(a[:2])
-    np.tanh(a[2], out=a[2])
-    np.multiply(a[1], c, out=c_new)
-    c_new += a[0] * a[2]
+    n = len(h)
+    np.matmul(params["W_h"], h, out=a)
+    a += proj
+    a[: 2 * n] += params["W_c"] @ c
+    _sigmoid(a[: 2 * n])
+    np.tanh(a[2 * n : 3 * n], out=a[2 * n : 3 * n])
+    np.multiply(a[n : 2 * n], c, out=c_new)
+    c_new += a[:n] * a[2 * n : 3 * n]
     # the output gate sees the freshly updated cell state
-    a[3] += c_new @ params["Wo_c"].T
-    _sigmoid(a[3])
+    a[3 * n :] += params["Wo_c"] @ c_new
+    _sigmoid(a[3 * n :])
     np.tanh(c_new, out=tanh_c)
-    np.multiply(a[3], tanh_c, out=h_new)
+    np.multiply(a[3 * n :], tanh_c, out=h_new)
 
 
 def forward_blocks(x: np.ndarray, params: dict, cfg: LrcnConfig,
@@ -247,29 +264,35 @@ def forward_blocks(x: np.ndarray, params: dict, cfg: LrcnConfig,
     B, T, d = x.shape
     n = cfg.hidden_size
     fused = _fuse_params(params, cfg)
-    # the input projection of every frame, outside the time loop
+    # the input projection of every frame, outside the time loop, laid
+    # out (T, 4h, B) by one copy, so each proj[t] has contiguous rows
     if B and x.strides[0] == x.strides[1]:
         # blocks one frame apart (a stride-1 window view): project the
-        # B + T - 1 distinct frames once and window the projection
+        # B + T - 1 distinct frames once, as units x frames, and window
+        # that: proj[t] is its columns t to t + B
         frames = np.concatenate([x[:, 0], x[-1, 1:]])
         proj = np.lib.stride_tricks.sliding_window_view(
-            frames @ fused["A"].T + fused["b"], T, axis=0).transpose(0, 2, 1)
+            np.ascontiguousarray((frames @ fused["A"].T + fused["b"]).T), B,
+            axis=1).swapaxes(0, 1)
     else:
-        proj = x.reshape(B * T, d) @ fused["A"].T
-        proj += fused["b"]
-    proj = proj.reshape(B, T, 4, n).transpose(1, 2, 0, 3)  # (T, 4, B, n)
+        proj = np.empty((T, 4 * n, B))
+        k = max(B // PROJ_BLOCKS, 1)
+        edges = np.arange(k + 1) * B // k
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            chunk = x[lo:hi].reshape(-1, d) @ fused["A"].T
+            chunk += fused["b"]
+            proj[:, :, lo:hi] = chunk.reshape(-1, T, 4 * n).transpose(1, 2, 0)
     # hs[t], cs[t]: state entering step t. The cache keeps every step;
     # inference alternates between two state slots and one gate slot.
     S, G = (T + 1, T) if want_cache else (2, 1)
-    hs = np.zeros((S, B, n))
-    cs = np.zeros((S, B, n))
-    gates = np.empty((G, 4, B, n))
-    tanh_cs = np.empty((G, B, n))
-    hw = np.empty((B, 4 * n))
+    hs = np.zeros((S, n, B))
+    cs = np.zeros((S, n, B))
+    gates = np.empty((G, 4 * n, B))
+    tanh_cs = np.empty((G, n, B))
     for t in range(T):
-        _cell_step(proj[t], hs[t % S], cs[t % S], params, hw, gates[t % G],
+        _cell_step(proj[t], hs[t % S], cs[t % S], params, gates[t % G],
                    hs[(t + 1) % S], cs[(t + 1) % S], tanh_cs[t % G])
-    h = hs[T % S]
+    h = hs[T % S].T
     # head: max-pool pairs of hidden units, dense tanh stack, sigmoid
     hp = h.reshape(B, n // POOL_LEN, POOL_LEN)
     pool_idx = hp.argmax(axis=2)
@@ -293,12 +316,12 @@ def lrcn_cell_step(x_vec: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     fused = _fuse_params(params, cfg)
     proj = x_vec[None] @ fused["A"].T + fused["b"]
     n = cfg.hidden_size
-    a = np.empty((4, 1, n))
-    h, c, tanh_c = np.empty((3, 1, n))
-    _cell_step(proj.reshape(4, 1, n), h_prev[None], c_prev[None], params,
-               np.empty((1, 4 * n)), a, h, c, tanh_c)
-    gates = {"i": a[0, 0], "f": a[1, 0], "o": a[3, 0]}
-    return h[0], c[0], gates
+    a = np.empty((4 * n, 1))
+    h, c, tanh_c = np.empty((3, n, 1))
+    _cell_step(proj.T, h_prev[:, None], c_prev[:, None], params, a, h, c,
+               tanh_c)
+    gates = {"i": a[:n, 0], "f": a[n : 2 * n, 0], "o": a[3 * n :, 0]}
+    return h[:, 0], c[:, 0], gates
 
 
 # ---------------------------------------------------------------------------
@@ -340,41 +363,48 @@ def lrcn_backward(x: np.ndarray, y: np.ndarray, params: dict, cfg: LrcnConfig,
     # un-pool: route gradient to the max element of each pool group
     dh = np.zeros((B, n // POOL_LEN, POOL_LEN))
     np.put_along_axis(dh, cache["pool_idx"][:, :, None], du[:, :, None], axis=2)
-    dh = dh.reshape(B, n)
+    dh = np.ascontiguousarray(dh.reshape(B, n).T)
 
     # Every gate-local derivative depends only on the forward pass, so it
     # is formed for all steps at once; the time loop only carries dh, dc.
+    # All of them are units x blocks, as in the forward pass.
     hs, cs, tanh_cs = cache["h"], cache["c"], cache["tanh_c"]
-    i, f, g, o = cache["gates"].swapaxes(0, 1)
+    i, f, g, o = cache["gates"].reshape(T, 4, n, B).swapaxes(0, 1)
     # d pre-activation of i, f, c per unit of dc; of o per unit of dh
     dc_to_ifc = np.stack([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f),
-                          i * (1.0 - g ** 2)], axis=2)
+                          i * (1.0 - g ** 2)], axis=1)
     dh_to_o = tanh_cs * o * (1.0 - o)
     dh_to_c = o * (1.0 - tanh_cs ** 2)
-    # dpre[t]: gradient of the stacked i, f, c, o pre-activations at step t
-    dpre = np.empty((T, B, 4, n))
-    dc, dc_carry = np.empty((B, n)), np.zeros((B, n))
+    # dpre[:, t]: gradient of the stacked i, f, c, o pre-activations at
+    # step t, (4h, B); dpre_ifc[:, :, t] is its i, f, c rows as (3, h, B).
+    # Steps on the middle axis make dpre one (4h, T * B) matrix after.
+    dpre = np.empty((4 * n, T, B))
+    dpre_ifc = dpre.reshape(4, n, T, B)[:3]
+    W_hT, W_cT, Wo_cT = params["W_h"].T, params["W_c"].T, params["Wo_c"].T
+    dc, dc_carry = np.empty((n, B)), np.zeros((n, B))
     for t in reversed(range(T)):
-        da = dpre[t]
-        np.multiply(dh, dh_to_o[t], out=da[:, 3])
-        # dc = dh * dh_to_c[t] + dc_carry + da[:, 3] @ Wo_c, in that order
+        da = dpre[:, t]
+        np.multiply(dh, dh_to_o[t], out=da[3 * n :])
+        # dc = dh * dh_to_c[t] + dc_carry + Wo_c.T @ da[3h:], in that order
         np.multiply(dh, dh_to_c[t], out=dc)
         dc += dc_carry
-        dc += da[:, 3] @ params["Wo_c"]
-        np.multiply(dc[:, None], dc_to_ifc[t], out=da[:, :3])
-        da = da.reshape(B, 4 * n)
-        np.matmul(da, params["W_h"], out=dh)
+        dc += Wo_cT @ da[3 * n :]
+        np.multiply(dc, dc_to_ifc[t], out=dpre_ifc[:, :, t])
+        np.matmul(W_hT, da, out=dh)
         np.multiply(dc, f[t], out=dc_carry)
-        dc_carry += da[:, : 2 * n] @ params["W_c"]
+        dc_carry += W_cT @ da[: 2 * n]
 
-    # sums over all steps and blocks, with the np.dot np.tensordot would
-    # call (`@` rounds these transposed products differently at small h)
-    dpre = dpre.reshape(T * B, 4 * n)
-    dA = np.dot(dpre.T, x.transpose(1, 0, 2).reshape(T * B, d))
-    db = dpre.sum(axis=0, out=grads["b"])
-    np.dot(dpre.T, hs[:-1].reshape(T * B, n), out=grads["W_h"])
-    np.dot(dpre[:, : 2 * n].T, cs[:-1].reshape(T * B, n), out=grads["W_c"])
-    np.dot(dpre[:, 3 * n :].T, cs[1:].reshape(T * B, n), out=grads["Wo_c"])
+    # sums over all steps and blocks, each one product over the T * B
+    # columns of dpre (step t, block b at column t * B + b)
+    dpre = dpre.reshape(4 * n, T * B)
+    h_in = hs[:-1].transpose(1, 0, 2).reshape(n, T * B)
+    c_all = cs.transpose(1, 0, 2).reshape(n, (T + 1) * B)
+    dA = np.dot(dpre, x.transpose(1, 0, 2).reshape(T * B, d))
+    db = dpre.sum(axis=1, out=grads["b"])
+    np.dot(dpre, h_in.T, out=grads["W_h"])
+    # the i, f peepholes see the cell state entering a step, o leaving it
+    np.dot(dpre[: 2 * n], c_all[:, : T * B].T, out=grads["W_c"])
+    np.dot(dpre[3 * n :], c_all[:, B:].T, out=grads["Wo_c"])
 
     # chain dA and db back through the fold (with np.tensordot's own
     # products): dG[m * d + j, k] = dA_pad[m, j + k] is the gradient of G
@@ -498,7 +528,9 @@ def read_checkpoint(path):
 
     A file that is missing, truncated, not an npz or holds pickled data,
     or whose __meta__, parameters (shapes too) or normalization
-    statistics are missing or malformed, is a DataError.
+    statistics are missing or malformed, is a DataError; so is a
+    parameter or statistic whose dtype is not bool, int or float, or that
+    holds a non-finite value.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -507,8 +539,7 @@ def read_checkpoint(path):
             if version == CHECKPOINT_VERSION:
                 cfg = LrcnConfig(**meta["config"])
                 params = {n: data[n] for n, _ in param_shapes(cfg)}
-                stats = NormStats(col_min=data["__norm_min__"],
-                                  col_max=data["__norm_max__"])
+                norm = {n: data[n] for n in ("__norm_min__", "__norm_max__")}
                 front_end = dict(meta["front_end"])
     except (BadZipFile, EOFError, KeyError, OSError, TypeError,
             ValueError) as exc:
@@ -520,4 +551,16 @@ def read_checkpoint(path):
         if params[name].shape != shape:
             raise DataError(f"checkpoint parameter {name} has shape "
                             f"{params[name].shape}, its config needs {shape}")
+    for name, value in {**params, **norm}.items():
+        if value.dtype.kind not in "biuf":
+            raise DataError(f"checkpoint array {name} has dtype {value.dtype}, "
+                            f"not bool, int or float")
+        if not np.all(np.isfinite(value)):
+            raise DataError(f"checkpoint array {name} holds a non-finite "
+                            f"value")
+    try:
+        stats = NormStats(col_min=norm["__norm_min__"],
+                          col_max=norm["__norm_max__"])
+    except DataError as exc:
+        raise DataError(f"unreadable checkpoint {path}: {exc}") from None
     return params, cfg, stats, front_end

@@ -69,13 +69,10 @@ class PipelineConfig:
                          hmm_components=self.hmm_components,
                          epochs=self.epochs, median_window=self.median_window)
         model.check_ints(0, patience=self.patience, seed=self.seed)
-        if not isinstance(self.dense_sizes, (tuple, list)):
-            raise DataError(f"dense_sizes must be a tuple or list, "
-                            f"got {self.dense_sizes!r}")
-        self.dense_sizes = tuple(self.dense_sizes)
         model.check_shape(block_len=self.block_len, n_filters=self.n_filters,
                           hidden_size=self.hidden_size,
                           dense_sizes=self.dense_sizes)
+        self.dense_sizes = tuple(self.dense_sizes)
         if self.median_window % 2 == 0:
             raise DataError(f"median_window must be odd and at least 1, "
                             f"got {self.median_window}")

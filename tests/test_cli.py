@@ -557,6 +557,26 @@ class TestPredictDataErrors:
             "checkpoint parameter W_h has shape (16, 5), its config needs "
             "(16, 4)")
 
+    @pytest.mark.parametrize("name, change, message", [
+        ("W_h", lambda v: v.astype(complex),
+         "checkpoint array W_h has dtype complex128, not bool, int or float"),
+        ("out_b", lambda v: np.array("0.5"),
+         "checkpoint array out_b has dtype <U3, not bool, int or float"),
+        ("W_h", lambda v: np.where(np.eye(*v.shape) > 0, np.nan, v),
+         "checkpoint array W_h holds a non-finite value"),
+        ("__norm_max__", lambda v: np.full_like(v, np.inf),
+         "checkpoint array __norm_max__ holds a non-finite value"),
+    ])
+    def test_malformed_array(self, corpus, trained, tmp_path, capsys, name,
+                             change, message):
+        with np.load(trained / "checkpoint.npz") as data:
+            value = change(data[name])
+        ckpt = rewrite_checkpoint(trained / "checkpoint.npz",
+                                  tmp_path / "checkpoint.npz", **{name: value})
+        out = tmp_path / "out"
+        rc = self._predict(corpus, ckpt, out)
+        self._assert_clean_data_error(rc, capsys, out, message)
+
     @pytest.mark.parametrize("config, message", [
         ({"block_len": 0}, "block_len must be at least 1, got 0"),
         ({"block_len": -3}, "block_len must be at least 1, got -3"),

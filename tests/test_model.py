@@ -204,6 +204,21 @@ class TestFoldedProjection:
             assert np.abs(grads[name] - ref[name]).max() <= 1e-12, name
 
 
+class TestLrcnConfig:
+    @pytest.mark.parametrize("dense_sizes", [4, None, "16"])
+    def test_dense_sizes_not_a_sequence_refused(self, dense_sizes):
+        with pytest.raises(DataError) as exc:
+            LrcnConfig(input_dim=3, block_len=5, n_filters=2, hidden_size=4,
+                       dense_sizes=dense_sizes)
+        assert str(exc.value) == (f"dense_sizes must be a tuple or list, "
+                                  f"got {dense_sizes!r}")
+
+    def test_dense_sizes_list_stored_as_tuple(self):
+        cfg = LrcnConfig(input_dim=3, block_len=5, n_filters=2, hidden_size=4,
+                         dense_sizes=[4, 2])
+        assert cfg.dense_sizes == (4, 2)
+
+
 class TestInitParams:
     @pytest.mark.parametrize("cfg", [
         SMALL, FOLD,
@@ -250,46 +265,70 @@ class TestInitParams:
             assert got[name].tobytes() == want[name].tobytes(), name
 
 
-def strided_cell_step(proj, h, c, p):
+def strided_cell_step(proj, h, c, p, products=None):
     """Reference: one cell step on the stacked (B, 4h) gate rows, each gate
-    a strided column slice, with the same products and order of operations
-    as the gate-major step. Returns (gates (B, 4h), h, c, tanh(c))."""
+    a strided column slice, with the same products (W_h @ h.T, ...) and
+    order of operations as the units x blocks step. products(W, v) forms
+    the (B, rows of W) product of W and v (B, h) instead. Returns (gates
+    (B, 4h), h, c, tanh(c))."""
+    def units_x_blocks(W, v):
+        return (W @ np.ascontiguousarray(v.T)).T
+
+    products = products or units_x_blocks
     n = h.shape[1]
-    a = np.empty((len(h), 4 * n))
-    np.matmul(h, p["W_h"].T, out=a)
-    a += proj
-    a[:, : 2 * n] += c @ p["W_c"].T
+    a = products(p["W_h"], h) + proj
+    a[:, : 2 * n] += products(p["W_c"], c)
     model._sigmoid(a[:, : 2 * n])
     a[:, 2 * n : 3 * n] = np.tanh(a[:, 2 * n : 3 * n])
     c_new = a[:, n : 2 * n] * c + a[:, :n] * a[:, 2 * n : 3 * n]
-    a[:, 3 * n :] += c_new @ p["Wo_c"].T
+    a[:, 3 * n :] += products(p["Wo_c"], c_new)
     model._sigmoid(a[:, 3 * n :])
     tanh_c = np.tanh(c_new)
     return a, a[:, 3 * n :] * tanh_c, c_new, tanh_c
+
+
+def blocks_x_units(W, v):
+    """The products of a step on (B, 4h) rows of blocks: v @ W.T."""
+    return v @ W.T
 
 
 class TestCellStep:
     # includes shapes (h = 32 at B = 32 and 33, h = 64 at B = 5) where a
     # batched per-gate product np.matmul(h, W_h as (4, h, h)) rounded
     # differently from the stacked h @ W_h.T (scipy-openblas 0.3.31)
-    @pytest.mark.parametrize("n", [2, 16, 32, 64])
-    @pytest.mark.parametrize("B", [1, 2, 3, 5, 32, 33])
-    def test_gate_major_bitwise_equal_to_strided(self, B, n):
+    CASES = pytest.mark.parametrize("B, n", [
+        (B, n) for B in (1, 2, 3, 5, 32, 33) for n in (2, 16, 32, 64)])
+
+    @staticmethod
+    def _step(B, n):
+        """A random (proj, h, c, params) at B blocks and h = n, as rows of
+        blocks, and the units x blocks step's (gates, h, c, tanh(c)) on
+        them, transposed back to rows of blocks."""
         cfg = LrcnConfig(input_dim=13, block_len=5, n_filters=4,
                          hidden_size=n, dense_sizes=())
         r = np.random.default_rng(100 * B + n)
         p = {name: 0.5 * r.standard_normal(shape)
              for name, shape in param_shapes(cfg)}
         proj, h, c = (r.standard_normal((B, m)) for m in (4 * n, n, n))
-        a_ref, h_ref, c_ref, tanh_ref = strided_cell_step(proj, h, c, p)
-        a = np.empty((4, B, n))
-        h_new, c_new, tanh_c = np.empty((3, B, n))
-        model._cell_step(proj.reshape(B, 4, n).transpose(1, 0, 2), h, c, p,
-                         np.empty((B, 4 * n)), a, h_new, c_new, tanh_c)
-        assert np.array_equal(a, a_ref.reshape(B, 4, n).transpose(1, 0, 2))
-        assert np.array_equal(h_new, h_ref)
-        assert np.array_equal(c_new, c_ref)
-        assert np.array_equal(tanh_c, tanh_ref)
+        a = np.empty((4 * n, B))
+        h_new, c_new, tanh_c = np.empty((3, n, B))
+        model._cell_step(*(np.ascontiguousarray(v.T) for v in (proj, h, c)),
+                         p, a, h_new, c_new, tanh_c)
+        return (proj, h, c, p), (a.T, h_new.T, c_new.T, tanh_c.T)
+
+    @CASES
+    def test_gate_major_bitwise_equal_to_strided(self, B, n):
+        inputs, got = self._step(B, n)
+        for g, want in zip(got, strided_cell_step(*inputs)):
+            assert np.array_equal(g, want)
+
+    @CASES
+    def test_close_to_blocks_x_units_products(self, B, n):
+        # W @ v.T is the transpose of v @ W.T, and BLAS rounds some of
+        # its elements differently (8 of these 24 cases, by up to 1e-15)
+        inputs, got = self._step(B, n)
+        for g, want in zip(got, strided_cell_step(*inputs, blocks_x_units)):
+            np.testing.assert_allclose(g, want, rtol=0, atol=1e-15)
 
     def test_gates_dict(self, rng):
         p = small_params(seed=3)
