@@ -1,8 +1,8 @@
 """Per-frame acoustic features: MFCC, LPCC, PLP, and block packing.
 
-All extractors take a spectrogram's complex bins (audio.stft) and
-return a FeatureMatrix with one row per frame, computed for all frames
-at once. Combinations follow the feature set tags in FEATURE_SETS;
+extract_features squares a spectrogram's complex bins (audio.stft)
+once; every extractor takes that power spectrum and returns a
+FeatureMatrix with one row per frame, computed for all frames at once. Combinations follow the feature set tags in FEATURE_SETS;
 fit_norm_stats and apply_norm min-max scale the columns with
 statistics fit on training data. blockify views every frame's centered
 block; prediction uses them all, training every train_stride-th block
@@ -122,12 +122,10 @@ def cepstra_from_log_energies(log_e: np.ndarray, n_coeffs: int) -> np.ndarray:
     return cep[:, 1 : n_coeffs + 1]
 
 
-def mfcc(bins: np.ndarray) -> FeatureMatrix:
+def mfcc(power: np.ndarray) -> FeatureMatrix:
     """Mel filterbank energies -> log -> DCT-II, keeping coefficients
     1..N_CEPSTRA of N_MELS; the 0-th (energy) coefficient is dropped."""
-    if len(bins) == 0:
-        raise DataError("empty spectrogram")
-    energies = np.abs(bins) ** 2 @ MEL_FB.T
+    energies = power @ MEL_FB.T
     log_e = np.log(np.maximum(energies, LOG_FLOOR))
     return FeatureMatrix(values=cepstra_from_log_energies(log_e, N_CEPSTRA),
                          feature_tag="mfcc")
@@ -188,26 +186,24 @@ def _lpc_cepstra(r: np.ndarray, order: int, n_coeffs: int):
     return lpc_to_cepstrum(a, n_coeffs), tuple(int(t) for t in np.flatnonzero(~ok))
 
 
-def autocorr_from_spectrogram(bins: np.ndarray, max_lag: int) -> np.ndarray:
-    """Autocorrelation of each windowed frame via its power spectrum.
+def autocorr_from_spectrogram(power: np.ndarray) -> np.ndarray:
+    """Lags 0..LPC_ORDER of each windowed frame's autocorrelation.
 
-    Runs a chunk of frames at a time and keeps lags 0..max_lag of each.
+    Inverse-transforms the power spectrum a chunk of frames at a time.
     """
-    n_lags = min(max_lag + 1, N_FFT)
-    r = np.empty((len(bins), n_lags))
-    for rows in row_chunks(len(bins)):
-        power = np.abs(bins[rows]) ** 2
-        r[rows] = np.fft.irfft(power, n=N_FFT, axis=1)[:, :n_lags]
+    r = np.empty((len(power), LPC_ORDER + 1))
+    for rows in row_chunks(len(power)):
+        r[rows] = np.fft.irfft(power[rows], n=N_FFT, axis=1)[:, : LPC_ORDER + 1]
     return r
 
 
-def lpcc(bins: np.ndarray) -> FeatureMatrix:
+def lpcc(power: np.ndarray) -> FeatureMatrix:
     """Linear-prediction cepstra per frame, solved for all frames at once.
 
     The autocorrelation comes from the power spectrum. All-zero frames
     produce all-zero coefficients rather than an error.
     """
-    r = autocorr_from_spectrogram(bins, LPC_ORDER)
+    r = autocorr_from_spectrogram(power)
     values, degenerate = _lpc_cepstra(r, LPC_ORDER, N_CEPSTRA)
     return FeatureMatrix(values=values, feature_tag="lpcc",
                          degenerate_frames=degenerate)
@@ -258,15 +254,13 @@ MEL_FB.flags.writeable = BARK_FB.flags.writeable = False
 BARK_LOUDNESS.flags.writeable = False
 
 
-def plp(bins: np.ndarray) -> FeatureMatrix:
+def plp(power: np.ndarray) -> FeatureMatrix:
     """Perceptual linear prediction cepstra per frame.
 
     Bark-band integration -> equal-loudness weighting -> cube-root
     compression -> inverse DFT to autocorrelation -> LPC -> cepstra.
     """
-    if len(bins) == 0:
-        raise DataError("empty spectrogram")
-    bands = np.maximum(np.abs(bins) ** 2 @ BARK_FB.T, LOG_FLOOR)
+    bands = np.maximum(power @ BARK_FB.T, LOG_FLOOR)
     bands = bands * BARK_LOUDNESS
     bands = bands ** (1.0 / 3.0)
     # duplicate edge bands to flatten the spectrum ends before the IDFT
@@ -283,11 +277,15 @@ def plp(bins: np.ndarray) -> FeatureMatrix:
 # Combination, blocking
 
 def extract_features(bins: np.ndarray, tag: str) -> list[FeatureMatrix]:
-    """Base feature matrices for a feature set tag, in tag order."""
+    """Feature matrices of a tag, in tag order, from one power spectrum."""
     if tag not in FEATURE_SETS:
         raise DataError(f"unknown feature set {tag!r}")
+    if len(bins) == 0:
+        raise DataError("empty spectrogram")
+    power = np.abs(bins)
+    power **= 2
     extractors = {"mfcc": mfcc, "lpcc": lpcc, "plp": plp}
-    return [extractors[name](bins) for name in FEATURE_SETS[tag]]
+    return [extractors[name](power) for name in FEATURE_SETS[tag]]
 
 
 def blockify(values: np.ndarray, block_len: int) -> np.ndarray:

@@ -38,7 +38,7 @@ def beat_spectrum(mag: np.ndarray) -> np.ndarray:
     while n < 2 * n_frames:
         n *= 2
     # one chunk of frequency bins at a time, each bin a row
-    ac = np.empty((mag.shape[1], n_frames))
+    total = np.zeros(n_frames)
     for rows in row_chunks(mag.shape[1]):
         x = np.ascontiguousarray(mag[:, rows].T)
         # FFT-based linear autocorrelation of every row
@@ -52,9 +52,11 @@ def beat_spectrum(mag: np.ndarray) -> np.ndarray:
         norm *= cum[:, ::-1]
         np.sqrt(norm, out=norm)
         np.maximum(norm, 1e-300, out=norm)
-        np.divide(acc, norm, out=ac[rows])
+        acc /= norm
+        for row in acc:  # in bin order: the bits of a mean over all rows
+            total += row
     # per row ac[l] <= ac[0] by Cauchy-Schwarz, so lag 0 stays the maximum
-    return ac.mean(axis=0)
+    return total / mag.shape[1]
 
 
 def estimate_period(bs: np.ndarray, search_range: tuple[int, int]) -> int:
@@ -124,17 +126,14 @@ def separate(clip: AudioClip) -> AudioClip:
             f"clip too short: {n_frames} frames < 3 periods of {MIN_PERIOD}"
         )
     bins = stft(clip)
-    mag = np.abs(bins)
-    bs = beat_spectrum(mag)
-    period = estimate_period(bs, (MIN_PERIOD, min(MAX_PERIOD, n_frames // 3)))
-    # each full-size array is dropped after its last use; the vocal
-    # weights replace the REPET mask in its buffer, and the mixture STFT
-    # becomes the vocal's in place
-    weights = repet_mask(mag, period)
-    del mag
-    np.subtract(1.0, weights, out=weights)
-    np.multiply(bins, weights, out=bins)
-    del weights
+    period = estimate_period(beat_spectrum(np.abs(bins)),
+                             (MIN_PERIOD, min(MAX_PERIOD, n_frames // 3)))
+    # the medians are per bin: the mixture turns vocal a chunk at a time
+    for rows in row_chunks(bins.shape[1]):
+        chunk = bins[:, rows]
+        weights = repet_mask(np.abs(chunk), period)
+        np.subtract(1.0, weights, out=weights)
+        chunk *= weights
     voc_clip = istft(bins)
     del bins
     vocal = np.zeros(len(clip.samples))

@@ -212,9 +212,9 @@ def test_09_feature_oracles(announce):
                      + 0.1 * rng.standard_normal(3200))
     spec = stft(clip)
     ok = True
-    mf = mfcc(spec)
-    pl = plp(spec)
     power = np.abs(spec) ** 2
+    mf = mfcc(power)
+    pl = plp(power)
     for fi in (0, len(spec) - 1):
         if np.abs(mf.values[fi] - mfcc_oracle(power[fi], 16000,
                                               1024)).max() >= 1e-6:

@@ -68,8 +68,8 @@ def reference_beat_spectrum(mag):
     return ac.mean(axis=0)
 
 
-def reference_autocorr(bins, max_lag):
-    return np.fft.irfft(np.abs(bins) ** 2, n=1024, axis=1)[:, : max_lag + 1]
+def reference_autocorr(power):
+    return np.fft.irfft(power, n=1024, axis=1)[:, :13]
 
 
 def reference_separate(clip):
@@ -115,8 +115,9 @@ class TestChunksMatchWholeArray:
         assert np.array_equal(beat_spectrum(mag), reference_beat_spectrum(mag))
 
     def test_autocorr_from_spectrogram(self, few_rows, random_spectrogram):
-        got = autocorr_from_spectrogram(random_spectrogram, 12)
-        assert np.array_equal(got, reference_autocorr(random_spectrogram, 12))
+        power = np.abs(random_spectrogram) ** 2
+        got = autocorr_from_spectrogram(power)
+        assert np.array_equal(got, reference_autocorr(power))
 
     def test_separate(self, few_rows, monkeypatch):
         periods = []
@@ -162,7 +163,7 @@ class TestMemoryFollowsTheStft:
 
     def test_lpcc_peak(self, minute_song):
         _, bins = minute_song
-        assert traced_peak(lpcc, bins) <= 0.5 * bins.nbytes
+        assert traced_peak(lpcc, np.abs(bins) ** 2) <= 0.5 * bins.nbytes
 
 
 def ten_stems(n_frames=1500):

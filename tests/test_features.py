@@ -16,8 +16,8 @@ from svdet.pipeline import PipelineConfig, _training_blocks
 from svdet.tracks import LabelTrack
 
 
-def make_spec(samples):
-    return stft(AudioClip(samples=samples))
+def make_power(samples):
+    return np.abs(stft(AudioClip(samples=samples))) ** 2
 
 
 def sine_clip(freq, n=16000, sr=16000, amp=0.5):
@@ -150,20 +150,20 @@ class TestMfcc:
         assert np.allclose(cepstra_from_log_energies(log_e, 13), 0.0)
 
     def test_zero_signal_all_zero(self):
-        spec = make_spec(np.zeros(3200))
-        feat = mfcc(spec)
+        feat = mfcc(make_power(np.zeros(3200)))
         assert np.allclose(feat.values, 0.0)
         assert feat.dim == 13
 
     def test_against_direct_summation_oracle(self):
-        spec = make_spec(sine_clip(1000.0, n=3200))
-        feat = mfcc(spec)
-        for t in (0, len(spec) - 1):
-            expected = mfcc_oracle(np.abs(spec[t]) ** 2, 16000, 1024)
+        power = make_power(sine_clip(1000.0, n=3200))
+        feat = mfcc(power)
+        for t in (0, len(power) - 1):
+            expected = mfcc_oracle(power[t], 16000, 1024)
             assert np.abs(feat.values[t] - expected).max() < 1e-6
 
     def test_finite_on_silence_and_noise(self, random_spectrogram):
-        assert np.all(np.isfinite(mfcc(random_spectrogram).values))
+        power = np.abs(random_spectrogram) ** 2
+        assert np.all(np.isfinite(mfcc(power).values))
 
 
 class TestLevinsonLpcc:
@@ -194,13 +194,13 @@ class TestLevinsonLpcc:
         assert np.abs(a - lpc_normal_equations(r, order)).max() < 1e-8
 
     def test_all_zero_frame_flagged(self):
-        spec = make_spec(np.zeros(3200))
-        feat = lpcc(spec)
+        power = make_power(np.zeros(3200))
+        feat = lpcc(power)
         assert np.allclose(feat.values, 0.0)
-        assert feat.degenerate_frames == tuple(range(len(spec)))
+        assert feat.degenerate_frames == tuple(range(len(power)))
 
     def test_lpcc_dim_default_13(self, random_spectrogram):
-        assert lpcc(random_spectrogram).dim == 13
+        assert lpcc(np.abs(random_spectrogram) ** 2).dim == 13
 
 
 class TestBatchedLpc:
@@ -226,7 +226,7 @@ class TestBatchedLpc:
 
         monkeypatch.setattr(features, "_lpc_cepstra", spy)
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            feat = extractor(spec_with_degenerate_frames)
+            feat = extractor(np.abs(spec_with_degenerate_frames) ** 2)
         expected, degenerate = lpc_cepstra_loop(seen[0])
         assert np.abs(feat.values - expected).max() <= 1e-12
         assert feat.degenerate_frames == degenerate
@@ -239,7 +239,7 @@ class TestBatchedLpc:
         power = np.abs(random_spectrogram) ** 2
         full = np.concatenate([power, power[:, -2:0:-1]], axis=1)
         ref = np.fft.ifft(full, axis=1).real[:, :13]
-        r = autocorr_from_spectrogram(random_spectrogram, 12)
+        r = autocorr_from_spectrogram(power)
         assert r.shape == ref.shape
         assert np.abs(r - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -279,22 +279,22 @@ def test_filterbanks_built_once_read_only():
 
 class TestPlp:
     def test_zero_signal_constant_rows(self):
-        spec = make_spec(np.zeros(3200))
-        feat = plp(spec)
+        feat = plp(make_power(np.zeros(3200)))
         assert np.allclose(feat.values, feat.values[0])
 
     def test_scale_invariance_of_shape(self, rng):
         # uniform gain only changes the c_0-equivalent term, not c_1..
         x = sine_clip(440.0, n=3200)
-        f1 = plp(make_spec(x)).values
-        f2 = plp(make_spec(0.25 * x)).values
+        f1 = plp(make_power(x)).values
+        f2 = plp(make_power(0.25 * x)).values
         assert np.abs(f1 - f2).max() < 1e-9
 
     def test_against_staged_oracle(self):
-        spec = make_spec(sine_clip(440.0, n=3200) + 0.3 * sine_clip(880.0, n=3200))
-        feat = plp(spec)
-        for t in (0, len(spec) - 1):
-            expected = plp_oracle(np.abs(spec[t]) ** 2, 16000, 1024)
+        power = make_power(sine_clip(440.0, n=3200)
+                           + 0.3 * sine_clip(880.0, n=3200))
+        feat = plp(power)
+        for t in (0, len(power) - 1):
+            expected = plp_oracle(power[t], 16000, 1024)
             assert np.abs(feat.values[t] - expected).max() < 1e-6
 
 
@@ -454,6 +454,6 @@ class TestShiftCovariance:
     def test_one_hop_shift_moves_rows_by_one(self, rng):
         x = 0.2 * rng.standard_normal(4800)
         shifted = np.concatenate([np.zeros(320), x])[:4800]
-        f1 = mfcc(make_spec(x)).values
-        f2 = mfcc(make_spec(shifted)).values
+        f1 = mfcc(make_power(x)).values
+        f2 = mfcc(make_power(shifted)).values
         assert np.abs(f2[1:] - f1[:-1][: len(f2) - 1]).max() < 1e-9
