@@ -35,10 +35,10 @@ WINDOW = scipy.signal.get_window("hamming", FRAME_LEN, fftbins=True)
 WINDOW.flags.writeable = False
 
 # Rows of a full-spectrogram intermediate built at a time. stft, istft,
-# the LPC autocorrelation and the beat spectrum fill one preallocated
-# result chunk by chunk, so their temporaries are this many rows long
-# whatever the clip length. FFT rows do not depend on the rows computed
-# with them, so every value is the same for any chunk size.
+# the LPC autocorrelation, the beat spectrum and the REPET mask work a
+# chunk of frames or bins at a time, so their temporaries are this many
+# rows long whatever the clip length. FFT rows do not depend on the rows
+# computed with them, so every value is the same for any chunk size.
 CHUNK_ROWS = 32
 
 

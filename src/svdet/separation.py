@@ -50,9 +50,9 @@ def beat_spectrum(mag: np.ndarray) -> np.ndarray:
         norm[:, 0] = cum[:, -1]
         np.subtract(cum[:, -1:], cum[:, :-1], out=norm[:, 1:])
         norm *= cum[:, ::-1]
-        np.sqrt(norm, out=norm)
-        np.maximum(norm, 1e-300, out=norm)
-        acc /= norm
+        np.sqrt(np.maximum(norm, 0.0, out=norm), out=norm)
+        # a lag whose window holds no energy correlates 0
+        acc = np.divide(acc, norm, out=np.zeros_like(acc), where=norm > 0.0)
         for row in acc:  # in bin order: the bits of a mean over all rows
             total += row
     # per row ac[l] <= ac[0] by Cauchy-Schwarz, so lag 0 stays the maximum

@@ -1,10 +1,10 @@
 """Chunked spectrogram intermediates: same values, bounded memory.
 
-stft, istft, the LPC autocorrelation and the beat spectrum fill their
-result CHUNK_ROWS rows at a time. The references below are the
-whole-array versions they replaced; with the chunk size patched to a
-few rows, chunk boundaries fall mid-array and the results must still be
-bitwise equal. Training gathers its batches, and validation its
+stft, istft, the LPC autocorrelation, the beat spectrum and the REPET
+mask work CHUNK_ROWS rows (frames or bins) at a time. The references
+below are the whole-array versions they replaced; with the chunk size
+patched to a few rows, chunk boundaries fall mid-array and the results
+must still be bitwise equal. Training gathers its batches, and validation its
 PREDICT_BATCH-block batches, from one window view of the frames. The
 memory tests trace numpy's buffers with tracemalloc, which counts them
 deterministically.
@@ -111,7 +111,7 @@ class TestChunksMatchWholeArray:
 
     def test_beat_spectrum(self, few_rows, rng):
         mag = rng.uniform(0.0, 1.0, size=(61, 40))
-        mag[:, 5] = 0.0  # a silent bin takes the norm floor
+        mag[:, 5] = 0.0  # a silent bin correlates 0 at every lag
         assert np.array_equal(beat_spectrum(mag), reference_beat_spectrum(mag))
 
     def test_autocorr_from_spectrogram(self, few_rows, random_spectrogram):
@@ -160,6 +160,12 @@ class TestMemoryFollowsTheStft:
     def test_separate_peak(self, minute_song):
         clip, bins = minute_song
         assert traced_peak(separate, clip) <= 4.0 * bins.nbytes
+
+    def test_separate_holds_one_full_size_array(self, minute_song):
+        # the STFT, the magnitude the beat spectrum reads and chunks of
+        # bins: a whole-array REPET mask and (bins, lags) matrix made 2.53x
+        clip, bins = minute_song
+        assert traced_peak(separate, clip) <= 2.25 * bins.nbytes
 
     def test_lpcc_peak(self, minute_song):
         _, bins = minute_song

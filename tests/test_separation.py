@@ -6,7 +6,7 @@ from svdet.cli import accompaniment
 from svdet.errors import ClipTooShortError, DataError
 from svdet.separation import (MASK_EPS, MAX_PERIOD, MIN_PERIOD, beat_spectrum,
                               estimate_period, repet_mask, separate)
-from svdet.synth import repeating_loop
+from svdet.synth import repeating_loop, synthetic_clip
 
 
 def periodic_magnitude(period, reps, n_bins, seed=0):
@@ -46,7 +46,7 @@ class TestBeatSpectrum:
     @pytest.mark.parametrize("max_lag", [None, 0, 1, 20, 400])
     def test_matches_gather_reference(self, rng, n_frames, max_lag):
         mag = rng.uniform(0.0, 1.0, size=(n_frames, 9))
-        mag[:, 4] = 0.0  # a silent bin exercises the norm floor
+        mag[:, 4] = 0.0  # a silent bin correlates 0 at every lag
         got = beat_spectrum(mag)
         # every lag, of which the reference gathers those up to max_lag
         assert got.shape == (n_frames,)
@@ -217,3 +217,40 @@ class TestSeparate:
         clip = AudioClip(samples=np.zeros(32000))  # 2 s
         with pytest.raises(ClipTooShortError, match="3 periods"):
             separate(clip)
+
+
+def loop_samples(duration=10.0, seed=0):
+    return 0.5 * repeating_loop(np.random.default_rng(seed), duration)
+
+
+def clip_period(samples):
+    clip = AudioClip(samples=samples)
+    return estimate_period(beat_spectrum(np.abs(stft(clip))),
+                           (MIN_PERIOD, min(MAX_PERIOD, frame_signal(clip) // 3)))
+
+
+class TestSilentWindows:
+    """A lag whose window holds no energy correlates 0. Dividing rounding
+    noise by a norm floor there read about 1e287 and picked the period."""
+
+    def test_beat_spectrum_bounded_with_silent_ends(self):
+        silence = np.zeros(4000)  # 250 ms
+        x = np.concatenate([silence, loop_samples(), silence])
+        bs = beat_spectrum(np.abs(stft(AudioClip(samples=x))))
+        assert np.abs(bs).max() <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("lead", [800, 4000])  # 50 ms and 250 ms
+    def test_leading_silence_keeps_the_period(self, lead):
+        loop = loop_samples()
+        assert clip_period(loop) == 100
+        assert clip_period(np.concatenate([np.zeros(lead), loop])) == 100
+
+    def test_near_silent_float_tail_stays_finite(self):
+        # the tail's window energies cancel to exactly 0 in the running sums
+        x = synthetic_clip(0)[0].samples.copy()
+        x[-4000:] *= 1e-6
+        clip = AudioClip(samples=x)
+        bs = beat_spectrum(np.abs(stft(clip)))
+        assert not np.any(np.isnan(bs))
+        assert np.abs(bs).max() <= 1.0 + 1e-9
+        assert np.all(np.isfinite(separate(clip).samples))
