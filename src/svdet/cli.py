@@ -183,12 +183,12 @@ def cmd_predict(args, cfg, writer):
     smoothed = smoothing.smooth(track, cfg.smoothing_method,
                                 cfg.median_window)
     out = writer.register(args.out)
-    times = frame_times(len(track.posteriors))
+    # csv.writer's rendering: nothing to quote, rows end in \r\n
+    rows = map("{:.6f},{:.9f},{:d}\r\n".format,
+               frame_times(len(track.posteriors)).tolist(),
+               track.posteriors.tolist(), smoothed.labels.tolist())
     with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["frame_time", "posterior", "smoothed_label"])
-        for t, p, lab in zip(times, track.posteriors, smoothed.labels):
-            w.writerow([f"{t:.6f}", f"{p:.9f}", int(lab)])
+        fh.write("frame_time,posterior,smoothed_label\r\n" + "".join(rows))
     if args.label_out:
         evaluation.save_labels(writer.register(args.label_out), smoothed)
     write_manifest(writer, Path(args.out).parent, "predict", cfg,

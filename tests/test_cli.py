@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import logging
 import tempfile
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svdet import model, pipeline
-from svdet.audio import AudioClip, load_wav, save_wav
+from svdet import model, pipeline, smoothing
+from svdet.audio import AudioClip, frame_times, load_wav, save_wav
 from svdet.cli import UsageError, main, resolve_config
 from svdet.errors import DataError
 from svdet.features import (FeatureMatrix, NormStats, apply_norm,
@@ -425,6 +426,35 @@ class TestTrainPredictEvaluate:
         posts = np.array([float(r["posterior"]) for r in rows])
         assert posts.min() >= 0.0 and posts.max() <= 1.0
         assert lab.read_text().strip()  # non-empty label file
+
+    def test_predict_csv_bytes_are_csv_writers(self, corpus, trained, tmp_path,
+                                               monkeypatch):
+        seen = {}
+        predict_track, smooth = model.predict_track, smoothing.smooth
+
+        def spy_predict(*args):
+            seen["track"] = predict_track(*args)
+            return seen["track"]
+
+        def spy_smooth(*args):
+            seen["smoothed"] = smooth(*args)
+            return seen["smoothed"]
+
+        monkeypatch.setattr(model, "predict_track", spy_predict)
+        monkeypatch.setattr(smoothing, "smooth", spy_smooth)
+        wav = sorted((corpus / "audio").glob("*.wav"))[0]
+        out = tmp_path / "pred.csv"
+        assert main(FAST + ["predict", str(wav),
+                            "--checkpoint", str(trained / "checkpoint.npz"),
+                            "--out", str(out)]) == 0
+        posteriors = seen["track"].posteriors
+        want = io.StringIO(newline="")
+        w = csv.writer(want)
+        w.writerow(["frame_time", "posterior", "smoothed_label"])
+        for t, p, label in zip(frame_times(len(posteriors)), posteriors,
+                               seen["smoothed"].labels):
+            w.writerow([f"{t:.6f}", f"{p:.9f}", int(label)])
+        assert out.read_bytes() == want.getvalue().encode()
 
     def test_evaluate_truth_vs_itself(self, corpus, tmp_path):
         lab = sorted((corpus / "labels").glob("*.lab"))[0]

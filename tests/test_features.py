@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from svdet import features
 from svdet.audio import AudioClip, stft
 from svdet.errors import DataError
-from svdet.features import (FeatureMatrix, NormStats, apply_norm,
-                            autocorr_from_spectrogram, bark_filterbank,
-                            blockify, cepstra_from_log_energies,
-                            equal_loudness, extract_features, fit_norm_stats,
-                            hz_to_bark, levinson_durbin, lpc_to_cepstrum, lpcc,
+from svdet.features import (FEATURE_SETS, FeatureMatrix, NormStats,
+                            apply_norm, autocorr_from_spectrogram,
+                            bark_filterbank, blockify,
+                            cepstra_from_log_energies, equal_loudness,
+                            extract_features, fit_norm_stats, hz_to_bark,
+                            levinson_durbin, lpc_to_cepstrum, lpcc,
                             mel_filterbank, mfcc, plp)
 from svdet.pipeline import PipelineConfig, _training_blocks
 from svdet.tracks import LabelTrack
@@ -296,6 +297,29 @@ class TestPlp:
         for t in (0, len(power) - 1):
             expected = plp_oracle(power[t], 16000, 1024)
             assert np.abs(feat.values[t] - expected).max() < 1e-6
+
+
+def test_every_tag_is_its_columns_of_the_full_set(random_spectrogram):
+    # every extractor reads the one power spectrum extract_features forms,
+    # so a tag's features are, bit for bit, its columns of lpcc_mfcc_plp
+    bins = random_spectrogram.copy()
+    bins[3] = 0.0   # degenerate for lpcc: r[0] == 0
+    bins[5] = 0.0
+    bins[5, 0] = 1.0
+    full = {p.feature_tag: p for p in extract_features(bins, "lpcc_mfcc_plp")}
+    assert full["lpcc"].degenerate_frames == (3, 5)
+    for tag, names in FEATURE_SETS.items():
+        parts = extract_features(bins, tag)
+        assert tuple(p.feature_tag for p in parts) == names
+        for part in parts:
+            assert part.values.tobytes() == full[part.feature_tag].values.tobytes()
+            assert (part.degenerate_frames
+                    == full[part.feature_tag].degenerate_frames)
+
+
+def test_empty_spectrogram():
+    with pytest.raises(DataError, match="empty spectrogram"):
+        extract_features(np.zeros((0, 513), dtype=complex), "lpcc_mfcc_plp")
 
 
 def fit_apply(feat):
