@@ -2,11 +2,12 @@
 
 extract_features squares a spectrogram's complex bins (audio.stft)
 once; every extractor takes that power spectrum and returns a
-FeatureMatrix with one row per frame, computed for all frames at once. Combinations follow the feature set tags in FEATURE_SETS;
-fit_norm_stats and apply_norm min-max scale the columns with
-statistics fit on training data. blockify views every frame's centered
-block; prediction uses them all, training every train_stride-th block
-that lies inside one clip, picked by its center frame.
+FeatureMatrix with one row per frame, computed for all frames at once.
+Combinations follow the feature set tags in FEATURE_SETS; fit_norm_stats
+and apply_norm min-max scale the columns with statistics fit on
+training data. blockify views every frame's centered block; prediction
+uses them all, training every train_stride-th block that lies inside
+one clip, picked by its center frame.
 """
 
 from __future__ import annotations

@@ -55,7 +55,7 @@ def beat_spectrum(mag: np.ndarray) -> np.ndarray:
         acc = np.divide(acc, norm, out=np.zeros_like(acc), where=norm > 0.0)
         for row in acc:  # in bin order: the bits of a mean over all rows
             total += row
-    # per row ac[l] <= ac[0] by Cauchy-Schwarz, so lag 0 stays the maximum
+    # per row lag l <= lag 0 by Cauchy-Schwarz, so lag 0 stays the maximum
     return total / mag.shape[1]
 
 
