@@ -81,9 +81,11 @@ def load_wav(path) -> AudioClip:
         raise DataError(f"unsupported sample rate {rate}")
     if len(raw) % (n_channels * sampwidth):  # data ends inside a frame
         raise DataError("unsupported encoding: truncated file")
-    data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / INT16_SCALE
-    if n_channels == 2:
-        data = data.reshape(-1, 2).mean(axis=1)
+    # the int32 channel sum and the power-of-two scale are exact: the same
+    # samples as the float channel mean, without two float copies of them
+    data = np.frombuffer(raw, dtype="<i2").reshape(-1, n_channels).sum(
+        axis=1, dtype=np.int32).astype(np.float64)
+    data *= 1.0 / (INT16_SCALE * n_channels)
     if rate != SAMPLE_RATE:
         g = np.gcd(rate, SAMPLE_RATE)
         data = scipy.signal.resample_poly(data, SAMPLE_RATE // g, rate // g)

@@ -20,29 +20,20 @@ WEIGHT_FLOOR = 1e-8
 LOG_EPS = 1e-300
 
 
-def _logsumexp_rows(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """log(sum(b * exp(a), axis=1)) for a (N, K) and weights b (K,) >= 0.
+def _log_components(x, weights, means, variances) -> np.ndarray:
+    """(N, K) log weight plus log Gaussian density of each component at x."""
+    return (np.log(np.maximum(weights, LOG_EPS))[None, :]
+            - 0.5 * np.log(2.0 * np.pi * variances)[None, :]
+            - 0.5 * (x[:, None] - means[None, :]) ** 2 / variances[None, :])
 
-    Repeats scipy.special.logsumexp's arithmetic, so the result is
-    bitwise the same, without its array-API dispatch: zero-weight terms
-    drop out, the largest term of each row is split out of the sum, and
-    a row whose result is not finite falls back to the direct sum.
-    """
-    kept = a if b is None else np.where(b == 0, -np.inf, a)
-    a_max = kept.max(axis=1, keepdims=True)
-    top = kept == a_max
-    m = np.sum(top if b is None else b * top, axis=1, keepdims=True,
-               dtype=a.dtype)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = np.exp(np.where(top, -np.inf, kept) - a_max)
-        s = np.sum(e if b is None else b * e, axis=1, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
-        bad = ~np.isfinite(out)
-        if bad.any():
-            e = np.exp(a[bad])
-            out[bad] = np.log(np.sum(e if b is None else b * e, axis=1))
-    return out
+
+def _shifted_exp(log_comp: np.ndarray):
+    """(e, top): exp(log_comp - top) for top each row's max, or 0 where
+    that max is not finite. log(e.sum(axis=1)) + top is the row's
+    log-sum-exp, and -inf for a row of -inf."""
+    top = log_comp.max(axis=1)
+    top[~np.isfinite(top)] = 0.0
+    return np.exp(log_comp - top[:, None]), top
 
 
 @dataclass(frozen=True)
@@ -61,10 +52,10 @@ class Gmm1d:
 
     def log_pdf(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        comp = (-0.5 * np.log(2.0 * np.pi * self.variances)[None, :]
-                - 0.5 * (x[:, None] - self.means[None, :]) ** 2
-                / self.variances[None, :])
-        return _logsumexp_rows(comp, self.weights)
+        e, top = _shifted_exp(_log_components(x, self.weights, self.means,
+                                              self.variances))
+        with np.errstate(divide="ignore"):
+            return np.log(e.sum(axis=1)) + top
 
 
 @dataclass(frozen=True)
@@ -89,9 +80,10 @@ def median_filter(track: PredictionTrack, window: int) -> LabelTrack:
     if window % 2 == 0 or window < 1:
         raise DataError("median window must be odd and >= 1")
     binary = track.binarize().labels.astype(np.float64)
-    half = window // 2
+    # past the track length, every wider window gives the same labels
+    half = min(window // 2, len(binary))
     padded = np.pad(binary, half, mode="edge")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, window)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
     smoothed = (windows.mean(axis=1) > 0.5).astype(np.int8)
     return LabelTrack(labels=smoothed)
 
@@ -117,13 +109,11 @@ def fit_gmm_1d(x: np.ndarray, n_components: int, max_iter: int = 200,
     degenerate = np.var(x) < DEFAULT_VAR_FLOOR
     ll_history = []
     for _ in range(max_iter):
-        log_comp = (np.log(np.maximum(weights, LOG_EPS))[None, :]
-                    - 0.5 * np.log(2.0 * np.pi * variances)[None, :]
-                    - 0.5 * (x[:, None] - means[None, :]) ** 2
-                    / variances[None, :])
-        log_norm = _logsumexp_rows(log_comp)
-        ll = float(log_norm.sum())
-        resp = np.exp(log_comp - log_norm[:, None])
+        resp, top = _shifted_exp(_log_components(x, weights, means,
+                                                 variances))
+        total = resp.sum(axis=1)
+        ll = float(np.sum(np.log(total) + top))
+        resp /= total[:, None]
         nk = resp.sum(axis=0)
         alive = nk > 0.0
         weights = nk / len(x)
@@ -159,7 +149,7 @@ def fit_hmm_gmm(tracks, labels, n_components: int) -> HmmGmmModel:
         np.add.at(counts, (seq[:-1], seq[1:]), 1)
         for s in (0, 1):
             obs[s].append(track.posteriors[seq == s])
-    samples = [np.concatenate(o) if o else np.array([]) for o in obs]
+    samples = [np.concatenate(o) for o in obs]
     for s in (0, 1):
         if len(samples[s]) < n_components:
             raise DataError(

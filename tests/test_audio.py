@@ -105,6 +105,23 @@ class TestLoadWav:
         with pytest.raises(DataError, match="unsupported encoding: truncated"):
             load_wav(path)
 
+    @pytest.mark.parametrize("n_frames", [1, 641, 12347])
+    @pytest.mark.parametrize("n_channels", [1, 2])
+    @pytest.mark.parametrize("rate", [8000, 16000, 44100, 48000])
+    def test_samples_equal_float_channel_mean(self, tmp_path, rate,
+                                              n_channels, n_frames):
+        rng = np.random.default_rng(rate + n_frames)
+        pcm = rng.integers(-32768, 32768, (n_frames, n_channels))
+        pcm.flat[::97] = -32768
+        path = tmp_path / "x.wav"
+        write_pcm16(path, pcm.ravel(), sample_rate=rate, n_channels=n_channels)
+        # reference: scale each channel in float64, then average them
+        want = (pcm / 32768.0).mean(axis=1)
+        if rate != 16000:
+            g = np.gcd(rate, 16000)
+            want = scipy.signal.resample_poly(want, 16000 // g, rate // g)
+        assert np.array_equal(load_wav(path).samples, want)
+
     def test_save_load_roundtrip(self, tmp_path, rng):
         clip = AudioClip(samples=rng.uniform(-0.9, 0.9, 4000))
         path = tmp_path / "rt.wav"

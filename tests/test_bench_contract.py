@@ -12,8 +12,10 @@ import inspect
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,6 +53,58 @@ def test_hooked_function_keeps_bound_parameters(name):
     params = inspect.signature(svdet_function(name)).parameters
     for param in HOOK_PARAMS.get(name, ()):
         assert param in params, f"svdet.{name} lost parameter {param!r}"
+
+
+def hook_calls():
+    """name -> (args, kwargs, the counts its hook must read off the call).
+
+    Tiny real inputs; each expected count follows from the input alone."""
+    from svdet.features import FeatureMatrix, blockify
+    from svdet.model import init_params
+    from svdet.pipeline import PipelineConfig
+
+    rng = np.random.default_rng(0)
+    pcfg = PipelineConfig(block_len=5, n_filters=2, hidden_size=4,
+                          dense_sizes=(3,), epochs=2, batch_size=4,
+                          patience=5)
+    cfg = pcfg.lrcn_config(input_dim=3)
+    params = init_params(cfg, seed=0)
+    feat = FeatureMatrix(values=rng.standard_normal((12, 3)),
+                         feature_tag="mfcc")
+    blocks = blockify(feat.values, cfg.block_len)
+    labels = (np.arange(12) % 2).astype(np.float64)
+    power = rng.uniform(0.0, 1.0, (6, 513))
+    power[[1, 4]] = 0.0  # all-zero frames are degenerate for LPC
+    x = np.concatenate([rng.normal(0.2, 0.05, 200), rng.normal(0.8, 0.1, 200)])
+    return {
+        "model.train_lrcn": ((blocks, labels, np.arange(10), np.arange(10, 12),
+                              cfg, pcfg), {}, {"model.epochs_run": 2}),
+        "model.lrcn_backward": ((blocks[:7], labels[:7], params, cfg), {},
+                                {"model.blocks_trained": 7}),
+        "model.predict_track": ((feat, params, cfg), {},
+                                {"model.frames_predicted": 12}),
+        # two iterations cannot meet the tolerance: EM stops at the cap
+        "smoothing.fit_gmm_1d": ((x, 3), {"max_iter": 2},
+                                 {"smoothing.em_iters": 2,
+                                  "smoothing.em_capped": 1}),
+        "features.lpcc": ((power,), {}, {"features.degenerate_frames": 2}),
+        "features.plp": ((power,), {}, {"features.degenerate_frames": 0}),
+    }
+
+
+def test_hooks_read_real_calls():
+    # each hook runs on the bound arguments and the result of a real call,
+    # as the tracer applies it, and counts what the call did
+    hooks = load("tracer").HOOKS
+    calls = hook_calls()
+    assert sorted(calls) == sorted(hooks)
+    for name, (args, kwargs, want) in calls.items():
+        fn = svdet_function(name)
+        bound = inspect.signature(fn).bind(*args, **kwargs)
+        bound.apply_defaults()
+        counts = Counter()
+        hooks[name](counts, bound, fn(*args, **kwargs))
+        assert counts == Counter(want), name
 
 
 def test_output_checks_use_the_front_end():

@@ -11,6 +11,7 @@ deterministically.
 """
 
 import tracemalloc
+import wave
 
 import numpy as np
 import pytest
@@ -170,6 +171,21 @@ class TestMemoryFollowsTheStft:
     def test_lpcc_peak(self, minute_song):
         _, bins = minute_song
         assert traced_peak(lpcc, np.abs(bins) ** 2) <= 0.5 * bins.nbytes
+
+
+def test_load_wav_peak_follows_its_output(tmp_path):
+    # 44.1 kHz stereo: a float64 copy of both channels, scaled into a
+    # second one and then averaged, peaked at 9.65 times the 16 kHz output
+    rng = np.random.default_rng(3)
+    path = tmp_path / "stereo.wav"
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(2)
+        wf.setsampwidth(2)
+        wf.setframerate(44100)
+        wf.writeframes(rng.integers(-32768, 32768, (441000, 2),
+                                    dtype="<i2").tobytes())
+    output_bytes = 160000 * 8  # 10 s at SAMPLE_RATE
+    assert traced_peak(audio.load_wav, path) <= 6.0 * output_bytes
 
 
 def ten_stems(n_frames=1500):

@@ -8,9 +8,9 @@ from scipy.special import logsumexp
 
 from svdet.errors import DataError
 from svdet.pipeline import PipelineConfig
-from svdet.smoothing import (LOG_EPS, Gmm1d, HmmGmmModel, _logsumexp_rows,
-                             fit_gmm_1d, fit_hmm_gmm, median_filter, smooth,
-                             viterbi_decode)
+from svdet.smoothing import (DEFAULT_VAR_FLOOR, LOG_EPS, WEIGHT_FLOOR, Gmm1d,
+                             HmmGmmModel, fit_gmm_1d, fit_hmm_gmm,
+                             median_filter, smooth, viterbi_decode)
 from svdet.tracks import LabelTrack, PredictionTrack
 
 
@@ -85,30 +85,126 @@ class TestMedianFilter:
         assert out.labels.tolist() == expect
 
 
-class TestLogSumExp:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_bitwise_equal_to_scipy(self, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(100):
-            n, k = rng.integers(1, 60, size=2)
-            a = rng.standard_normal((n, k)) * rng.choice([1e-3, 1.0, 30.0, 800.0])
+def sliding_median(post, window):
+    """Reference: the sliding form, whose pad grows with the window."""
+    binary = (np.asarray(post) >= 0.5).astype(np.float64)
+    padded = np.pad(binary, window // 2, mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, window)
+    return (windows.mean(axis=1) > 0.5).astype(np.int8)
+
+
+class TestMedianWindowCap:
+    def test_equals_sliding_form(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            post = rng.uniform(0.0, 1.0, n)
             if rng.random() < 0.3:
-                a = np.round(a)  # ties for the row maximum
-            if rng.random() < 0.2:
-                a[rng.random((n, k)) < 0.2] = -np.inf
-            b = None
-            if rng.random() < 0.5:
-                b = rng.random(k)
-                if rng.random() < 0.3:
-                    b[rng.random(k) < 0.3] = 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ref = logsumexp(a, axis=1, b=None if b is None else b[None, :])
-            got = _logsumexp_rows(a, b)
-            assert np.array_equal(got, ref, equal_nan=True)
-            assert np.array_equal(np.signbit(got), np.signbit(ref))
+                post[[0, -1]] = rng.choice([0.1, 0.9])  # equal ends
+            for window in (1, 3, 2 * n - 1, 2 * n + 1, 2 * n + 3, 4 * n + 7):
+                got = median_filter(make_track(post), window=window).labels
+                assert np.array_equal(got, sliding_median(post, window)), \
+                    (n, window)
+
+    def test_huge_window_is_the_track_wide_window(self, rng):
+        # the sliding form pads 10**21 // 2 frames: np.pad cannot
+        post = rng.uniform(0.0, 1.0, 999)
+        got = median_filter(make_track(post), window=10**21 + 1).labels
+        assert np.array_equal(got, sliding_median(post, 2 * 999 + 1))
+
+
+def log_densities(x, means, variances):
+    """(N, K) log Gaussian density of each component, without weights."""
+    return (-0.5 * np.log(2.0 * np.pi * variances)[None, :]
+            - 0.5 * (x[:, None] - means[None, :]) ** 2 / variances[None, :])
+
+
+class TestLogPdf:
+    def check(self, gmm, x):
+        x = np.asarray(x, dtype=np.float64)
+        with np.errstate(divide="ignore", over="ignore"):
+            want = logsumexp(log_densities(x, gmm.means, gmm.variances), axis=1,
+                             b=gmm.weights[None, :])
+            got = gmm.log_pdf(x)
+        # the log within 1e-12 absolute is the density within 1e-12 relative;
+        # near a log of 0 a relative bound on the log itself would be noise
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        return got
+
+    def test_matches_scipy(self, rng):
+        for _ in range(200):
+            k = int(rng.integers(1, 8))
+            w = rng.uniform(0.0, 1.0, k)
+            gmm = Gmm1d(weights=w / w.sum(), means=rng.uniform(0.0, 1.0, k),
+                        variances=rng.uniform(1e-3, 0.5, k))
+            self.check(gmm, rng.uniform(-0.5, 1.5, 50))
+
+    def test_zero_weights(self, rng):
+        gmm = Gmm1d(weights=np.array([0.0, 0.6, 0.0, 0.4]),
+                    means=np.array([0.1, 0.3, 0.5, 0.9]),
+                    variances=np.array([0.02, 0.05, 0.01, 0.1]))
+        self.check(gmm, rng.uniform(0.0, 1.0, 200))
+
+    def test_tied_maxima(self, rng):
+        # identical components tie for every row's maximum
+        gmm = Gmm1d(weights=np.array([0.25, 0.25, 0.5]),
+                    means=np.array([0.4, 0.4, 0.4]),
+                    variances=np.array([0.03, 0.03, 0.03]))
+        self.check(gmm, np.round(rng.uniform(0.0, 1.0, 200), 1))
+
+    def test_rows_of_minus_inf(self):
+        # point masses: every component is -inf away from 0 and 1
+        spikes = Gmm1d(weights=np.array([0.5, 0.5]),
+                       means=np.array([0.0, 1.0]),
+                       variances=np.array([1e-320, 1e-320]))
+        got = self.check(spikes, [0.0, 0.5, 1.0, 0.25])
+        assert np.isfinite(got[[0, 2]]).all()
+        assert np.isneginf(got[[1, 3]]).all()
+
+
+def reference_em(x, n_components, max_iter=200, tol=1e-6):
+    """EM on scipy's logsumexp; fit_gmm_1d's initialization and M-step."""
+    means = np.quantile(x, (np.arange(n_components) + 0.5) / n_components)
+    variances = np.full(n_components, max(np.var(x), DEFAULT_VAR_FLOOR))
+    weights = np.full(n_components, 1.0 / n_components)
+    ll_history = []
+    for _ in range(max_iter):
+        log_comp = (np.log(np.maximum(weights, LOG_EPS))
+                    + log_densities(x, means, variances))
+        log_norm = logsumexp(log_comp, axis=1)
+        ll = float(log_norm.sum())
+        resp = np.exp(log_comp - log_norm[:, None])
+        nk = resp.sum(axis=0)
+        alive = nk > 0.0
+        weights = nk / len(x)
+        safe_nk = np.maximum(nk, LOG_EPS)
+        means = np.where(alive, resp.T @ x / safe_nk, means)
+        variances = np.where(alive, np.maximum(
+            resp.T @ (x ** 2) / safe_nk - means ** 2, DEFAULT_VAR_FLOOR),
+            variances)
+        ll_history.append(ll)
+        if len(ll_history) > 1 and \
+                ll - ll_history[-2] < tol * max(1.0, abs(ll)):
+            break
+    weights = np.maximum(weights, WEIGHT_FLOOR)
+    return weights / weights.sum(), means, variances, ll_history
 
 
 class TestFitGmm:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_scipy_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(0.0, 1.0, 3)
+        x = np.concatenate([rng.normal(c, rng.uniform(0.02, 0.2), 300)
+                            for c in centers])
+        for k in (1, 4, 15):
+            gmm, ll, _ = fit_gmm_1d(x, n_components=k)
+            weights, means, variances, want_ll = reference_em(x, k)
+            assert len(ll) == len(want_ll), k
+            np.testing.assert_allclose(ll, want_ll, rtol=1e-12)
+            for got, want in ((gmm.weights, weights), (gmm.means, means),
+                              (gmm.variances, variances)):
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
     def test_loglik_monotone(self, rng):
         x = np.concatenate([rng.normal(0.2, 0.05, 500),
                             rng.normal(0.8, 0.1, 500)])
