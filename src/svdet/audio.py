@@ -81,10 +81,10 @@ def load_wav(path) -> AudioClip:
         raise DataError(f"unsupported sample rate {rate}")
     if len(raw) % (n_channels * sampwidth):  # data ends inside a frame
         raise DataError("unsupported encoding: truncated file")
-    # the int32 channel sum and the power-of-two scale are exact: the same
-    # samples as the float channel mean, without two float copies of them
+    # the float64 sum of 16-bit channels and the power-of-two scale are
+    # exact: the float channel mean's samples, without a copy of each channel
     data = np.frombuffer(raw, dtype="<i2").reshape(-1, n_channels).sum(
-        axis=1, dtype=np.int32).astype(np.float64)
+        axis=1, dtype=np.float64)
     data *= 1.0 / (INT16_SCALE * n_channels)
     if rate != SAMPLE_RATE:
         g = np.gcd(rate, SAMPLE_RATE)

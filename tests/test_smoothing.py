@@ -122,8 +122,8 @@ class TestLogPdf:
     def check(self, gmm, x):
         x = np.asarray(x, dtype=np.float64)
         with np.errstate(divide="ignore", over="ignore"):
-            want = logsumexp(log_densities(x, gmm.means, gmm.variances), axis=1,
-                             b=gmm.weights[None, :])
+            want = logsumexp(log_densities(x, gmm.means, gmm.variances),
+                             axis=1, b=gmm.weights[None, :])
             got = gmm.log_pdf(x)
         # the log within 1e-12 absolute is the density within 1e-12 relative;
         # near a log of 0 a relative bound on the log itself would be noise
