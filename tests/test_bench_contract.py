@@ -58,7 +58,8 @@ def test_hooked_function_keeps_bound_parameters(name):
 def hook_calls():
     """name -> (args, kwargs, the counts its hook must read off the call).
 
-    Tiny real inputs; each expected count follows from the input alone."""
+    Tiny real inputs; each expected count follows from the input alone.
+    """
     from svdet.features import FeatureMatrix, blockify
     from svdet.model import init_params
     from svdet.pipeline import PipelineConfig
