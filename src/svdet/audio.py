@@ -10,7 +10,9 @@ clip can be shared freely between threads or worker processes.
 
 from __future__ import annotations
 
+import os
 import wave
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,27 @@ WINDOW.flags.writeable = False
 # rows long whatever the clip length. FFT rows do not depend on the rows
 # computed with them, so every value is the same for any chunk size.
 CHUNK_ROWS = 32
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The one thread that runs the second half of a chunk_map's chunks; None
+# where the process may use a single CPU, and in a forked child, which
+# holds the executor but not its thread.
+_POOL = ThreadPoolExecutor(1, "svdet-chunks") if _usable_cpus() > 1 else None
+
+
+def _drop_pool():
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):  # every platform that can fork
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 @dataclass(frozen=True)
@@ -85,6 +108,7 @@ def load_wav(path) -> AudioClip:
     # exact: the float channel mean's samples, without a copy of each channel
     data = np.frombuffer(raw, dtype="<i2").reshape(-1, n_channels).sum(
         axis=1, dtype=np.float64)
+    del raw  # the PCM bytes are not held through the resampler
     data *= 1.0 / (INT16_SCALE * n_channels)
     if rate != SAMPLE_RATE:
         g = np.gcd(rate, SAMPLE_RATE)
@@ -107,6 +131,41 @@ def row_chunks(n_rows: int, size: int | None = None):
     size = size or CHUNK_ROWS
     return [slice(start, min(start + size, n_rows))
             for start in range(0, n_rows, size)]
+
+
+def chunk_map(fn, n_rows: int) -> list:
+    """[fn(rows, side) for rows in row_chunks(n_rows)], two chunks at a time.
+
+    The caller's thread runs the first half of the chunks (the middle one
+    too, for an odd count) as side 0 and the pool thread the second half
+    as side 1; without a pool the caller runs both halves. fn writes only into arrays its caller allocated,
+    one workspace per side (see side_buffers), so no side allocates a
+    chunk-sized temporary, and the caller reduces the results in chunk
+    order. fn calls no BLAS, no function the benchmark traces and not
+    chunk_map. An exception from either side is raised once both sides
+    have stopped.
+    """
+    chunks = row_chunks(n_rows)
+    half = (len(chunks) + 1) // 2
+
+    def run(part, side):
+        return [fn(rows, side) for rows in part]
+
+    pool = _POOL
+    if pool is None or len(chunks) < 2:
+        return run(chunks[:half], 0) + run(chunks[half:], 1)
+    second = pool.submit(run, chunks[half:], 1)
+    try:
+        first = run(chunks[:half], 0)
+    finally:  # the pool side writes into the caller's arrays until it stops
+        wait([second])
+    return first + second.result()
+
+
+def side_buffers(n_rows: int, shape, dtype=np.float64) -> np.ndarray:
+    """Zeroed workspaces of chunk_map(fn, n_rows), one per side: a
+    (2, largest chunk, *shape) array."""
+    return np.zeros((2, min(n_rows, CHUNK_ROWS), *shape), dtype)
 
 
 def frame_count(n_samples: int) -> int:
@@ -142,8 +201,14 @@ def stft(clip: AudioClip) -> np.ndarray:
     """
     frames = frame_matrix(clip)
     bins = np.empty((len(frames), N_FFT // 2 + 1), dtype=np.complex128)
-    for rows in row_chunks(len(frames)):
-        bins[rows] = np.fft.rfft(frames[rows] * WINDOW, n=N_FFT, axis=1)
+    windowed = side_buffers(len(frames), (FRAME_LEN,))
+
+    def transform(rows, side):
+        x = np.multiply(frames[rows], WINDOW,
+                        out=windowed[side, : rows.stop - rows.start])
+        np.fft.rfft(x, n=N_FFT, axis=1, out=bins[rows])
+
+    chunk_map(transform, len(frames))
     return bins
 
 

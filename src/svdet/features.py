@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dct
 
-from .audio import N_FFT, SAMPLE_RATE, row_chunks
+from .audio import N_FFT, SAMPLE_RATE, chunk_map, side_buffers
 from .errors import DataError
 
 LOG_FLOOR = 1e-10
@@ -193,8 +193,17 @@ def autocorr_from_spectrogram(power: np.ndarray) -> np.ndarray:
     Inverse-transforms the power spectrum a chunk of frames at a time.
     """
     r = np.empty((len(power), LPC_ORDER + 1))
-    for rows in row_chunks(len(power)):
-        r[rows] = np.fft.irfft(power[rows], n=N_FFT, axis=1)[:, : LPC_ORDER + 1]
+    # each chunk as the real part of complex rows: irfft reads it uncast
+    spectra = side_buffers(len(power), (power.shape[1],), np.complex128)
+    lags = side_buffers(len(power), (N_FFT,))
+
+    def transform(rows, side):
+        c = rows.stop - rows.start
+        spectra[side, :c].real = power[rows]
+        np.fft.irfft(spectra[side, :c], n=N_FFT, axis=1, out=lags[side, :c])
+        r[rows] = lags[side, :c, : LPC_ORDER + 1]
+
+    chunk_map(transform, len(power))
     return r
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .audio import (HOP, SAMPLE_RATE, AudioClip, frame_signal, istft,
-                    row_chunks, stft)
+from .audio import (HOP, SAMPLE_RATE, AudioClip, chunk_map, frame_signal,
+                    istft, row_chunks, side_buffers, stft)
 from .errors import ClipTooShortError, DataError
 
 MASK_EPS = 1e-10
@@ -23,40 +23,55 @@ MIN_PERIOD = round(0.8 * SAMPLE_RATE / HOP)
 MAX_PERIOD = round(8.0 * SAMPLE_RATE / HOP)
 
 
-def beat_spectrum(mag: np.ndarray) -> np.ndarray:
+def beat_spectrum(spec: np.ndarray) -> np.ndarray:
     """Normalized per-row autocorrelation over time, averaged across rows.
 
-    mag is (n_frames, n_bins); lags run over the frame axis. Returns the
-    (n_frames,) lag-domain self-similarity, lags 0..n_frames - 1. Each
-    lag is normalized by the energies of the two windows it correlates,
-    which keeps every value in [-1, 1] with lag 0 at the global maximum.
+    spec is the (n_frames, n_bins) complex STFT or its magnitude; lags
+    run over the frame axis, and a chunk of bins' magnitudes is formed at
+    a time. Returns the (n_frames,) lag-domain self-similarity, lags
+    0..n_frames - 1. Each lag is normalized by the energies of the two
+    windows it correlates, which keeps every value in [-1, 1] with lag 0
+    at the global maximum.
     """
-    n_frames = mag.shape[0]
+    n_frames, n_bins = spec.shape
     if n_frames < 2:
         raise DataError("beat spectrum needs at least two frames")
     n = 1
     while n < 2 * n_frames:
         n *= 2
-    # one chunk of frequency bins at a time, each bin a row
-    total = np.zeros(n_frames)
-    for rows in row_chunks(mag.shape[1]):
-        x = np.ascontiguousarray(mag[:, rows].T)
-        # FFT-based linear autocorrelation of every row
-        spec = np.fft.rfft(x, n=n, axis=1)
-        acc = np.fft.irfft(np.abs(spec) ** 2, n=n, axis=1)[:, :n_frames]
-        cum = np.cumsum(x ** 2, axis=1)
+    # each bin is a row, autocorrelated by FFT a chunk of bins at a time
+    normed = np.empty((n_bins, n_frames))
+    mags = side_buffers(n_bins, (n_frames,))
+    spectra = side_buffers(n_bins, (n // 2 + 1,), np.complex128)
+    powers = side_buffers(n_bins, (n // 2 + 1,), np.complex128)
+    positive = side_buffers(n_bins, (n_frames,), bool)
+
+    def autocorrelate(rows, side):
+        c = rows.stop - rows.start
+        x = np.abs(spec[:, rows].T, out=mags[side, :c])
+        ft = np.fft.rfft(x, n=n, axis=1, out=spectra[side, :c])
+        # |ft|^2 as the real part of a complex row: irfft reads it uncast
+        power = powers[side, :c].real
+        np.square(np.abs(ft, out=power), out=power)
+        # the linear autocorrelation, in the spectra's (now free) memory
+        acc = np.fft.irfft(powers[side, :c], n=n, axis=1,
+                           out=ft.view(np.float64)[:, :n])[:, :n_frames]
+        cum = np.cumsum(np.square(x, out=x), axis=1, out=x)
         # norm[:, l] = sqrt(energy of x[l : T] * energy of x[0 : T-l])
-        norm = np.empty_like(acc)
+        norm = normed[rows]
         norm[:, 0] = cum[:, -1]
         np.subtract(cum[:, -1:], cum[:, :-1], out=norm[:, 1:])
         norm *= cum[:, ::-1]
         np.sqrt(np.maximum(norm, 0.0, out=norm), out=norm)
         # a lag whose window holds no energy correlates 0
-        acc = np.divide(acc, norm, out=np.zeros_like(acc), where=norm > 0.0)
-        for row in acc:  # in bin order: the bits of a mean over all rows
-            total += row
-    # per row lag l <= lag 0 by Cauchy-Schwarz, so lag 0 stays the maximum
-    return total / mag.shape[1]
+        mask = np.greater(norm, 0.0, out=positive[side, :c])
+        np.divide(acc, norm, out=norm, where=mask)
+        np.copyto(norm, 0.0, where=np.logical_not(mask, out=mask))
+
+    chunk_map(autocorrelate, n_bins)
+    # summed in bin order; per row lag l <= lag 0 by Cauchy-Schwarz, so
+    # lag 0 stays the maximum
+    return normed.mean(axis=0)
 
 
 def estimate_period(bs: np.ndarray, search_range: tuple[int, int]) -> int:
@@ -126,7 +141,7 @@ def separate(clip: AudioClip) -> AudioClip:
             f"clip too short: {n_frames} frames < 3 periods of {MIN_PERIOD}"
         )
     bins = stft(clip)
-    period = estimate_period(beat_spectrum(np.abs(bins)),
+    period = estimate_period(beat_spectrum(bins),
                              (MIN_PERIOD, min(MAX_PERIOD, n_frames // 3)))
     # the medians are per bin: the mixture turns vocal a chunk at a time
     for rows in row_chunks(bins.shape[1]):

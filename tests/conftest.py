@@ -1,6 +1,9 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from svdet import audio
 from svdet.audio import AudioClip, stft
 
 
@@ -18,3 +21,11 @@ def random_clip(rng):
 @pytest.fixture
 def random_spectrogram(random_clip):
     return stft(random_clip)
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """chunk_map's pool thread, whatever CPUs this process may use."""
+    with ThreadPoolExecutor(1) as executor:
+        monkeypatch.setattr(audio, "_POOL", executor)
+        yield executor

@@ -1,4 +1,8 @@
+import os
+import signal
 import struct
+import threading
+import time
 import wave
 
 import numpy as np
@@ -7,10 +11,13 @@ import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svdet.audio import (FRAME_LEN, HOP, N_FFT, WINDOW, AudioClip,
+from svdet import audio
+from svdet.audio import (FRAME_LEN, HOP, N_FFT, WINDOW, AudioClip, chunk_map,
                          frame_matrix, frame_signal, frame_times, istft,
-                         load_wav, save_wav, stft)
+                         load_wav, row_chunks, save_wav, stft)
 from svdet.errors import DataError
+from svdet.separation import separate
+from svdet.synth import repeating_loop
 
 
 def write_pcm16(path, samples, sample_rate=16000, n_channels=1):
@@ -244,3 +251,83 @@ class TestIstft:
         rec = istft(bins)
         assert rec.samples.shape == expected.shape
         assert np.abs(rec.samples - expected).max() <= 1e-12
+
+
+@pytest.fixture(params=["pool", "serial"])
+def sides(request, monkeypatch):
+    """chunk_map with its pool thread, and without one."""
+    if request.param == "serial":
+        monkeypatch.setattr(audio, "_POOL", None)
+    else:
+        request.getfixturevalue("pool")
+    return request.param
+
+
+class TestChunkMap:
+    # CHUNK_ROWS 5: 1, 2, 3, 4 and 7 chunks, the last of 7 two rows long;
+    # the caller runs the first half of them, the middle one included
+    @pytest.mark.parametrize("n_rows, n_first",
+                             [(5, 1), (10, 1), (15, 2), (20, 2), (32, 4)])
+    def test_results_in_chunk_order(self, sides, monkeypatch, n_rows,
+                                    n_first):
+        monkeypatch.setattr(audio, "CHUNK_ROWS", 5)
+        ran = {}
+
+        def fn(rows, side):
+            ran[rows.start] = (side, threading.current_thread())
+            return rows
+
+        chunks = row_chunks(n_rows)
+        assert chunk_map(fn, n_rows) == chunks
+        assert sorted(ran) == [rows.start for rows in chunks]
+        caller = threading.current_thread()
+        for i, rows in enumerate(chunks):
+            side, thread = ran[rows.start]
+            assert side == (0 if i < n_first else 1)
+            assert (thread is caller) == (side == 0 or sides == "serial")
+
+    def test_no_rows(self, sides):
+        assert chunk_map(lambda rows, side: rows, 0) == []
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_error_raised_once_both_sides_stop(self, pool, monkeypatch,
+                                               failing):
+        # 4 chunks of one row: rows 0-1 on the caller, 2-3 on the pool
+        monkeypatch.setattr(audio, "CHUNK_ROWS", 1)
+        out = np.zeros(4)
+
+        def fn(rows, side):
+            if side == failing:
+                raise ValueError(f"side {side} failed")
+            time.sleep(0.1)
+            out[rows] = 1.0
+
+        with pytest.raises(ValueError, match=f"side {failing} failed"):
+            chunk_map(fn, 4)
+        written = out.copy()
+        time.sleep(0.3)
+        # the other side ran to its end before the error came back, and
+        # nothing writes into the caller's array after that
+        assert written.tolist() == ([0, 0, 1, 1] if failing == 0 else
+                                    [1, 1, 0, 0])
+        assert np.array_equal(out, written)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_separates(self, pool):
+        # the child holds the parent's executor but not its thread, so a
+        # child that submitted to it would wait for ever
+        rng = np.random.default_rng(4)
+        clip = AudioClip(samples=0.5 * repeating_loop(rng, 5.0)
+                         + 0.05 * rng.standard_normal(80000))
+        want = separate(clip).samples.tobytes()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(30)
+                same = separate(clip).samples.tobytes() == want
+                code = 0 if same and audio._POOL is None else 2
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0

@@ -12,6 +12,7 @@ import inspect
 import json
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -130,3 +131,57 @@ def test_benchmark_imports_load_every_traced_module():
                          capture_output=True, text=True, check=True).stdout
     missing = wanted - set(json.loads(out))
     assert not missing, f"not loaded by the benchmark's imports: {sorted(missing)}"
+
+
+def test_traced_layers_run_on_the_calling_thread(tmp_path, pool, monkeypatch):
+    # the tracer keeps one span stack, so a traced function that ran on
+    # chunk_map's pool thread would nest its spans under whatever the
+    # caller's thread was in; each binding is wrapped as the tracer does
+    import svdet.cli
+    import svdet.synth
+    from svdet.audio import save_wav
+    from svdet.features import NormStats
+    from svdet.model import init_params, save_checkpoint
+    from svdet.pipeline import PipelineConfig
+
+    modules = [m for n, m in sorted(sys.modules.items())
+               if m is not None and (n == "svdet" or n.startswith("svdet."))]
+    calls = []
+    for layer in load("layers").FUNCTIONS:
+        original = svdet_function(layer.name)
+
+        def wrapper(*args, _fn=original, _name=layer.name, **kwargs):
+            calls.append((_name, threading.current_thread()))
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
+    submitted = []
+    submit = pool.submit
+    monkeypatch.setattr(pool, "submit",
+                        lambda *a, **k: submitted.append(1) or submit(*a, **k))
+
+    cfg = PipelineConfig(feature_tag="lpcc_mfcc_plp", n_filters=4,
+                         hidden_size=4, dense_sizes=(4,))
+    lrcn_cfg = cfg.lrcn_config(input_dim=39)
+    save_checkpoint(tmp_path / "model.npz", init_params(lrcn_cfg, seed=0),
+                    lrcn_cfg, NormStats(col_min=np.zeros(39),
+                                        col_max=np.ones(39)),
+                    cfg.front_end())
+    clip, _ = svdet.synth.synthetic_clip(0, duration=4.0)
+    save_wav(tmp_path / "clip.wav", clip)
+    rc = svdet.cli.main(["--set", "feature_tag=lpcc_mfcc_plp",
+                         "--set", "n_filters=4", "--set", "hidden_size=4",
+                         "--set", "dense_sizes=4",
+                         "predict", str(tmp_path / "clip.wav"),
+                         "--checkpoint", str(tmp_path / "model.npz"),
+                         "--out", str(tmp_path / "pred.csv")])
+    assert rc == 0
+    names = {name for name, _ in calls}
+    assert {"separation.beat_spectrum", "audio.stft", "features.lpcc",
+            "separation.separate"} <= names
+    assert submitted, "chunk_map never used its pool thread"
+    caller = threading.current_thread()
+    assert [name for name, thread in calls if thread is not caller] == []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from svdet import audio
 from svdet.audio import AudioClip, frame_signal, istft, stft
 from svdet.cli import accompaniment
 from svdet.errors import ClipTooShortError, DataError
@@ -166,22 +167,34 @@ def separate_both(clip):
     return vocal, accompaniment(clip, vocal)
 
 
+def check_one_istft_matches_two(rng, extra):
+    loop = repeating_loop(rng, 6.0)
+    samples = 0.5 * loop + 0.05 * rng.standard_normal(len(loop))
+    clip = AudioClip(samples=np.concatenate(
+        [samples, 0.3 * rng.standard_normal(extra)]))
+    voc, acc = separate_both(clip)
+    (ref_voc, ref_acc), span = reference_separate(clip)
+    assert len(voc.samples) == len(acc.samples) == len(clip.samples)
+    assert np.array_equal(voc.samples, ref_voc)
+    assert np.abs(acc.samples - ref_acc).max() <= 1e-12
+    # past the last frame nothing is reconstructed
+    assert span == len(clip.samples) - extra
+    assert np.all(acc.samples[span:] == 0.0)
+    assert np.all(voc.samples[span:] == 0.0)
+
+
 class TestSeparate:
     @pytest.mark.parametrize("extra", [0, 123, 319])
     def test_one_istft_matches_two(self, rng, extra):
-        loop = repeating_loop(rng, 6.0)
-        samples = 0.5 * loop + 0.05 * rng.standard_normal(len(loop))
-        clip = AudioClip(samples=np.concatenate(
-            [samples, 0.3 * rng.standard_normal(extra)]))
-        voc, acc = separate_both(clip)
-        (ref_voc, ref_acc), span = reference_separate(clip)
-        assert len(voc.samples) == len(acc.samples) == len(clip.samples)
-        assert np.array_equal(voc.samples, ref_voc)
-        assert np.abs(acc.samples - ref_acc).max() <= 1e-12
-        # past the last frame nothing is reconstructed
-        assert span == len(clip.samples) - extra
-        assert np.all(acc.samples[span:] == 0.0)
-        assert np.all(voc.samples[span:] == 0.0)
+        check_one_istft_matches_two(rng, extra)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 32])
+    def test_pooled_chunks_match_two_istfts(self, rng, pool, monkeypatch,
+                                            chunk_rows):
+        # separate and the reference both split the chunks of stft and
+        # the beat spectrum between two threads, at sizes that end mid-array
+        monkeypatch.setattr(audio, "CHUNK_ROWS", chunk_rows)
+        check_one_istft_matches_two(rng, 123)
 
     def test_reconstruction_sums_to_mixture(self, rng):
         loop = repeating_loop(rng, 8.0)
