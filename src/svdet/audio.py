@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .errors import DataError
 
@@ -32,8 +31,13 @@ N_FFT = 1024
 FRAME_LEN = int(round(SAMPLE_RATE * FRAME_MS / 1000.0))
 HOP = int(round(SAMPLE_RATE * HOP_MS / 1000.0))
 
-# periodic Hamming: constant overlap-add at a hop of half the frame
-WINDOW = scipy.signal.get_window("hamming", FRAME_LEN, fftbins=True)
+# periodic Hamming: constant overlap-add at a hop of half the frame. The
+# arithmetic of scipy's general_cosine over FRAME_LEN + 1 points, last
+# point dropped, so it equals scipy.signal.get_window("hamming",
+# FRAME_LEN) bit for bit without importing scipy.signal
+_FAC = np.linspace(-np.pi, np.pi, FRAME_LEN + 1)
+WINDOW = (0.54 * np.cos(0 * _FAC) + (1 - 0.54) * np.cos(_FAC))[:-1]
+del _FAC
 WINDOW.flags.writeable = False
 
 # Rows of a full-spectrogram intermediate built at a time. stft, istft,
@@ -111,6 +115,10 @@ def load_wav(path) -> AudioClip:
     del raw  # the PCM bytes are not held through the resampler
     data *= 1.0 / (INT16_SCALE * n_channels)
     if rate != SAMPLE_RATE:
+        # imported here: scipy.signal loads ten scipy subpackages, and
+        # 16 kHz input never needs them
+        import scipy.signal
+
         g = np.gcd(rate, SAMPLE_RATE)
         data = scipy.signal.resample_poly(data, SAMPLE_RATE // g, rate // g)
     return AudioClip(samples=data, source_id=str(path))
@@ -138,28 +146,42 @@ def chunk_map(fn, n_rows: int) -> list:
 
     The caller's thread runs the first half of the chunks (the middle one
     too, for an odd count) as side 0 and the pool thread the second half
-    as side 1; without a pool the caller runs both halves. fn writes only into arrays its caller allocated,
+    as side 1 (side_split gives the first row of side 1); without a pool
+    the caller runs both halves. fn writes only into arrays its caller allocated,
     one workspace per side (see side_buffers), so no side allocates a
     chunk-sized temporary, and the caller reduces the results in chunk
     order. fn calls no BLAS, no function the benchmark traces and not
     chunk_map. An exception from either side is raised once both sides
     have stopped.
     """
-    chunks = row_chunks(n_rows)
-    half = (len(chunks) + 1) // 2
+    first_half, second_half = _halves(n_rows)
 
     def run(part, side):
         return [fn(rows, side) for rows in part]
 
     pool = _POOL
-    if pool is None or len(chunks) < 2:
-        return run(chunks[:half], 0) + run(chunks[half:], 1)
-    second = pool.submit(run, chunks[half:], 1)
+    if pool is None or not second_half:
+        return run(first_half, 0) + run(second_half, 1)
+    second = pool.submit(run, second_half, 1)
     try:
-        first = run(chunks[:half], 0)
+        first = run(first_half, 0)
     finally:  # the pool side writes into the caller's arrays until it stops
         wait([second])
     return first + second.result()
+
+
+def _halves(n_rows: int):
+    """chunk_map's chunks over n_rows: (side 0's, side 1's)."""
+    chunks = row_chunks(n_rows)
+    half = (len(chunks) + 1) // 2
+    return chunks[:half], chunks[half:]
+
+
+def side_split(n_rows: int) -> int:
+    """The first row of chunk_map(fn, n_rows)'s side 1; side 0 runs the
+    rows before it, in order (n_rows where side 1 has no chunk)."""
+    second_half = _halves(n_rows)[1]
+    return second_half[0].start if second_half else n_rows
 
 
 def side_buffers(n_rows: int, shape, dtype=np.float64) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .audio import (HOP, SAMPLE_RATE, AudioClip, chunk_map, frame_signal,
-                    istft, row_chunks, side_buffers, stft)
+                    istft, row_chunks, side_buffers, side_split, stft)
 from .errors import ClipTooShortError, DataError
 
 MASK_EPS = 1e-10
@@ -39,8 +39,13 @@ def beat_spectrum(spec: np.ndarray) -> np.ndarray:
     n = 1
     while n < 2 * n_frames:
         n *= 2
-    # each bin is a row, autocorrelated by FFT a chunk of bins at a time
-    normed = np.empty((n_bins, n_frames))
+    # each bin is a row, autocorrelated by FFT a chunk of bins at a time.
+    # Side 0 runs the first bins in order and adds each normalized row to
+    # the running total as it is made; side 1's rows are kept until then.
+    split = side_split(n_bins)
+    total = np.zeros(n_frames)
+    later = np.empty((n_bins - split, n_frames))
+    made = side_buffers(n_bins, (n_frames,))
     mags = side_buffers(n_bins, (n_frames,))
     spectra = side_buffers(n_bins, (n // 2 + 1,), np.complex128)
     powers = side_buffers(n_bins, (n // 2 + 1,), np.complex128)
@@ -58,7 +63,10 @@ def beat_spectrum(spec: np.ndarray) -> np.ndarray:
                            out=ft.view(np.float64)[:, :n])[:, :n_frames]
         cum = np.cumsum(np.square(x, out=x), axis=1, out=x)
         # norm[:, l] = sqrt(energy of x[l : T] * energy of x[0 : T-l])
-        norm = normed[rows]
+        if side:
+            norm = later[rows.start - split : rows.stop - split]
+        else:
+            norm = made[side, :c]
         norm[:, 0] = cum[:, -1]
         np.subtract(cum[:, -1:], cum[:, :-1], out=norm[:, 1:])
         norm *= cum[:, ::-1]
@@ -67,11 +75,20 @@ def beat_spectrum(spec: np.ndarray) -> np.ndarray:
         mask = np.greater(norm, 0.0, out=positive[side, :c])
         np.divide(acc, norm, out=norm, where=mask)
         np.copyto(norm, 0.0, where=np.logical_not(mask, out=mask))
+        if not side:
+            if rows.start == 0:  # the sum starts at bin 0's row, as a mean's
+                total[:] = norm[0]
+                norm = norm[1:]
+            for row in norm:
+                np.add(total, row, out=total)
 
     chunk_map(autocorrelate, n_bins)
-    # summed in bin order; per row lag l <= lag 0 by Cauchy-Schwarz, so
-    # lag 0 stays the maximum
-    return normed.mean(axis=0)
+    for row in later:
+        total += row
+    # the bin-order sum and division of a mean over bins; per row lag
+    # l <= lag 0 by Cauchy-Schwarz, so lag 0 stays the maximum
+    total /= n_bins
+    return total
 
 
 def estimate_period(bs: np.ndarray, search_range: tuple[int, int]) -> int:

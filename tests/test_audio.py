@@ -1,6 +1,9 @@
+import json
 import os
 import signal
 import struct
+import subprocess
+import sys
 import threading
 import time
 import wave
@@ -14,10 +17,14 @@ from hypothesis import strategies as st
 from svdet import audio
 from svdet.audio import (FRAME_LEN, HOP, N_FFT, WINDOW, AudioClip, chunk_map,
                          frame_matrix, frame_signal, frame_times, istft,
-                         load_wav, row_chunks, save_wav, stft)
+                         load_wav, row_chunks, save_wav, side_split,
+                         stft)
 from svdet.errors import DataError
 from svdet.separation import separate
 from svdet.synth import repeating_loop
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def write_pcm16(path, samples, sample_rate=16000, n_channels=1):
@@ -145,6 +152,26 @@ def test_fixed_layout():
     assert scipy.signal.check_COLA(WINDOW, FRAME_LEN, FRAME_LEN - HOP, tol=1e-6)
     assert FRAME_LEN % HOP == 0
     assert N_FFT >= FRAME_LEN and N_FFT & (N_FFT - 1) == 0
+
+
+def test_features_run_loads_no_scipy_signal(tmp_path):
+    # import scipy.signal loads these and more: about 48 MB of RSS and
+    # 0.8 s of start-up; only load_wav's resampling of non-16 kHz input
+    # needs it, and the window is built without it
+    rng = np.random.default_rng(6)
+    wav = tmp_path / "song.wav"
+    save_wav(wav, AudioClip(samples=0.5 * repeating_loop(rng, 4.0)))
+    heavy = ["scipy.signal", "scipy.linalg", "scipy.sparse", "scipy.optimize",
+             "scipy.stats", "scipy.interpolate"]
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "import svdet.cli; "
+            "rc = svdet.cli.main(['features', sys.argv[2], '--out', sys.argv[3]]); "
+            "print(json.dumps([rc, [m for m in sys.argv[4:] if m in sys.modules]]))")
+    out = subprocess.run([sys.executable, "-c", code, SRC, str(wav),
+                          str(tmp_path / "f.csv"), *heavy],
+                         capture_output=True, text=True, check=True,
+                         timeout=120).stdout
+    assert json.loads(out) == [0, []]
 
 
 class TestFrameSignal:
@@ -279,6 +306,8 @@ class TestChunkMap:
 
         chunks = row_chunks(n_rows)
         assert chunk_map(fn, n_rows) == chunks
+        assert side_split(n_rows) == sum(r.stop - r.start
+                                         for r in chunks[:n_first])
         assert sorted(ran) == [rows.start for rows in chunks]
         caller = threading.current_thread()
         for i, rows in enumerate(chunks):
@@ -288,6 +317,7 @@ class TestChunkMap:
 
     def test_no_rows(self, sides):
         assert chunk_map(lambda rows, side: rows, 0) == []
+        assert side_split(0) == 0
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_error_raised_once_both_sides_stop(self, pool, monkeypatch,

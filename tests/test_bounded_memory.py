@@ -165,10 +165,17 @@ class TestMemoryFollowsTheStft:
         assert traced_peak(separate, clip) <= 4.0 * bins.nbytes
 
     def test_separate_holds_one_full_size_array(self, minute_song):
-        # the STFT, the magnitude the beat spectrum reads and chunks of
-        # bins: a whole-array REPET mask and (bins, lags) matrix made 2.53x
+        # the STFT, half the beat spectrum's normalized rows and chunks of
+        # bins: a whole-array REPET mask and (bins, lags) matrix made
+        # 2.53x, and holding every normalized row until the mean 1.92x
         clip, bins = minute_song
-        assert traced_peak(separate, clip) <= 2.25 * bins.nbytes
+        assert traced_peak(separate, clip) <= 1.8 * bins.nbytes
+
+    def test_beat_spectrum_peak(self, minute_song):
+        # the pool side's normalized rows (a quarter of the STFT) and the
+        # chunk workspaces; every bin's row held until the mean made 0.92x
+        _, bins = minute_song
+        assert traced_peak(beat_spectrum, bins) <= 0.75 * bins.nbytes
 
     def test_lpcc_peak(self, minute_song):
         _, bins = minute_song
