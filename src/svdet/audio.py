@@ -147,10 +147,10 @@ def chunk_map(fn, n_rows: int) -> list:
     The caller's thread runs the first half of the chunks (the middle one
     too, for an odd count) as side 0 and the pool thread the second half
     as side 1 (side_split gives the first row of side 1); without a pool
-    the caller runs both halves. fn writes only into arrays its caller allocated,
-    one workspace per side (see side_buffers), so no side allocates a
-    chunk-sized temporary, and the caller reduces the results in chunk
-    order. fn calls no BLAS, no function the benchmark traces and not
+    the caller runs both halves. fn writes only into arrays its caller
+    allocated, one workspace per side (see side_buffers), so no side
+    allocates a chunk-sized temporary, and the caller reduces the results
+    in chunk order. fn calls no BLAS, no function the benchmark traces and not
     chunk_map. An exception from either side is raised once both sides
     have stopped.
     """

@@ -41,7 +41,8 @@ def beat_spectrum(spec: np.ndarray) -> np.ndarray:
         n *= 2
     # each bin is a row, autocorrelated by FFT a chunk of bins at a time.
     # Side 0 runs the first bins in order and adds each normalized row to
-    # the running total as it is made; side 1's rows are kept until then.
+    # the running total as it is made; side 1's rows are kept and added
+    # after them, so the sum runs in bin order.
     split = side_split(n_bins)
     total = np.zeros(n_frames)
     later = np.empty((n_bins - split, n_frames))
@@ -66,7 +67,7 @@ def beat_spectrum(spec: np.ndarray) -> np.ndarray:
         if side:
             norm = later[rows.start - split : rows.stop - split]
         else:
-            norm = made[side, :c]
+            norm = made[0, :c]
         norm[:, 0] = cum[:, -1]
         np.subtract(cum[:, -1:], cum[:, :-1], out=norm[:, 1:])
         norm *= cum[:, ::-1]

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 from svdet import audio
 from svdet.audio import (FRAME_LEN, HOP, N_FFT, WINDOW, AudioClip, chunk_map,
                          frame_matrix, frame_signal, frame_times, istft,
-                         load_wav, row_chunks, save_wav, side_split,
-                         stft)
+                         load_wav, row_chunks, save_wav, side_split, stft)
 from svdet.errors import DataError
 from svdet.separation import separate
 from svdet.synth import repeating_loop
@@ -155,8 +154,8 @@ def test_fixed_layout():
 
 
 def test_features_run_loads_no_scipy_signal(tmp_path):
-    # import scipy.signal loads these and more: about 48 MB of RSS and
-    # 0.8 s of start-up; only load_wav's resampling of non-16 kHz input
+    # import scipy.signal loads these and more: about 50 MB of RSS and
+    # 1.1 s of start-up; only load_wav's resampling of non-16 kHz input
     # needs it, and the window is built without it
     rng = np.random.default_rng(6)
     wav = tmp_path / "song.wav"
