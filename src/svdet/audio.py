@@ -44,7 +44,8 @@ WINDOW.flags.writeable = False
 # the LPC autocorrelation, the beat spectrum and the REPET mask work a
 # chunk of frames or bins at a time, so their temporaries are this many
 # rows long whatever the clip length. FFT rows do not depend on the rows
-# computed with them, so every value is the same for any chunk size.
+# computed with them, so every value is the same for any chunk size but
+# the beat spectrum's last bits, which follow how its sum is split.
 CHUNK_ROWS = 32
 
 
@@ -146,15 +147,16 @@ def chunk_map(fn, n_rows: int) -> list:
 
     The caller's thread runs the first half of the chunks (the middle one
     too, for an odd count) as side 0 and the pool thread the second half
-    as side 1 (side_split gives the first row of side 1); without a pool
-    the caller runs both halves. fn writes only into arrays its caller
-    allocated, one workspace per side (see side_buffers), so no side
-    allocates a chunk-sized temporary, and the caller reduces the results
-    in chunk order. fn calls no BLAS, no function the benchmark traces and not
-    chunk_map. An exception from either side is raised once both sides
-    have stopped.
+    as side 1; without a pool the caller runs both halves. So a side
+    always runs the same chunks, in order. fn writes only into arrays its
+    caller allocated, one workspace per side (see side_buffers), so no
+    side allocates a chunk-sized temporary. fn calls no BLAS, no function
+    the benchmark traces and not chunk_map. An exception from either side
+    is raised once both sides have stopped.
     """
-    first_half, second_half = _halves(n_rows)
+    chunks = row_chunks(n_rows)
+    half = (len(chunks) + 1) // 2
+    first_half, second_half = chunks[:half], chunks[half:]
 
     def run(part, side):
         return [fn(rows, side) for rows in part]
@@ -168,20 +170,6 @@ def chunk_map(fn, n_rows: int) -> list:
     finally:  # the pool side writes into the caller's arrays until it stops
         wait([second])
     return first + second.result()
-
-
-def _halves(n_rows: int):
-    """chunk_map's chunks over n_rows: (side 0's, side 1's)."""
-    chunks = row_chunks(n_rows)
-    half = (len(chunks) + 1) // 2
-    return chunks[:half], chunks[half:]
-
-
-def side_split(n_rows: int) -> int:
-    """The first row of chunk_map(fn, n_rows)'s side 1; side 0 runs the
-    rows before it, in order (n_rows where side 1 has no chunk)."""
-    second_half = _halves(n_rows)[1]
-    return second_half[0].start if second_half else n_rows
 
 
 def side_buffers(n_rows: int, shape, dtype=np.float64) -> np.ndarray:

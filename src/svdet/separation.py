@@ -13,10 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from .audio import (HOP, SAMPLE_RATE, AudioClip, chunk_map, frame_signal,
-                    istft, row_chunks, side_buffers, side_split, stft)
+                    istft, row_chunks, side_buffers, stft)
 from .errors import ClipTooShortError, DataError
 
 MASK_EPS = 1e-10
+# a beat-spectrum lag whose normalization is at most this share of its
+# bin's total energy correlates 0
+NORM_FLOOR = 1e-12
 
 # the REPET period search range, 0.8 s to 8 s, in frames: 40 to 400
 MIN_PERIOD = round(0.8 * SAMPLE_RATE / HOP)
@@ -31,7 +34,8 @@ def beat_spectrum(spec: np.ndarray) -> np.ndarray:
     a time. Returns the (n_frames,) lag-domain self-similarity, lags
     0..n_frames - 1. Each lag is normalized by the energies of the two
     windows it correlates, which keeps every value in [-1, 1] with lag 0
-    at the global maximum.
+    at the global maximum; a lag whose normalization is at most
+    NORM_FLOOR times its bin's energy reads 0.
     """
     n_frames, n_bins = spec.shape
     if n_frames < 2:
@@ -39,14 +43,10 @@ def beat_spectrum(spec: np.ndarray) -> np.ndarray:
     n = 1
     while n < 2 * n_frames:
         n *= 2
-    # each bin is a row, autocorrelated by FFT a chunk of bins at a time.
-    # Side 0 runs the first bins in order and adds each normalized row to
-    # the running total as it is made; side 1's rows are kept and added
-    # after them, so the sum runs in bin order.
-    split = side_split(n_bins)
-    total = np.zeros(n_frames)
-    later = np.empty((n_bins - split, n_frames))
-    made = side_buffers(n_bins, (n_frames,))
+    # each bin is a row, autocorrelated by FFT a chunk of bins at a time;
+    # each side sums its own normalized rows
+    totals = np.zeros((2, n_frames))
+    norms = side_buffers(n_bins, (n_frames,))
     mags = side_buffers(n_bins, (n_frames,))
     spectra = side_buffers(n_bins, (n // 2 + 1,), np.complex128)
     powers = side_buffers(n_bins, (n // 2 + 1,), np.complex128)
@@ -64,32 +64,22 @@ def beat_spectrum(spec: np.ndarray) -> np.ndarray:
                            out=ft.view(np.float64)[:, :n])[:, :n_frames]
         cum = np.cumsum(np.square(x, out=x), axis=1, out=x)
         # norm[:, l] = sqrt(energy of x[l : T] * energy of x[0 : T-l])
-        if side:
-            norm = later[rows.start - split : rows.stop - split]
-        else:
-            norm = made[0, :c]
+        norm = norms[side, :c]
         norm[:, 0] = cum[:, -1]
         np.subtract(cum[:, -1:], cum[:, :-1], out=norm[:, 1:])
         norm *= cum[:, ::-1]
         np.sqrt(np.maximum(norm, 0.0, out=norm), out=norm)
-        # a lag whose window holds no energy correlates 0
-        mask = np.greater(norm, 0.0, out=positive[side, :c])
+        # near-silent windows: rounding noise over a tiny norm is no signal
+        mask = np.greater(norm, NORM_FLOOR * cum[:, -1:],
+                          out=positive[side, :c])
         np.divide(acc, norm, out=norm, where=mask)
         np.copyto(norm, 0.0, where=np.logical_not(mask, out=mask))
-        if not side:
-            if rows.start == 0:  # the sum starts at bin 0's row, as a mean's
-                total[:] = norm[0]
-                norm = norm[1:]
-            for row in norm:
-                np.add(total, row, out=total)
+        totals[side] += norm.sum(axis=0)
 
     chunk_map(autocorrelate, n_bins)
-    for row in later:
-        total += row
-    # the bin-order sum and division of a mean over bins; per row lag
-    # l <= lag 0 by Cauchy-Schwarz, so lag 0 stays the maximum
-    total /= n_bins
-    return total
+    # the mean over bins; per row lag l <= lag 0 by Cauchy-Schwarz, so
+    # lag 0 stays the maximum
+    return (totals[0] + totals[1]) / n_bins
 
 
 def estimate_period(bs: np.ndarray, search_range: tuple[int, int]) -> int:

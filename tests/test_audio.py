@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from svdet import audio
 from svdet.audio import (FRAME_LEN, HOP, N_FFT, WINDOW, AudioClip, chunk_map,
                          frame_matrix, frame_signal, frame_times, istft,
-                         load_wav, row_chunks, save_wav, side_split, stft)
+                         load_wav, row_chunks, save_wav, stft)
 from svdet.errors import DataError
 from svdet.separation import separate
 from svdet.synth import repeating_loop
@@ -305,8 +305,6 @@ class TestChunkMap:
 
         chunks = row_chunks(n_rows)
         assert chunk_map(fn, n_rows) == chunks
-        assert side_split(n_rows) == sum(r.stop - r.start
-                                         for r in chunks[:n_first])
         assert sorted(ran) == [rows.start for rows in chunks]
         caller = threading.current_thread()
         for i, rows in enumerate(chunks):
@@ -316,7 +314,6 @@ class TestChunkMap:
 
     def test_no_rows(self, sides):
         assert chunk_map(lambda rows, side: rows, 0) == []
-        assert side_split(0) == 0
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_error_raised_once_both_sides_stop(self, pool, monkeypatch,

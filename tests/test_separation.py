@@ -5,8 +5,9 @@ from svdet import audio
 from svdet.audio import AudioClip, frame_signal, istft, stft
 from svdet.cli import accompaniment
 from svdet.errors import ClipTooShortError, DataError
-from svdet.separation import (MASK_EPS, MAX_PERIOD, MIN_PERIOD, beat_spectrum,
-                              estimate_period, repet_mask, separate)
+from svdet.separation import (MASK_EPS, MAX_PERIOD, MIN_PERIOD, NORM_FLOOR,
+                              beat_spectrum, estimate_period, repet_mask,
+                              separate)
 from svdet.synth import repeating_loop, synthetic_clip
 
 
@@ -17,7 +18,7 @@ def periodic_magnitude(period, reps, n_bins, seed=0):
 
 
 def reference_beat_spectrum(mag, max_lag=None):
-    """Per-lag gather of the window energies, as first written."""
+    """Per-lag gather of the window energies, every bin at once."""
     n_frames = mag.shape[0]
     max_lag = n_frames - 1 if max_lag is None else min(max_lag, n_frames - 1)
     x = mag.T
@@ -31,7 +32,9 @@ def reference_beat_spectrum(mag, max_lag=None):
     e_head = cum[:, n_frames - 1 - lags]
     e_tail = cum[:, -1:] - np.concatenate(
         [np.zeros((x.shape[0], 1)), cum[:, lags[1:] - 1]], axis=1)
-    return (ac / np.maximum(np.sqrt(e_head * e_tail), 1e-300)).mean(axis=0)
+    norm = np.sqrt(e_head * e_tail)
+    keep = norm > NORM_FLOOR * cum[:, -1:]
+    return np.where(keep, ac / np.where(keep, norm, 1.0), 0.0).mean(axis=0)
 
 
 def reference_repet_mask(mag, period):
@@ -258,6 +261,16 @@ class TestSilentWindows:
         assert clip_period(loop) == 100
         assert clip_period(np.concatenate([np.zeros(lead), loop])) == 100
 
+    @pytest.mark.parametrize("amplitude", [1e-21, 1e-61])
+    def test_near_silent_start_keeps_the_period(self, amplitude):
+        # rounding noise over the tiny norm of a window of the noise read
+        # 8e6 and 8e46 and moved the period to 98
+        x = loop_samples(8.0)
+        x[:4000] = amplitude * np.random.default_rng(1).standard_normal(4000)
+        bs = beat_spectrum(np.abs(stft(AudioClip(samples=x))))
+        assert np.abs(bs).max() <= 1.0 + 1e-9
+        assert clip_period(x) == clip_period(loop_samples(8.0)) == 100
+
     def test_near_silent_float_tail_stays_finite(self):
         # the tail's window energies cancel to exactly 0 in the running sums
         x = synthetic_clip(0)[0].samples.copy()
@@ -267,3 +280,20 @@ class TestSilentWindows:
         assert not np.any(np.isnan(bs))
         assert np.abs(bs).max() <= 1.0 + 1e-9
         assert np.all(np.isfinite(separate(clip).samples))
+
+
+def test_period_follows_the_whole_array_sum(monkeypatch, pool):
+    # each side of chunk_map sums its own bins, so the beat spectrum's last
+    # bits follow the chunk split; the period must not
+    silence = np.zeros(4000)  # 250 ms
+    for i, duration in enumerate(np.linspace(3.0, 30.0, 20)):
+        x = synthetic_clip(i, duration)[0].samples
+        if i % 3 == 0:
+            x = np.concatenate([silence, x, silence])
+        mag = np.abs(stft(AudioClip(samples=x)))
+        search = (MIN_PERIOD, min(MAX_PERIOD, len(mag) // 3))
+        want = estimate_period(reference_beat_spectrum(mag), search)
+        for chunk_rows in (1, 7, 32):
+            monkeypatch.setattr(audio, "CHUNK_ROWS", chunk_rows)
+            assert estimate_period(beat_spectrum(mag), search) == want, (
+                i, chunk_rows)
