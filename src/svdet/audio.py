@@ -41,11 +41,11 @@ del _FAC
 WINDOW.flags.writeable = False
 
 # Rows of a full-spectrogram intermediate built at a time. stft, istft,
-# the LPC autocorrelation, the beat spectrum and the REPET mask work a
+# the features' front end, the beat spectrum and the REPET mask work a
 # chunk of frames or bins at a time, so their temporaries are this many
-# rows long whatever the clip length. FFT rows do not depend on the rows
-# computed with them, so every value is the same for any chunk size but
-# the beat spectrum's last bits, which follow how its sum is split.
+# rows long whatever the clip length. Separation's outputs are the same
+# for any chunk size; the last bits of the beat spectrum's sum and of
+# the features' BLAS products, whose kernel follows the rows, are not.
 CHUNK_ROWS = 32
 
 
@@ -231,15 +231,17 @@ def istft(bins: np.ndarray) -> AudioClip:
     m = FRAME_LEN // HOP
     wsq = (WINDOW ** 2).reshape(m, HOP)
     num = np.zeros((n_frames + m - 1, HOP))
-    den = np.zeros_like(num)
     for rows in row_chunks(n_frames):
         frames = np.fft.irfft(bins[rows], n=N_FFT, axis=1)
         pieces = (frames[:, :FRAME_LEN] * WINDOW).reshape(-1, m, HOP)
         for c in range(m - 1, -1, -1):
             num[rows.start + c : rows.stop + c] += pieces[:, c]
+    # the squared window summed over m frames as over all: head rows, the
+    # interior's row m - 1, tail rows; each entry >= WINDOW[0] ** 2 > 0
+    den = np.zeros((2 * m - 1, HOP))
     for c in range(m - 1, -1, -1):
-        den[c : c + n_frames] += wsq[c]
-    covered = den > 1e-12
-    np.divide(num, den, out=num, where=covered)
-    num[~covered] = 0.0
+        den[c : c + m] += wsq[c]
+    num[: m - 1] /= den[: m - 1]
+    num[m - 1 : 1 - m] /= den[m - 1]
+    num[1 - m :] /= den[m:]
     return AudioClip(samples=num.ravel())

@@ -1,13 +1,14 @@
 """Per-frame acoustic features: MFCC, LPCC, PLP, and block packing.
 
-extract_features squares a spectrogram's complex bins (audio.stft)
-once; every extractor takes that power spectrum and returns a
-FeatureMatrix with one row per frame, computed for all frames at once.
-Combinations follow the feature set tags in FEATURE_SETS; fit_norm_stats
-and apply_norm min-max scale the columns with statistics fit on
-training data. blockify views every frame's centered block; prediction
-uses them all, training every train_stride-th block that lies inside
-one clip, picked by its center frame.
+extract_features multiplies a spectrogram's power (audio.stft's bins
+squared) by FRONT, a chunk of frames at a time: mel energies, Bark
+bands and LPC autocorrelation lags. Each extractor takes its columns
+and returns a FeatureMatrix with one row per frame. Combinations follow
+the feature set tags in FEATURE_SETS; fit_norm_stats and apply_norm
+min-max scale the columns with statistics fit on training data.
+blockify views every frame's centered block; prediction uses them all,
+training every train_stride-th block that lies inside one clip, picked
+by its center frame.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
-from .audio import N_FFT, SAMPLE_RATE, chunk_map, side_buffers
+from .audio import N_FFT, SAMPLE_RATE, row_chunks
 from .errors import DataError
 
 LOG_FLOOR = 1e-10
@@ -117,19 +117,20 @@ def mel_filterbank() -> np.ndarray:
     return fb
 
 
-def cepstra_from_log_energies(log_e: np.ndarray, n_coeffs: int) -> np.ndarray:
-    """DCT-II decorrelation, dropping the 0-th (energy) coefficient."""
-    cep = dct(log_e, type=2, norm="ortho", axis=1)
-    return cep[:, 1 : n_coeffs + 1]
+def dct_matrix() -> np.ndarray:
+    """Orthonormal DCT-II of N_MELS log energies, coefficients 1..N_CEPSTRA."""
+    n, k = np.ogrid[:N_MELS, 1 : N_CEPSTRA + 1]
+    return np.sqrt(2.0 / N_MELS) * np.cos(np.pi * k * (2 * n + 1) / (2 * N_MELS))
 
 
-def mfcc(power: np.ndarray) -> FeatureMatrix:
-    """Mel filterbank energies -> log -> DCT-II, keeping coefficients
-    1..N_CEPSTRA of N_MELS; the 0-th (energy) coefficient is dropped."""
-    energies = power @ MEL_FB.T
-    log_e = np.log(np.maximum(energies, LOG_FLOOR))
-    return FeatureMatrix(values=cepstra_from_log_energies(log_e, N_CEPSTRA),
-                         feature_tag="mfcc")
+def mfcc(energies: np.ndarray) -> FeatureMatrix:
+    """Mel filterbank energies (n_frames, N_MELS) -> log -> DCT-II; by
+    chunks of frames, so the bytes do not follow the BLAS threads."""
+    values = np.empty((len(energies), N_CEPSTRA))
+    for rows in row_chunks(len(energies)):
+        log_e = np.log(np.maximum(energies[rows], LOG_FLOOR))
+        np.matmul(log_e, DCT, out=values[rows])
+    return FeatureMatrix(values=values, feature_tag="mfcc")
 
 
 # ---------------------------------------------------------------------------
@@ -181,42 +182,30 @@ def lpc_to_cepstrum(a: np.ndarray, n_coeffs: int) -> np.ndarray:
     return c[0] if a.ndim == 1 else c
 
 
-def _lpc_cepstra(r: np.ndarray, order: int, n_coeffs: int):
+def _lpc_cepstra(r: np.ndarray, tag: str) -> FeatureMatrix:
     """Cepstra of all autocorrelation rows; degenerate rows are zero."""
-    a, _, ok = levinson_durbin(r, order)
-    return lpc_to_cepstrum(a, n_coeffs), tuple(int(t) for t in np.flatnonzero(~ok))
+    a, _, ok = levinson_durbin(r, LPC_ORDER)
+    degenerate = tuple(int(t) for t in np.flatnonzero(~ok))
+    return FeatureMatrix(values=lpc_to_cepstrum(a, N_CEPSTRA), feature_tag=tag,
+                         degenerate_frames=degenerate)
 
 
-def autocorr_from_spectrogram(power: np.ndarray) -> np.ndarray:
-    """Lags 0..LPC_ORDER of each windowed frame's autocorrelation.
-
-    Inverse-transforms the power spectrum a chunk of frames at a time.
-    """
-    r = np.empty((len(power), LPC_ORDER + 1))
-    # each chunk as the real part of complex rows: irfft reads it uncast
-    spectra = side_buffers(len(power), (power.shape[1],), np.complex128)
-    lags = side_buffers(len(power), (N_FFT,))
-
-    def transform(rows, side):
-        c = rows.stop - rows.start
-        spectra[side, :c].real = power[rows]
-        np.fft.irfft(spectra[side, :c], n=N_FFT, axis=1, out=lags[side, :c])
-        r[rows] = lags[side, :c, : LPC_ORDER + 1]
-
-    chunk_map(transform, len(power))
-    return r
+def lag_cosines() -> np.ndarray:
+    """Lags 0..LPC_ORDER of the irfft of a power spectrum, as an (n_bins,
+    LPC_ORDER + 1) matrix: the frame's autocorrelation. Bins 0 and
+    N_FFT / 2 count once, the others twice, for the negative ones."""
+    j, k = np.ogrid[: N_FFT // 2 + 1, : LPC_ORDER + 1]
+    w = np.where((j == 0) | (j == N_FFT // 2), 1.0, 2.0)
+    return w * np.cos(2 * np.pi * (j * k % N_FFT) / N_FFT) / N_FFT
 
 
-def lpcc(power: np.ndarray) -> FeatureMatrix:
+def lpcc(lags: np.ndarray) -> FeatureMatrix:
     """Linear-prediction cepstra per frame, solved for all frames at once.
 
-    The autocorrelation comes from the power spectrum. All-zero frames
-    produce all-zero coefficients rather than an error.
+    lags are each frame's autocorrelation lags 0..LPC_ORDER. All-zero
+    frames produce all-zero coefficients rather than an error.
     """
-    r = autocorr_from_spectrogram(power)
-    values, degenerate = _lpc_cepstra(r, LPC_ORDER, N_CEPSTRA)
-    return FeatureMatrix(values=values, feature_tag="lpcc",
-                         degenerate_frames=degenerate)
+    return _lpc_cepstra(lags, "lpcc")
 
 
 # ---------------------------------------------------------------------------
@@ -260,42 +249,49 @@ def equal_loudness(f):
 MEL_FB = mel_filterbank()
 BARK_FB, _centers_hz = bark_filterbank()
 BARK_LOUDNESS = equal_loudness(_centers_hz)
-MEL_FB.flags.writeable = BARK_FB.flags.writeable = False
-BARK_LOUDNESS.flags.writeable = False
+DCT = dct_matrix()
+# a frame's power spectrum times FRONT: each extractor's input columns
+FRONT = np.hstack([MEL_FB.T, BARK_FB.T, lag_cosines()])
+FRONT_COLUMNS = {"mfcc": slice(0, N_MELS), "plp": slice(N_MELS, -LPC_ORDER - 1),
+                 "lpcc": slice(-LPC_ORDER - 1, None)}
+MEL_FB.flags.writeable = BARK_FB.flags.writeable = DCT.flags.writeable = False
+BARK_LOUDNESS.flags.writeable = FRONT.flags.writeable = False
 
 
-def plp(power: np.ndarray) -> FeatureMatrix:
+def plp(bands: np.ndarray) -> FeatureMatrix:
     """Perceptual linear prediction cepstra per frame.
 
-    Bark-band integration -> equal-loudness weighting -> cube-root
+    Bark-band energies -> equal-loudness weighting -> cube-root
     compression -> inverse DFT to autocorrelation -> LPC -> cepstra.
     """
-    bands = np.maximum(power @ BARK_FB.T, LOG_FLOOR)
-    bands = bands * BARK_LOUDNESS
-    bands = bands ** (1.0 / 3.0)
+    bands = (np.maximum(bands, LOG_FLOOR) * BARK_LOUDNESS) ** (1.0 / 3.0)
     # duplicate edge bands to flatten the spectrum ends before the IDFT
     bands[:, 0] = bands[:, 1]
     bands[:, -1] = bands[:, -2]
     # IDFT of the even extension of the bands
     r = np.fft.irfft(bands, n=2 * (bands.shape[1] - 1), axis=1)[:, : LPC_ORDER + 1]
-    values, degenerate = _lpc_cepstra(r, LPC_ORDER, N_CEPSTRA)
-    return FeatureMatrix(values=values, feature_tag="plp",
-                         degenerate_frames=degenerate)
+    return _lpc_cepstra(r, "plp")
 
 
 # ---------------------------------------------------------------------------
 # Combination, blocking
 
 def extract_features(bins: np.ndarray, tag: str) -> list[FeatureMatrix]:
-    """Feature matrices of a tag, in tag order, from one power spectrum."""
+    """Feature matrices of a tag, in tag order, from every column of
+    FRONT; the bytes follow the chunk split, never the BLAS threads."""
     if tag not in FEATURE_SETS:
         raise DataError(f"unknown feature set {tag!r}")
     if len(bins) == 0:
         raise DataError("empty spectrogram")
-    power = np.abs(bins)
-    power **= 2
+    chunks = row_chunks(len(bins))
+    front = np.empty((len(bins), FRONT.shape[1]))
+    power = np.empty((chunks[0].stop, len(FRONT)))  # one chunk's workspace
+    for rows in chunks:
+        ws = np.abs(bins[rows], out=power[: rows.stop - rows.start])
+        np.matmul(np.square(ws, out=ws), FRONT, out=front[rows])
     extractors = {"mfcc": mfcc, "lpcc": lpcc, "plp": plp}
-    return [extractors[name](power) for name in FEATURE_SETS[tag]]
+    return [extractors[name](front[:, FRONT_COLUMNS[name]])
+            for name in FEATURE_SETS[tag]]
 
 
 def blockify(values: np.ndarray, block_len: int) -> np.ndarray:

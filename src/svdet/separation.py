@@ -157,6 +157,7 @@ def separate(clip: AudioClip) -> AudioClip:
         weights = repet_mask(np.abs(chunk), period)
         np.subtract(1.0, weights, out=weights)
         chunk *= weights
+    del chunk, weights  # chunk is a view: it would keep bins alive
     voc_clip = istft(bins)
     del bins
     vocal = np.zeros(len(clip.samples))

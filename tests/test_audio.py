@@ -2,8 +2,6 @@ import json
 import os
 import signal
 import struct
-import subprocess
-import sys
 import threading
 import time
 import wave
@@ -22,8 +20,7 @@ from svdet.errors import DataError
 from svdet.separation import separate
 from svdet.synth import repeating_loop
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src")
+from child import run_child
 
 
 def write_pcm16(path, samples, sample_rate=16000, n_channels=1):
@@ -154,23 +151,38 @@ def test_fixed_layout():
 
 
 def test_features_run_loads_no_scipy_signal(tmp_path):
-    # import scipy.signal loads these and more: about 50 MB of RSS and
-    # 1.1 s of start-up; only load_wav's resampling of non-16 kHz input
-    # needs it, and the window is built without it
+    # import scipy.signal loads scipy.linalg, sparse, optimize, stats and
+    # more: about 50 MB of RSS and 1.1 s of start-up, and scipy.fft with
+    # scipy.special about 27 MB; only load_wav's resampling of non-16 kHz
+    # input needs scipy, and the window and the DCT are built without it
+    from svdet.features import NormStats
+    from svdet.model import init_params, save_checkpoint
+    from svdet.pipeline import PipelineConfig
+
     rng = np.random.default_rng(6)
     wav = tmp_path / "song.wav"
     save_wav(wav, AudioClip(samples=0.5 * repeating_loop(rng, 4.0)))
-    heavy = ["scipy.signal", "scipy.linalg", "scipy.sparse", "scipy.optimize",
-             "scipy.stats", "scipy.interpolate"]
-    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
-            "import svdet.cli; "
-            "rc = svdet.cli.main(['features', sys.argv[2], '--out', sys.argv[3]]); "
-            "print(json.dumps([rc, [m for m in sys.argv[4:] if m in sys.modules]]))")
-    out = subprocess.run([sys.executable, "-c", code, SRC, str(wav),
-                          str(tmp_path / "f.csv"), *heavy],
-                         capture_output=True, text=True, check=True,
-                         timeout=120).stdout
-    assert json.loads(out) == [0, []]
+    cfg = PipelineConfig(feature_tag="lpcc_mfcc_plp", n_filters=2,
+                         hidden_size=2, dense_sizes=(2,))
+    lrcn_cfg = cfg.lrcn_config(input_dim=39)
+    save_checkpoint(tmp_path / "model.npz", init_params(lrcn_cfg, seed=0),
+                    lrcn_cfg, NormStats(col_min=np.zeros(39),
+                                        col_max=np.ones(39)),
+                    cfg.front_end())
+    tag = ["--set", "feature_tag=lpcc_mfcc_plp"]
+    runs = [tag + ["features", str(wav), "--out", str(tmp_path / "f.csv")],
+            tag + ["predict", str(wav), "--checkpoint",
+                   str(tmp_path / "model.npz"), "--out",
+                   str(tmp_path / "p.csv")]]
+    code = ("import json, sys; import svdet.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    rc = svdet.cli.main(argv)\n"
+            "    print(json.dumps([rc, [m for m in sys.modules\n"
+            "                           if m.split('.')[0] == 'scipy']]))")
+    proc = run_child("-c", code, json.dumps(runs))
+    assert proc.returncode == 0, proc.stderr
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == [[0, []],
+                                                                       [0, []]]
 
 
 class TestFrameSignal:

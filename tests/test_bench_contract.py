@@ -10,16 +10,15 @@ import importlib
 import importlib.util
 import inspect
 import json
-import subprocess
 import sys
 import threading
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from child import ROOT, run_child
+
 PERFBENCH = ROOT / "perfbench"
 
 
@@ -61,7 +60,7 @@ def hook_calls():
 
     Tiny real inputs; each expected count follows from the input alone.
     """
-    from svdet.features import FeatureMatrix, blockify
+    from svdet.features import FRONT, FRONT_COLUMNS, FeatureMatrix, blockify
     from svdet.model import init_params
     from svdet.pipeline import PipelineConfig
 
@@ -77,6 +76,8 @@ def hook_calls():
     labels = (np.arange(12) % 2).astype(np.float64)
     power = rng.uniform(0.0, 1.0, (6, 513))
     power[[1, 4]] = 0.0  # all-zero frames are degenerate for LPC
+    lags, bands = (power @ FRONT[:, FRONT_COLUMNS[name]]
+                   for name in ("lpcc", "plp"))
     x = np.concatenate([rng.normal(0.2, 0.05, 200), rng.normal(0.8, 0.1, 200)])
     return {
         "model.train_lrcn": ((blocks, labels, np.arange(10), np.arange(10, 12),
@@ -89,8 +90,8 @@ def hook_calls():
         "smoothing.fit_gmm_1d": ((x, 3), {"max_iter": 2},
                                  {"smoothing.em_iters": 2,
                                   "smoothing.em_capped": 1}),
-        "features.lpcc": ((power,), {}, {"features.degenerate_frames": 2}),
-        "features.plp": ((power,), {}, {"features.degenerate_frames": 0}),
+        "features.lpcc": ((lags,), {}, {"features.degenerate_frames": 2}),
+        "features.plp": ((bands,), {}, {"features.degenerate_frames": 0}),
     }
 
 
@@ -124,12 +125,11 @@ def test_benchmark_imports_load_every_traced_module():
     layers = load("layers")
     wanted = {f"svdet.{layer.name.split('.')[0]}"
               for layer in layers.FUNCTIONS + layers.COUNTS}
-    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
-            "import svdet, svdet.cli, svdet.synth; "
+    code = ("import json, sys; import svdet, svdet.cli, svdet.synth; "
             "print(json.dumps(sorted(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
-                         capture_output=True, text=True, check=True).stdout
-    missing = wanted - set(json.loads(out))
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    missing = wanted - set(json.loads(proc.stdout))
     assert not missing, f"not loaded by the benchmark's imports: {sorted(missing)}"
 
 

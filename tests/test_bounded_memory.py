@@ -1,17 +1,19 @@
 """Chunked spectrogram intermediates: same values, bounded memory.
 
-stft, istft, the LPC autocorrelation, the beat spectrum and the REPET
+stft, istft, the feature front end, the beat spectrum and the REPET
 mask work CHUNK_ROWS rows (frames or bins) at a time, and chunk_map
-runs stft's, the autocorrelation's and the beat spectrum's chunks on two
-threads. The references below are the whole-array versions they
-replaced; with the chunk size patched to a few rows, chunk boundaries
-fall mid-array and the results must still be bitwise equal. The one
-exception is the beat spectrum, whose two sides each sum their own bins:
-its last bits follow the chunk split, never the threads, and its period
-and every separation output stay bitwise equal. Training gathers its
-batches, and validation its PREDICT_BATCH-block batches, from one window
-view of the frames. The memory tests trace numpy's buffers with
-tracemalloc, which counts them deterministically.
+runs stft's and the beat spectrum's chunks on two threads. The
+references below are the whole-array versions they replaced; with the
+chunk size patched to a few rows, chunk boundaries fall mid-array and
+the results must still be bitwise equal. Two sets of last bits follow
+the chunk split, never the threads: the beat spectrum's, whose two sides
+each sum their own bins, while its period and every separation output
+stay bitwise equal; and the features', whose matrix products a BLAS
+kernel picks by row count, so they are held to a whole-array reference
+within a relative tolerance. Training gathers its batches, and
+validation its PREDICT_BATCH-block batches, from one window view of the
+frames. The memory tests trace numpy's buffers with tracemalloc, which
+counts them deterministically.
 """
 
 import tracemalloc
@@ -21,11 +23,12 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from svdet import audio, cli, model, separation
+from svdet import audio, cli, features, model, separation
 from svdet.audio import (FRAME_LEN, HOP, AudioClip, frame_matrix, frame_signal,
                          istft, stft)
-from svdet.features import FeatureMatrix, autocorr_from_spectrogram, lpcc
-from svdet.pipeline import PipelineConfig, train_classifier
+from svdet.features import (DCT, FRONT, FRONT_COLUMNS, LOG_FLOOR,
+                            FeatureMatrix, extract_features)
+from svdet.pipeline import PipelineConfig, clip_features, train_classifier
 from svdet.separation import (MAX_PERIOD, MIN_PERIOD, beat_spectrum,
                               estimate_period, repet_mask, separate)
 from svdet.synth import repeating_loop, vibrato_voice
@@ -73,8 +76,13 @@ def reference_beat_spectrum(mag):
     return ac.mean(axis=0)
 
 
-def reference_autocorr(power):
-    return np.fft.irfft(power, n=1024, axis=1)[:, :13]
+def reference_features(bins):
+    """The features from whole-array products, FRONT's and the DCT's."""
+    front = (np.abs(bins) ** 2) @ FRONT
+    cols = {name: front[:, c] for name, c in FRONT_COLUMNS.items()}
+    return {"mfcc": np.log(np.maximum(cols["mfcc"], LOG_FLOOR)) @ DCT,
+            "lpcc": features.lpcc(cols["lpcc"]).values,
+            "plp": features.plp(cols["plp"]).values}
 
 
 def reference_separate(clip):
@@ -130,10 +138,13 @@ class TestChunksMatchWholeArray:
         monkeypatch.setattr(audio, "_POOL", None)
         assert np.array_equal(beat_spectrum(bins), pooled)
 
-    def test_autocorr_from_spectrogram(self, few_rows, random_spectrogram):
-        power = np.abs(random_spectrogram) ** 2
-        got = autocorr_from_spectrogram(power)
-        assert np.array_equal(got, reference_autocorr(power))
+    def test_features(self, few_rows, random_spectrogram):
+        # 49 frames; the products' last bits follow the chunk split
+        want = reference_features(random_spectrogram)
+        for part in extract_features(random_spectrogram, "lpcc_mfcc_plp"):
+            ref = want[part.feature_tag]
+            assert (np.abs(part.values - ref).max()
+                    <= 1e-12 * np.abs(ref).max()), part.feature_tag
 
     def test_separate(self, few_rows, monkeypatch):
         periods = []
@@ -178,11 +189,12 @@ class TestMemoryFollowsTheStft:
         assert traced_peak(separate, clip) <= 4.0 * bins.nbytes
 
     def test_separate_holds_one_full_size_array(self, minute_song):
-        # the STFT and chunks of bins or frames, the peak in istft: a
-        # whole-array REPET mask and (bins, lags) matrix made 2.53x, and
-        # holding every normalized row until the mean 1.92x
+        # the STFT and chunks of bins or frames, the peak in beat_spectrum:
+        # a whole-array REPET mask and (bins, lags) matrix made 2.53x,
+        # holding every normalized row until the mean 1.92x, and istft's
+        # full-length window sum, with the STFT held through it, 1.72x
         clip, bins = minute_song
-        assert traced_peak(separate, clip) <= 1.8 * bins.nbytes
+        assert traced_peak(separate, clip) <= 1.55 * bins.nbytes
 
     def test_beat_spectrum_peak(self, minute_song):
         # two sides of chunk workspaces, mostly the FFT rows; every bin's
@@ -190,9 +202,19 @@ class TestMemoryFollowsTheStft:
         _, bins = minute_song
         assert traced_peak(beat_spectrum, bins) <= 0.55 * bins.nbytes
 
-    def test_lpcc_peak(self, minute_song):
+    def test_features_peak(self, minute_song):
+        # one chunk of power rows and the (frames, 60) product; a
+        # clip-sized power array and the LPC lags' inverse FFTs made 0.65x
         _, bins = minute_song
-        assert traced_peak(lpcc, np.abs(bins) ** 2) <= 0.5 * bins.nbytes
+        assert (traced_peak(extract_features, bins, "lpcc_mfcc_plp")
+                <= 0.3 * bins.nbytes)
+
+    def test_clip_features_peak(self, minute_song):
+        # separation, then the vocal estimate's STFT and features: 1.96x
+        # with istft's full-length window sum and a clip-sized power array
+        clip, bins = minute_song
+        cfg = PipelineConfig(feature_tag="lpcc_mfcc_plp")
+        assert traced_peak(clip_features, clip, cfg) <= 1.6 * bins.nbytes
 
 
 def test_load_wav_peak_follows_its_output(tmp_path):

@@ -2,23 +2,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dct
 
-from svdet import features
-from svdet.audio import AudioClip, stft
+from svdet import audio, features, synth
+from svdet.audio import AudioClip, save_wav, stft
 from svdet.errors import DataError
-from svdet.features import (FEATURE_SETS, FeatureMatrix, NormStats,
-                            apply_norm, autocorr_from_spectrogram,
-                            bark_filterbank, blockify,
-                            cepstra_from_log_energies, equal_loudness,
-                            extract_features, fit_norm_stats, hz_to_bark,
-                            levinson_durbin, lpc_to_cepstrum, lpcc,
-                            mel_filterbank, mfcc, plp)
+from svdet.features import (DCT, FEATURE_SETS, FRONT, FRONT_COLUMNS,
+                            FeatureMatrix, NormStats, apply_norm,
+                            bark_filterbank, blockify, dct_matrix,
+                            equal_loudness, extract_features, fit_norm_stats,
+                            hz_to_bark, lag_cosines, levinson_durbin,
+                            lpc_to_cepstrum, lpcc, mel_filterbank, mfcc, plp)
 from svdet.pipeline import PipelineConfig, _training_blocks
 from svdet.tracks import LabelTrack
+
+from child import run_child
 
 
 def make_power(samples):
     return np.abs(stft(AudioClip(samples=samples))) ** 2
+
+
+def front(power, name):
+    """The named extractor's input: its columns of FRONT, applied to a
+    power spectrum whole."""
+    return power @ FRONT[:, FRONT_COLUMNS[name]]
 
 
 def sine_clip(freq, n=16000, sr=16000, amp=0.5):
@@ -147,24 +155,30 @@ def lpc_cepstra_loop(r, order=12, n_coeffs=13):
 
 class TestMfcc:
     def test_flat_mel_energies_zero_cepstra(self):
-        log_e = np.full((4, 26), 3.7)
-        assert np.allclose(cepstra_from_log_energies(log_e, 13), 0.0)
+        assert np.allclose(mfcc(np.full((4, 26), 40.0)).values, 0.0)
+
+    def test_dct_matches_scipy(self, rng):
+        # coefficients 1..13 of the orthonormal DCT-II of 26 log energies
+        log_e = rng.uniform(-23.0, 10.0, size=(50, 26))
+        want = dct(log_e, type=2, norm="ortho", axis=1)[:, 1:14]
+        bound = 1e-14 * np.abs(log_e).sum(axis=1).max()
+        assert np.abs(log_e @ DCT - want).max() <= bound
 
     def test_zero_signal_all_zero(self):
-        feat = mfcc(make_power(np.zeros(3200)))
+        feat = mfcc(front(make_power(np.zeros(3200)), "mfcc"))
         assert np.allclose(feat.values, 0.0)
         assert feat.dim == 13
 
     def test_against_direct_summation_oracle(self):
         power = make_power(sine_clip(1000.0, n=3200))
-        feat = mfcc(power)
+        feat = mfcc(front(power, "mfcc"))
         for t in (0, len(power) - 1):
             expected = mfcc_oracle(power[t], 16000, 1024)
             assert np.abs(feat.values[t] - expected).max() < 1e-6
 
     def test_finite_on_silence_and_noise(self, random_spectrogram):
         power = np.abs(random_spectrogram) ** 2
-        assert np.all(np.isfinite(mfcc(power).values))
+        assert np.all(np.isfinite(mfcc(front(power, "mfcc")).values))
 
 
 class TestLevinsonLpcc:
@@ -196,12 +210,13 @@ class TestLevinsonLpcc:
 
     def test_all_zero_frame_flagged(self):
         power = make_power(np.zeros(3200))
-        feat = lpcc(power)
+        feat = lpcc(front(power, "lpcc"))
         assert np.allclose(feat.values, 0.0)
         assert feat.degenerate_frames == tuple(range(len(power)))
 
     def test_lpcc_dim_default_13(self, random_spectrogram):
-        assert lpcc(np.abs(random_spectrogram) ** 2).dim == 13
+        power = np.abs(random_spectrogram) ** 2
+        assert lpcc(front(power, "lpcc")).dim == 13
 
 
 class TestBatchedLpc:
@@ -218,16 +233,17 @@ class TestBatchedLpc:
     @pytest.mark.parametrize("extractor", [lpcc, plp])
     def test_matches_per_frame_loop(self, extractor, spec_with_degenerate_frames,
                                     monkeypatch):
+        power = np.abs(spec_with_degenerate_frames) ** 2
         seen = []
         batched = features._lpc_cepstra
 
-        def spy(r, order, n_coeffs):
+        def spy(r, tag):
             seen.append(r)
-            return batched(r, order, n_coeffs)
+            return batched(r, tag)
 
         monkeypatch.setattr(features, "_lpc_cepstra", spy)
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            feat = extractor(np.abs(spec_with_degenerate_frames) ** 2)
+            feat = extractor(front(power, extractor.__name__))
         expected, degenerate = lpc_cepstra_loop(seen[0])
         assert np.abs(feat.values - expected).max() <= 1e-12
         assert feat.degenerate_frames == degenerate
@@ -240,7 +256,7 @@ class TestBatchedLpc:
         power = np.abs(random_spectrogram) ** 2
         full = np.concatenate([power, power[:, -2:0:-1]], axis=1)
         ref = np.fft.ifft(full, axis=1).real[:, :13]
-        r = autocorr_from_spectrogram(power)
+        r = front(power, "lpcc")
         assert r.shape == ref.shape
         assert np.abs(r - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -271,37 +287,44 @@ class TestBatchedLpc:
 
 def test_filterbanks_built_once_read_only():
     fb, centers_hz = bark_filterbank()
-    for fixed, built in ((features.MEL_FB, mel_filterbank()),
+    mel_fb = mel_filterbank()
+    for fixed, built in ((features.MEL_FB, mel_fb),
                          (features.BARK_FB, fb),
-                         (features.BARK_LOUDNESS, equal_loudness(centers_hz))):
+                         (features.BARK_LOUDNESS, equal_loudness(centers_hz)),
+                         (DCT, dct_matrix()),
+                         (FRONT, np.hstack([mel_fb.T, fb.T, lag_cosines()]))):
         assert fixed.tobytes() == built.tobytes()
         assert not fixed.flags.writeable
+    # every column of FRONT feeds exactly one extractor
+    assert FRONT.shape == (513, 60)
+    taken = [np.arange(60)[cols] for cols in FRONT_COLUMNS.values()]
+    assert sorted(np.concatenate(taken)) == list(range(60))
 
 
 class TestPlp:
     def test_zero_signal_constant_rows(self):
-        feat = plp(make_power(np.zeros(3200)))
+        feat = plp(front(make_power(np.zeros(3200)), "plp"))
         assert np.allclose(feat.values, feat.values[0])
 
     def test_scale_invariance_of_shape(self, rng):
         # uniform gain only changes the c_0-equivalent term, not c_1..
         x = sine_clip(440.0, n=3200)
-        f1 = plp(make_power(x)).values
-        f2 = plp(make_power(0.25 * x)).values
+        f1 = plp(front(make_power(x), "plp")).values
+        f2 = plp(front(make_power(0.25 * x), "plp")).values
         assert np.abs(f1 - f2).max() < 1e-9
 
     def test_against_staged_oracle(self):
         power = make_power(sine_clip(440.0, n=3200)
                            + 0.3 * sine_clip(880.0, n=3200))
-        feat = plp(power)
+        feat = plp(front(power, "plp"))
         for t in (0, len(power) - 1):
             expected = plp_oracle(power[t], 16000, 1024)
             assert np.abs(feat.values[t] - expected).max() < 1e-6
 
 
 def test_every_tag_is_its_columns_of_the_full_set(random_spectrogram):
-    # every extractor reads the one power spectrum extract_features forms,
-    # so a tag's features are, bit for bit, its columns of lpcc_mfcc_plp
+    # extract_features forms every column of FRONT whatever the tag, so a
+    # tag's features are, bit for bit, its columns of lpcc_mfcc_plp
     bins = random_spectrogram.copy()
     bins[3] = 0.0   # degenerate for lpcc: r[0] == 0
     bins[5] = 0.0
@@ -315,6 +338,30 @@ def test_every_tag_is_its_columns_of_the_full_set(random_spectrogram):
             assert part.values.tobytes() == full[part.feature_tag].values.tobytes()
             assert (part.degenerate_frames
                     == full[part.feature_tag].degenerate_frames)
+
+
+def test_bytes_do_not_follow_blas_threads(tmp_path):
+    # whole-clip filterbank products rounded differently on one and two
+    # OpenBLAS threads; 993 frames end in a chunk of one row
+    n_frames = 993
+    assert n_frames % audio.CHUNK_ROWS == 1
+    clip, _ = synth.synthetic_clip(11, duration=20.0)
+    wav = tmp_path / "clip.wav"
+    save_wav(wav, AudioClip(samples=clip.samples[: audio.FRAME_LEN
+                                                 + (n_frames - 1) * audio.HOP]))
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads / "features.csv"
+        out.parent.mkdir()
+        proc = run_child("-m", "svdet.cli", "--set", "feature_tag=lpcc_mfcc_plp",
+                         "features", str(wav), "--out", str(out),
+                         env={var: threads for var in ("OPENBLAS_NUM_THREADS",
+                                                       "OMP_NUM_THREADS",
+                                                       "MKL_NUM_THREADS")})
+        assert proc.returncode == 0, proc.stderr
+        csvs.append(out.read_bytes())
+    assert len(csvs[0].splitlines()) == 1 + n_frames
+    assert csvs[0] == csvs[1]
 
 
 def test_empty_spectrogram():
@@ -478,6 +525,6 @@ class TestShiftCovariance:
     def test_one_hop_shift_moves_rows_by_one(self, rng):
         x = 0.2 * rng.standard_normal(4800)
         shifted = np.concatenate([np.zeros(320), x])[:4800]
-        f1 = mfcc(make_power(x)).values
-        f2 = mfcc(make_power(shifted)).values
+        f1 = mfcc(front(make_power(x), "mfcc")).values
+        f2 = mfcc(front(make_power(shifted), "mfcc")).values
         assert np.abs(f2[1:] - f1[:-1][: len(f2) - 1]).max() < 1e-9

@@ -1,22 +1,13 @@
 """The experiment scripts reject a bad argument before any work."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from child import ROOT, run_child
 
 
 def run_experiment(work, *args):
-    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_synthetic_experiment.py"),
-         "--work-dir", str(work), "--clips", "1", *args],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
-        capture_output=True, text=True, timeout=120)
+    return run_child(str(ROOT / "scripts" / "run_synthetic_experiment.py"),
+                     "--work-dir", str(work), "--clips", "1", *args)
 
 
 @pytest.mark.parametrize("flag, value", [("--feature-tag", "bogus"),
