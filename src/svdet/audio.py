@@ -142,34 +142,37 @@ def row_chunks(n_rows: int, size: int | None = None):
             for start in range(0, n_rows, size)]
 
 
-def chunk_map(fn, n_rows: int) -> list:
-    """[fn(rows, side) for rows in row_chunks(n_rows)], two chunks at a time.
+def chunk_map(fn, n_rows: int) -> None:
+    """fn(rows, side) for rows in row_chunks(n_rows), two chunks at a time.
 
     The caller's thread runs the first half of the chunks (the middle one
     too, for an odd count) as side 0 and the pool thread the second half
     as side 1; without a pool the caller runs both halves. So a side
     always runs the same chunks, in order. fn writes only into arrays its
     caller allocated, one workspace per side (see side_buffers), so no
-    side allocates a chunk-sized temporary. fn calls no BLAS, no function
-    the benchmark traces and not chunk_map. An exception from either side
-    is raised once both sides have stopped.
+    side allocates a chunk-sized temporary; its return value is dropped.
+    fn calls no BLAS, no function the benchmark traces and not chunk_map.
+    An exception from either side is raised once both sides have stopped.
     """
     chunks = row_chunks(n_rows)
     half = (len(chunks) + 1) // 2
     first_half, second_half = chunks[:half], chunks[half:]
 
     def run(part, side):
-        return [fn(rows, side) for rows in part]
+        for rows in part:
+            fn(rows, side)
 
     pool = _POOL
     if pool is None or not second_half:
-        return run(first_half, 0) + run(second_half, 1)
+        run(first_half, 0)
+        run(second_half, 1)
+        return
     second = pool.submit(run, second_half, 1)
     try:
-        first = run(first_half, 0)
+        run(first_half, 0)
     finally:  # the pool side writes into the caller's arrays until it stops
         wait([second])
-    return first + second.result()
+    second.result()
 
 
 def side_buffers(n_rows: int, shape, dtype=np.float64) -> np.ndarray:
@@ -224,24 +227,37 @@ def stft(clip: AudioClip) -> np.ndarray:
 
 def istft(bins: np.ndarray) -> AudioClip:
     """Windowed overlap-add inverse, normalized by the summed squared window."""
-    # HOP divides FRAME_LEN: piece c of frame i lands on output piece
-    # i + c. Frames are added in frame order, a chunk of frames at a
-    # time, each chunk with the largest c first.
+    # HOP is half of FRAME_LEN: piece 0 of frame i lands on output row i
+    # and piece 1 on row i + 1, so row i sums 0 + piece 1 of frame i - 1
+    # + piece 0 of frame i. Each side adds its chunks' pieces in frame
+    # order but holds its first frame's piece 0, whose row may be the
+    # other side's last, until both sides have stopped.
     n_frames = len(bins)
-    m = FRAME_LEN // HOP
-    wsq = (WINDOW ** 2).reshape(m, HOP)
-    num = np.zeros((n_frames + m - 1, HOP))
-    for rows in row_chunks(n_frames):
-        frames = np.fft.irfft(bins[rows], n=N_FFT, axis=1)
-        pieces = (frames[:, :FRAME_LEN] * WINDOW).reshape(-1, m, HOP)
-        for c in range(m - 1, -1, -1):
-            num[rows.start + c : rows.stop + c] += pieces[:, c]
-    # the squared window summed over m frames as over all: head rows, the
-    # interior's row m - 1, tail rows; each entry >= WINDOW[0] ** 2 > 0
-    den = np.zeros((2 * m - 1, HOP))
-    for c in range(m - 1, -1, -1):
-        den[c : c + m] += wsq[c]
-    num[: m - 1] /= den[: m - 1]
-    num[m - 1 : 1 - m] /= den[m - 1]
-    num[1 - m :] /= den[m:]
+    num = np.zeros((n_frames + 1, HOP))
+    frames = side_buffers(n_frames, (N_FFT,))
+    held = np.empty((2, HOP))
+    first_rows = [None, None]
+
+    def overlap_add(rows, side):
+        x = np.fft.irfft(bins[rows], n=N_FFT, axis=1,
+                         out=frames[side, : rows.stop - rows.start])
+        pieces = np.multiply(x[:, :FRAME_LEN], WINDOW,
+                             out=x[:, :FRAME_LEN]).reshape(-1, 2, HOP)
+        num[rows.start + 1 : rows.stop + 1] += pieces[:, 1]
+        skip = first_rows[side] is None
+        if skip:
+            first_rows[side] = rows.start
+            held[side] = pieces[0, 0]
+        num[rows.start + skip : rows.stop] += pieces[skip:, 0]
+
+    chunk_map(overlap_add, n_frames)
+    for side, row in enumerate(first_rows):
+        if row is not None:
+            num[row] += held[side]
+    # the squared window summed over the frames that cover each row: the
+    # first, the interior and the last; each entry >= WINDOW[0] ** 2 > 0
+    wsq = (WINDOW ** 2).reshape(2, HOP)
+    num[0] /= wsq[0]
+    num[1:-1] /= wsq[1] + wsq[0]
+    num[-1] /= wsq[1]
     return AudioClip(samples=num.ravel())

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
@@ -226,7 +227,10 @@ def cmd_pipeline(args, cfg, writer):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves
+    it as it was."""
     parser = _Parser(prog="svdet", description=__doc__)
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",

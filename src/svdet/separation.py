@@ -98,11 +98,33 @@ def estimate_period(bs: np.ndarray, search_range: tuple[int, int]) -> int:
                         f"{search_range[1]}] for max lag {max_lag}")
     best_lag, best_score = lo, -np.inf
     for p in range(lo, hi + 1):
+        # ndarray.mean's arithmetic without its Python wrapper
         mult = bs[p :: p]
-        score = mult.mean()
+        score = np.add.reduce(mult) / len(mult)
         if score > best_score + 1e-12:
             best_lag, best_score = p, score
     return best_lag
+
+
+def _median_last(stack: np.ndarray, out: np.ndarray) -> None:
+    """out = np.median(stack, axis=-1), bitwise, for a stack without NaNs,
+    which is partitioned in place.
+
+    One partition puts the middle value at index k // 2 and smaller ones
+    before it; for an even count the lower middle value is their
+    maximum, and the two are averaged as np.median's mean does.
+    """
+    k = stack.shape[-1]
+    half = k // 2
+    stack.partition(half)
+    if k % 2:
+        out[...] = stack[..., half]
+        return
+    np.copyto(out, stack[..., 0])
+    for j in range(1, half):
+        np.maximum(out, stack[..., j], out=out)
+    out += stack[..., half]
+    out /= 2
 
 
 def repet_mask(mag: np.ndarray, period: int) -> np.ndarray:
@@ -115,18 +137,23 @@ def repet_mask(mag: np.ndarray, period: int) -> np.ndarray:
     """
     if period < 1:
         raise DataError("period must be >= 1")
-    q, r = divmod(mag.shape[0], period)
+    n_frames, n_bins = mag.shape
+    q, r = divmod(n_frames, period)
     if q:
-        reps = mag[: q * period].reshape(q, period, -1)
-        # offsets below r also see the trailing partial period; their
-        # stack is a copy, so its median may partition it in place
-        low = np.median(np.concatenate([reps[:, :r], mag[None, q * period :]]),
-                        axis=0, overwrite_input=True)
-        per_offset = np.concatenate([low, np.median(reps[:, r:], axis=0)])
+        reps = mag[: q * period].reshape(q, period, n_bins)
+        # each offset's frames along the last axis of an (offsets, bins,
+        # segments) copy, which the median partitions in place; offsets
+        # below r also see the trailing partial period
+        model = np.empty((period, n_bins))
+        low = np.empty((r, n_bins, q + 1))
+        low[..., :q] = reps[:, :r].transpose(1, 2, 0)
+        low[..., q] = mag[q * period :]
+        _median_last(low, model[:r])
+        _median_last(reps[:, r:].transpose(1, 2, 0).copy(), model[r:])
         # C order, so the reshape below is a view whatever mag's layout
         weights = np.empty(mag.shape)
-        weights[: q * period].reshape(reps.shape)[:] = per_offset
-        weights[q * period :] = per_offset[:r]
+        weights[: q * period].reshape(reps.shape)[:] = model
+        weights[q * period :] = model[:r]
         np.minimum(weights, mag, out=weights)
     else:  # period >= n_frames: each offset holds one frame
         weights = mag.copy()

@@ -309,23 +309,29 @@ class TestChunkMap:
     def test_results_in_chunk_order(self, sides, monkeypatch, n_rows,
                                     n_first):
         monkeypatch.setattr(audio, "CHUNK_ROWS", 5)
-        ran = {}
+        ran = []
 
         def fn(rows, side):
-            ran[rows.start] = (side, threading.current_thread())
-            return rows
+            ran.append((rows, side, threading.current_thread()))
+            return rows  # dropped: chunk_map returns nothing
 
         chunks = row_chunks(n_rows)
-        assert chunk_map(fn, n_rows) == chunks
-        assert sorted(ran) == [rows.start for rows in chunks]
+        assert chunk_map(fn, n_rows) is None
+        # every chunk once, each side's in order, on its own thread
+        assert sorted(rows.start for rows, _, _ in ran) == [
+            rows.start for rows in chunks]
+        for side, part in ((0, chunks[:n_first]), (1, chunks[n_first:])):
+            assert [rows for rows, s, _ in ran if s == side] == part
+        if sides == "serial":
+            assert [rows for rows, _, _ in ran] == chunks
         caller = threading.current_thread()
-        for i, rows in enumerate(chunks):
-            side, thread = ran[rows.start]
-            assert side == (0 if i < n_first else 1)
+        for rows, side, thread in ran:
             assert (thread is caller) == (side == 0 or sides == "serial")
 
     def test_no_rows(self, sides):
-        assert chunk_map(lambda rows, side: rows, 0) == []
+        ran = []
+        assert chunk_map(lambda rows, side: ran.append(rows), 0) is None
+        assert ran == []
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_error_raised_once_both_sides_stop(self, pool, monkeypatch,

@@ -2,7 +2,7 @@
 
 stft, istft, the feature front end, the beat spectrum and the REPET
 mask work CHUNK_ROWS rows (frames or bins) at a time, and chunk_map
-runs stft's and the beat spectrum's chunks on two threads. The
+runs the chunks of stft, istft and the beat spectrum on two threads. The
 references below are the whole-array versions they replaced; with the
 chunk size patched to a few rows, chunk boundaries fall mid-array and
 the results must still be bitwise equal. Two sets of last bits follow
@@ -16,6 +16,8 @@ frames. The memory tests trace numpy's buffers with tracemalloc, which
 counts them deterministically.
 """
 
+import sys
+import threading
 import tracemalloc
 import wave
 
@@ -122,6 +124,43 @@ class TestChunksMatchWholeArray:
     def test_istft(self, few_rows, rng):
         bins = reference_stft(AudioClip(samples=rng.standard_normal(8500)))
         assert np.array_equal(istft(bins).samples, reference_istft(bins))
+        # 1-5 chunks, so the caller and the pool run even and odd halves,
+        # the last chunk full or one frame; the row where the sides meet
+        # takes the pool side's held first piece once
+        for n_frames in sorted({(n_chunks - 1) * few_rows + last
+                                for n_chunks in range(1, 6)
+                                for last in (1, few_rows)}):
+            bins = (rng.standard_normal((n_frames, 513))
+                    + 1j * rng.standard_normal((n_frames, 513)))
+            assert np.array_equal(istft(bins).samples,
+                                  reference_istft(bins)), n_frames
+
+    def test_istft_from_many_threads(self, pool, monkeypatch, rng):
+        # four callers on two CPUs share the pool thread, switching every
+        # microsecond: each call's workspaces and held pieces are its own
+        monkeypatch.setattr(audio, "CHUNK_ROWS", 2)
+        inputs = [reference_stft(AudioClip(samples=rng.standard_normal(3300)))
+                  for _ in range(4)]
+        wants = [reference_istft(bins) for bins in inputs]
+        same = [0] * len(inputs)
+
+        def call(i):
+            for _ in range(50):
+                same[i] += np.array_equal(istft(inputs[i]).samples, wants[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(i,))
+                       for i in range(len(inputs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert same == [50] * len(inputs)
 
     def test_beat_spectrum(self, few_rows, rng):
         mag = rng.uniform(0.0, 1.0, size=(61, 40))

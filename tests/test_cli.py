@@ -14,13 +14,15 @@ from hypothesis import strategies as st
 
 from svdet import model, pipeline, smoothing
 from svdet.audio import AudioClip, frame_times, load_wav, save_wav
-from svdet.cli import UsageError, main, resolve_config
+from svdet.cli import UsageError, build_parser, main, resolve_config
 from svdet.errors import DataError
 from svdet.features import (FeatureMatrix, NormStats, apply_norm,
                             features_to_csv, fit_norm_stats)
 from svdet.model import LrcnConfig, save_checkpoint, zero_params
 from svdet.pipeline import PipelineConfig
 from svdet.synth import write_corpus
+
+from child import run_child
 
 # small/fast settings shared by every CLI invocation in this module
 FAST = ["--set", "n_filters=4", "--set", "hidden_size=4",
@@ -238,6 +240,20 @@ class TestExitCodes:
 
     def test_unknown_flag_usage(self):
         assert main(["separate", "in.wav", "--out-dir", "x", "--bogus"]) == 1
+
+    def test_one_parser_left_as_it_was(self):
+        # main parses every call with the same parser: no call's
+        # arguments or usage error reach the next
+        parser = build_parser()
+        assert build_parser() is parser
+        evaluate = ["evaluate", "--pred", "a", "--truth", "b", "--out", "c"]
+        first = parser.parse_args(["--set", "epochs=1"] + evaluate)
+        assert first.overrides == ["epochs=1"]
+        with pytest.raises(UsageError):
+            parser.parse_args(evaluate + ["--bogus"])
+        second = parser.parse_args(evaluate)
+        assert second.overrides is None and second.config is None
+        assert vars(second) == {**vars(first), "overrides": None}
 
     def test_missing_input_data(self, tmp_path):
         assert main(["separate", str(tmp_path / "missing.wav"),
@@ -667,6 +683,29 @@ class TestPipelineCommand:
             assert rc == 0
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_report_bytes_do_not_follow_blas_threads(self, tmp_path):
+        # the kfold-train benchmark's settings: separation, MFCC, training
+        # and median smoothing, each in a fresh interpreter
+        write_corpus(tmp_path / "corpus", 5, seed=2, duration=4.0)
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            proc = run_child(
+                "-m", "svdet.cli", "--set", "folds=5", "--set", "epochs=3",
+                "pipeline", "--audio-dir", str(tmp_path / "corpus" / "audio"),
+                "--label-dir", str(tmp_path / "corpus" / "labels"),
+                "--out-dir", str(out),
+                env={var: threads for var in ("OPENBLAS_NUM_THREADS",
+                                              "OMP_NUM_THREADS",
+                                              "MKL_NUM_THREADS")})
+            assert proc.returncode == 0, proc.stderr
+            reports.append((out / "report.json").read_bytes())
+        report = json.loads(reports[0])
+        assert len(report["folds"]) == 5
+        # both labels predicted, so the counts follow the posteriors
+        assert report["pooled"]["tn"] > 0 and report["pooled"]["fp"] > 0
+        assert reports[0] == reports[1]
 
     def test_empty_corpus_data_error(self, tmp_path):
         (tmp_path / "audio").mkdir()

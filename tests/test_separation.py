@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from svdet import audio
 from svdet.audio import AudioClip, frame_signal, istft, stft
@@ -106,6 +109,24 @@ class TestRepetMask:
         for period in sorted(p for p in periods if p >= 1):
             got = repet_mask(mag, period)
             assert np.array_equal(got, reference_repet_mask(mag, period)), period
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_partition_median_matches_np_median(self, data):
+        # few distinct values, zero among them, so the medians see ties;
+        # periods above, at and below the frame count give 1 to 120
+        # segments, odd and even, with and without a partial period
+        n_frames = data.draw(st.integers(1, 120), label="n_frames")
+        n_bins = data.draw(st.integers(1, 9), label="n_bins")
+        values = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                           st.floats(0.0, 1e3))
+        mag = np.abs(data.draw(arrays(np.float64, (n_frames, n_bins),
+                                      elements=values), label="mag"))
+        order = data.draw(st.sampled_from("CF"), label="order")
+        mag = np.asarray(mag, order=order)
+        period = data.draw(st.integers(1, n_frames + 5), label="period")
+        got = repet_mask(mag, period)
+        assert np.array_equal(got, reference_repet_mask(mag, period))
 
     def test_fortran_ordered_input(self, rng):
         mag = np.asfortranarray(rng.uniform(0.0, 1.0, size=(37, 7)))
