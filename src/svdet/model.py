@@ -25,13 +25,22 @@ Each step writes W_h @ h straight into the gate rows and adds W_c @ c to
 the i, f rows, so gate i, f, c, o is the plain row slice
 a[k*h:(k+1)*h] and no step builds a reshape or a transposed view; the
 projection is laid out (T, 4h, B) by one copy per call, and the forward
-cache and the backward pass keep the same layout. The gates and the
-head share one in-place sigmoid on numpy's vector exp: at prediction's
-batch of 512 blocks, scipy's expit (one libm exp per element) took over
-half of each step. It differs from expit only in the last bits (a few
-ulp), so outputs keep their decisions, not their bytes. Training
-updates flat vectors of parameters, gradients and momentum in place,
-through named views of them.
+cache and the backward pass keep the same layout. Once per call, the i,
+f and o rows of A, b' and W_h, and all of the peepholes W_c and Wo_c,
+are negated, so each step's sigmoid inputs come out negated and the
+sigmoid is exp, +1 and reciprocal in place, with no negation pass. This
+changes no bit: rounding to nearest is symmetric in sign, every product
+keeps its shapes (so its BLAS kernel), and the activated gates are the
+same. One function runs every step, of forward_blocks and of
+lrcn_cell_step; it makes the row views and a product buffer once per
+call and enters np.errstate once. The backward pass forms its gate
+derivatives into arrays made once per call. The gates and the head
+share one in-place sigmoid on numpy's vector exp: at prediction's batch
+of 512 blocks, scipy's expit (one libm exp per element) took over half
+of each step. It differs from expit only in the last bits (a few ulp),
+so outputs keep their decisions, not their bytes. Training updates flat
+vectors of parameters, gradients and momentum in place, through named
+views of them.
 
 Everything is float64 numpy; forward/backward are batched over blocks.
 """
@@ -71,6 +80,7 @@ PREDICT_BATCH = 512
 PROJ_BLOCKS = 32
 KERNEL_WIDTH = 4  # taps of each conv filter along the feature axis
 POOL_LEN = 2  # hidden units per max-pool group of the head
+_POOL_SLOTS = np.arange(POOL_LEN)[:, None]
 
 
 def check_ints(low: int, **values) -> None:
@@ -193,16 +203,30 @@ def params_to_vector(params: dict, cfg: LrcnConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Forward
 
+def _negate_sigmoid_rows(m: np.ndarray, n: int) -> np.ndarray:
+    """Negate, in place, the i, f and o rows of stacked gate rows m (4n,
+    ...): the rows that feed a sigmoid. Returns m."""
+    np.negative(m[: 2 * n], out=m[: 2 * n])
+    np.negative(m[3 * n :], out=m[3 * n :])
+    return m
+
+
 def _fuse_params(params: dict, cfg: LrcnConfig) -> dict:
-    """Fold the conv into the gate input projection.
+    """The step's operands: the conv folded into the gate input projection,
+    with the sign of every sigmoid input flipped.
 
     The conv is linear and feeds the gates directly, so the input term
-    W_z @ conv(x) + b equals A @ x + b' with A of shape (4h, d). Returns
-    A, b' and "W3", W_z viewed as (4h, n_filters, d) for the backward pass.
+    W_z @ conv(x) + b equals A @ x + b' with A of shape (4h, d). The i, f
+    and o rows of A, b' and W_h, and all of W_c and Wo_c, are negated, so
+    a step's i, f, o pre-activations come out negated and their sigmoid
+    takes no negation pass (_sigmoid_of_negated). Rounding to nearest is
+    symmetric in sign, so each product and sum is the exact negation of
+    the one on the stored weights. Also returns, for the backward pass,
+    "W3", W_z viewed as (4h, n_filters, d), and "W3_sum", its sum over d.
     """
-    d = cfg.input_dim
+    d, n = cfg.input_dim, cfg.hidden_size
     pad_l = (KERNEL_WIDTH - 1) // 2
-    W3 = params["W_z"].reshape(4 * cfg.hidden_size, cfg.n_filters, d)
+    W3 = params["W_z"].reshape(4 * n, cfg.n_filters, d)
     # G[m, j, k]: weight of gate row m on padded input j + k, which conv
     # tap k reads for output j; summing over j + k gives A. The product is
     # the np.dot of np.tensordot(W3, conv_k, axes=([1], [0])).
@@ -211,48 +235,84 @@ def _fuse_params(params: dict, cfg: LrcnConfig) -> dict:
     A_pad = np.zeros((len(W3), d + KERNEL_WIDTH - 1))
     for k in range(KERNEL_WIDTH):
         A_pad[:, k : k + d] += G[:, :, k]
-    b = params["b"] + W3.sum(axis=2) @ params["conv_b"]
-    return {"W3": W3, "A": np.ascontiguousarray(A_pad[:, pad_l : pad_l + d]),
-            "b": b}
+    W3_sum = W3.sum(axis=2)
+    b = params["b"] + W3_sum @ params["conv_b"]
+    return {"W3": W3, "W3_sum": W3_sum, "A": _negate_sigmoid_rows(
+                np.ascontiguousarray(A_pad[:, pad_l : pad_l + d]), n),
+            "b": _negate_sigmoid_rows(b, n),
+            "W_h": _negate_sigmoid_rows(
+                np.array(params["W_h"], dtype=np.float64), n),
+            "W_c": np.negative(params["W_c"], dtype=np.float64),
+            "Wo_c": np.negative(params["Wo_c"], dtype=np.float64)}
 
 
-def _sigmoid(a: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-a)) in place, with no temporaries; returns a.
+def _sigmoid_of_negated(a: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(a)), the sigmoid of -a, in place; returns a.
 
-    exp(-a) overflows to inf below about -709.8 and the result is then
-    0.0, where expit gives a subnormal.
+    exp(a) overflows to inf above about 709.8, and the result is then
+    0.0 where expit(-a) gives a subnormal; callers ignore the overflow.
     """
-    np.negative(a, out=a)
-    with np.errstate(over="ignore"):
-        np.exp(a, out=a)
+    np.exp(a, out=a)
     a += 1.0
     return np.reciprocal(a, out=a)
 
 
-def _cell_step(proj: np.ndarray, h: np.ndarray, c: np.ndarray, params: dict,
-               a: np.ndarray, h_new: np.ndarray, c_new: np.ndarray,
-               tanh_c: np.ndarray) -> None:
-    """One fused LSTM step from the projected input proj (4h, B).
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-a)) in place, with no temporaries; returns a."""
+    with np.errstate(over="ignore"):
+        return _sigmoid_of_negated(np.negative(a, out=a))
 
-    Units run down the rows and blocks along the contiguous last axis: h
-    and c are (h, B), and the activated i, f, g, o go into the row slices
-    a[:h], a[h:2h], a[2h:3h] and a[3h:] of a (4h, B). The new h, c and
-    tanh(c) go into h_new, c_new and tanh_c (h, B); none of them may
-    alias h or c.
+
+def _cell_slots(n: int, B: int, T: int, every_step: bool):
+    """(hs, cs, gates, tanh_cs) for T steps on B blocks: hs, cs hold S
+    state slots (h, B), zero, and gates, tanh_cs G slots (4h, B), (h, B).
+    With every_step, S = T + 1 and G = T, else S = 2 and G = 1."""
+    S, G = (T + 1, T) if every_step else (2, 1)
+    hs, cs = np.zeros((2, S, n, B))
+    return hs, cs, np.empty((G, 4 * n, B)), np.empty((G, n, B))
+
+
+def _run_cells(proj: np.ndarray, hs: np.ndarray, cs: np.ndarray,
+               gates: np.ndarray, tanh_cs: np.ndarray, fused: dict) -> None:
+    """The LSTM steps on proj (T, 4h, B), the projected input with its i,
+    f and o rows negated, from the state in hs[0], cs[0] (_cell_slots).
+
+    Step t reads state slot t % S, writes slot (t + 1) % S and gate slot
+    t % G: the activated i, f, g, o go into the row slices a[:h],
+    a[h:2h], a[2h:3h] and a[3h:] of gate slot a, and tanh(c) into
+    tanh_cs. Units run down the rows and blocks along the last axis. Each
+    step writes W_h @ h straight into the gate rows and adds W_c @ c to
+    the i, f rows, with fused's negated weights. The row views are made
+    once, and the products go into one preallocated buffer.
     """
-    n = len(h)
-    np.matmul(params["W_h"], h, out=a)
-    a += proj
-    a[: 2 * n] += params["W_c"] @ c
-    _sigmoid(a[: 2 * n])
-    np.tanh(a[2 * n : 3 * n], out=a[2 * n : 3 * n])
-    np.multiply(a[n : 2 * n], c, out=c_new)
-    c_new += a[:n] * a[2 * n : 3 * n]
-    # the output gate sees the freshly updated cell state
-    a[3 * n :] += params["Wo_c"] @ c_new
-    _sigmoid(a[3 * n :])
-    np.tanh(c_new, out=tanh_c)
-    np.multiply(a[3 * n :], tanh_c, out=h_new)
+    S, G = len(hs), len(gates)
+    n = hs.shape[1]
+    W_h, W_c, Wo_c = fused["W_h"], fused["W_c"], fused["Wo_c"]
+    peep = np.empty((2 * n, hs.shape[2]))  # W_c @ c; then i * g, Wo_c @ c_new
+    peep_o = peep[:n]
+    slots = [(a, a[: 2 * n], a[:n], a[n : 2 * n], a[2 * n : 3 * n],
+              a[3 * n :], tanh_c) for a, tanh_c in zip(gates, tanh_cs)]
+    h_slots, c_slots = list(hs), list(cs)
+    with np.errstate(over="ignore"):
+        for t, proj_t in enumerate(proj):
+            a, a_if, i, f, g, o, tanh_c = slots[t % G]
+            h, c = h_slots[t % S], c_slots[t % S]
+            h_new, c_new = h_slots[(t + 1) % S], c_slots[(t + 1) % S]
+            np.matmul(W_h, h, out=a)
+            a += proj_t
+            np.matmul(W_c, c, out=peep)
+            a_if += peep
+            _sigmoid_of_negated(a_if)
+            np.tanh(g, out=g)
+            np.multiply(f, c, out=c_new)
+            np.multiply(i, g, out=peep_o)
+            c_new += peep_o
+            # the output gate sees the freshly updated cell state
+            np.matmul(Wo_c, c_new, out=peep_o)
+            o += peep_o
+            _sigmoid_of_negated(o)
+            np.tanh(c_new, out=tanh_c)
+            np.multiply(o, tanh_c, out=h_new)
 
 
 def forward_blocks(x: np.ndarray, params: dict, cfg: LrcnConfig,
@@ -284,15 +344,9 @@ def forward_blocks(x: np.ndarray, params: dict, cfg: LrcnConfig,
             proj[:, :, lo:hi] = chunk.reshape(-1, T, 4 * n).transpose(1, 2, 0)
     # hs[t], cs[t]: state entering step t. The cache keeps every step;
     # inference alternates between two state slots and one gate slot.
-    S, G = (T + 1, T) if want_cache else (2, 1)
-    hs = np.zeros((S, n, B))
-    cs = np.zeros((S, n, B))
-    gates = np.empty((G, 4 * n, B))
-    tanh_cs = np.empty((G, n, B))
-    for t in range(T):
-        _cell_step(proj[t], hs[t % S], cs[t % S], params, gates[t % G],
-                   hs[(t + 1) % S], cs[(t + 1) % S], tanh_cs[t % G])
-    h = hs[T % S].T
+    hs, cs, gates, tanh_cs = _cell_slots(n, B, T, want_cache)
+    _run_cells(proj, hs, cs, gates, tanh_cs, fused)
+    h = hs[T % len(hs)].T
     # head: max-pool pairs of hidden units, dense tanh stack, sigmoid
     hp = h.reshape(B, n // POOL_LEN, POOL_LEN)
     pool_idx = hp.argmax(axis=2)
@@ -316,20 +370,29 @@ def lrcn_cell_step(x_vec: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     fused = _fuse_params(params, cfg)
     proj = x_vec[None] @ fused["A"].T + fused["b"]
     n = cfg.hidden_size
-    a = np.empty((4 * n, 1))
-    h, c, tanh_c = np.empty((3, n, 1))
-    _cell_step(proj.T, h_prev[:, None], c_prev[:, None], params, a, h, c,
-               tanh_c)
-    gates = {"i": a[:n, 0], "f": a[n : 2 * n, 0], "o": a[3 * n :, 0]}
-    return h[:, 0], c[:, 0], gates
+    hs, cs, gates, tanh_cs = _cell_slots(n, 1, 1, False)
+    hs[0, :, 0], cs[0, :, 0] = h_prev, c_prev
+    _run_cells(proj.T[None], hs, cs, gates, tanh_cs, fused)
+    a = gates[0, :, 0]
+    return hs[1, :, 0], cs[1, :, 0], {"i": a[:n], "f": a[n : 2 * n],
+                                      "o": a[3 * n :]}
 
 
 # ---------------------------------------------------------------------------
 # Backward (BPTT)
 
 def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
-    pc = np.clip(p, 1e-12, 1.0 - 1e-12)
-    return float(np.mean(-y * np.log(pc) - (1.0 - y) * np.log(1.0 - pc)))
+    """Mean of -y log(pc) - (1 - y) log(1 - pc), pc = p clipped to [1e-12,
+    1 - 1e-12]; the two logs are one call on a (2, B) array."""
+    logs, weights = np.empty((2, 2, len(p)))
+    np.minimum(np.maximum(p, 1e-12, out=logs[0]), 1.0 - 1e-12, out=logs[0])
+    np.subtract(1.0, logs[0], out=logs[1])
+    np.log(logs, out=logs)
+    np.negative(y, out=weights[0])
+    np.subtract(1.0, y, out=weights[1])
+    logs *= weights
+    np.subtract(logs[0], logs[1], out=logs[0])
+    return float(np.add.reduce(logs[0]) / len(p))
 
 
 def lrcn_backward(x: np.ndarray, y: np.ndarray, params: dict, cfg: LrcnConfig,
@@ -360,51 +423,69 @@ def lrcn_backward(x: np.ndarray, y: np.ndarray, params: dict, cfg: LrcnConfig,
         np.matmul(da.T, cache["dense_us"][li], out=grads[f"dense_W{li}"])
         da.sum(axis=0, out=grads[f"dense_b{li}"])
         du = da @ params[f"dense_W{li}"]
-    # un-pool: route gradient to the max element of each pool group
-    dh = np.zeros((B, n // POOL_LEN, POOL_LEN))
-    np.put_along_axis(dh, cache["pool_idx"][:, :, None], du[:, :, None], axis=2)
-    dh = np.ascontiguousarray(dh.reshape(B, n).T)
+    # un-pool: route gradient to the max element of each pool group, laid
+    # out units x blocks as in the forward pass
+    dh = np.where(cache["pool_idx"].T[:, None] == _POOL_SLOTS, du.T[:, None],
+                  0.0).reshape(n, B)
 
     # Every gate-local derivative depends only on the forward pass, so it
-    # is formed for all steps at once; the time loop only carries dh, dc.
-    # All of them are units x blocks, as in the forward pass.
+    # is formed for all steps at once, into arrays made once per call; the
+    # time loop only carries dh, dc. All of them are units x blocks, as in
+    # the forward pass.
     hs, cs, tanh_cs = cache["h"], cache["c"], cache["tanh_c"]
     i, f, g, o = cache["gates"].reshape(T, 4, n, B).swapaxes(0, 1)
-    # d pre-activation of i, f, c per unit of dc; of o per unit of dh
-    dc_to_ifc = np.stack([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f),
-                          i * (1.0 - g ** 2)], axis=1)
-    dh_to_o = tanh_cs * o * (1.0 - o)
-    dh_to_c = o * (1.0 - tanh_cs ** 2)
+    # d pre-activation of i, f, c per unit of dc; of o per unit of dh;
+    # dc per unit of dh
+    dc_to_ifc = np.empty((T, 3, n, B))
+    dh_to_o, dh_to_c, slope = np.empty((3, T, n, B))
+    for out, v, gate in ((dc_to_ifc[:, 0], g, i), (dc_to_ifc[:, 1], cs[:-1], f),
+                         (dh_to_o, tanh_cs, o)):
+        # v * gate * (1 - gate)
+        np.multiply(v, gate, out=out)
+        np.subtract(1.0, gate, out=slope)
+        out *= slope
+    for out, v, act in ((dc_to_ifc[:, 2], i, g), (dh_to_c, o, tanh_cs)):
+        # v * (1 - act ** 2)
+        np.square(act, out=out)
+        np.subtract(1.0, out, out=out)
+        out *= v
     # dpre[:, t]: gradient of the stacked i, f, c, o pre-activations at
     # step t, (4h, B); dpre_ifc[:, :, t] is its i, f, c rows as (3, h, B).
     # Steps on the middle axis make dpre one (4h, T * B) matrix after.
     dpre = np.empty((4 * n, T, B))
     dpre_ifc = dpre.reshape(4, n, T, B)[:3]
     W_hT, W_cT, Wo_cT = params["W_h"].T, params["W_c"].T, params["Wo_c"].T
-    dc, dc_carry = np.empty((n, B)), np.zeros((n, B))
-    for t in reversed(range(T)):
-        da = dpre[:, t]
-        np.multiply(dh, dh_to_o[t], out=da[3 * n :])
+    dc, dc_carry, back = np.empty((n, B)), np.zeros((n, B)), np.empty((n, B))
+    steps = list(zip(dpre.swapaxes(0, 1), dpre[3 * n :].swapaxes(0, 1),
+                     dpre[: 2 * n].swapaxes(0, 1),
+                     dpre_ifc.transpose(2, 0, 1, 3), dh_to_o, dh_to_c,
+                     dc_to_ifc, f))
+    for da, da_o, da_if, da_ifc, to_o, to_c, to_ifc, f_t in reversed(steps):
+        np.multiply(dh, to_o, out=da_o)
         # dc = dh * dh_to_c[t] + dc_carry + Wo_c.T @ da[3h:], in that order
-        np.multiply(dh, dh_to_c[t], out=dc)
+        np.multiply(dh, to_c, out=dc)
         dc += dc_carry
-        dc += Wo_cT @ da[3 * n :]
-        np.multiply(dc, dc_to_ifc[t], out=dpre_ifc[:, :, t])
+        np.matmul(Wo_cT, da_o, out=back)
+        dc += back
+        np.multiply(dc, to_ifc, out=da_ifc)
         np.matmul(W_hT, da, out=dh)
-        np.multiply(dc, f[t], out=dc_carry)
-        dc_carry += W_cT @ da[: 2 * n]
+        np.multiply(dc, f_t, out=dc_carry)
+        np.matmul(W_cT, da_if, out=back)
+        dc_carry += back
 
     # sums over all steps and blocks, each one product over the T * B
     # columns of dpre (step t, block b at column t * B + b)
     dpre = dpre.reshape(4 * n, T * B)
     h_in = hs[:-1].transpose(1, 0, 2).reshape(n, T * B)
-    c_all = cs.transpose(1, 0, 2).reshape(n, (T + 1) * B)
+    # the cell states as (step, block) rows: one C-ordered copy that both
+    # peephole products read views of, where np.dot would copy each slice
+    c_rows = cs.transpose(0, 2, 1).reshape((T + 1) * B, n)
     dA = np.dot(dpre, x.transpose(1, 0, 2).reshape(T * B, d))
     db = dpre.sum(axis=1, out=grads["b"])
     np.dot(dpre, h_in.T, out=grads["W_h"])
     # the i, f peepholes see the cell state entering a step, o leaving it
-    np.dot(dpre[: 2 * n], c_all[:, : T * B].T, out=grads["W_c"])
-    np.dot(dpre[3 * n :], c_all[:, B:].T, out=grads["Wo_c"])
+    np.dot(dpre[: 2 * n], c_rows[: T * B], out=grads["W_c"])
+    np.dot(dpre[3 * n :], c_rows[B:], out=grads["Wo_c"])
 
     # chain dA and db back through the fold (with np.tensordot's own
     # products): dG[m * d + j, k] = dA_pad[m, j + k] is the gradient of G
@@ -412,11 +493,13 @@ def lrcn_backward(x: np.ndarray, y: np.ndarray, params: dict, cfg: LrcnConfig,
     W3 = cache["fused"]["W3"]
     dA_pad = np.zeros((4 * n, d + KERNEL_WIDTH - 1))
     dA_pad[:, pad_l : pad_l + d] = dA
-    dG = np.lib.stride_tricks.sliding_window_view(
-        dA_pad, KERNEL_WIDTH, axis=1).reshape(-1, KERNEL_WIDTH)
-    grads["conv_k"][...] = np.dot(
-        W3.transpose(1, 0, 2).reshape(cfg.n_filters, -1), dG)
-    np.matmul(W3.sum(axis=2).T, db, out=grads["conv_b"])
+    dG = np.empty((4 * n, d, KERNEL_WIDTH))
+    for k in range(KERNEL_WIDTH):
+        dG[:, :, k] = dA_pad[:, k : k + d]
+    dG = dG.reshape(-1, KERNEL_WIDTH)
+    np.dot(W3.transpose(1, 0, 2).reshape(cfg.n_filters, -1), dG,
+           out=grads["conv_k"])
+    np.matmul(cache["fused"]["W3_sum"].T, db, out=grads["conv_b"])
     dW3 = (np.dot(dG, params["conv_k"].T).reshape(4 * n, d, cfg.n_filters)
            .transpose(0, 2, 1) + np.outer(db, params["conv_b"])[:, :, None])
     grads["W_z"][...] = dW3.reshape(4 * n, cfg.conv_dim)

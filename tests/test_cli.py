@@ -684,15 +684,23 @@ class TestPipelineCommand:
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_report_bytes_do_not_follow_blas_threads(self, tmp_path):
-        # the kfold-train benchmark's settings: separation, MFCC, training
-        # and median smoothing, each in a fresh interpreter
-        write_corpus(tmp_path / "corpus", 5, seed=2, duration=4.0)
+    @pytest.mark.parametrize("sets, duration", [
+        # separation, MFCC, training and median smoothing
+        (("epochs=3",), 4.0),
+        # no separation, MFCC, one epoch and HMM smoothing
+        (("separate=false", "smoothing_method=hmm", "epochs=1"), 6.0),
+    ], ids=["kfold-train", "kfold-hmm"])
+    def test_report_bytes_do_not_follow_blas_threads(self, tmp_path, sets,
+                                                     duration):
+        # a k-fold benchmark workload's settings, each run in a fresh
+        # interpreter
+        write_corpus(tmp_path / "corpus", 5, seed=2, duration=duration)
         reports = []
         for threads in ("1", "2"):
             out = tmp_path / threads
             proc = run_child(
-                "-m", "svdet.cli", "--set", "folds=5", "--set", "epochs=3",
+                "-m", "svdet.cli", "--set", "folds=5",
+                *(arg for s in sets for arg in ("--set", s)),
                 "pipeline", "--audio-dir", str(tmp_path / "corpus" / "audio"),
                 "--label-dir", str(tmp_path / "corpus" / "labels"),
                 "--out-dir", str(out),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from svdet import model
+from svdet.audio import row_chunks
 from svdet.errors import DataError, DivergenceError
 from svdet.features import (FeatureMatrix, NormStats, apply_norm, blockify,
                             fit_norm_stats)
@@ -175,6 +176,161 @@ def unfolded_backward(x, y, p, cfg):
     return bce_loss(post, y), grads
 
 
+# ---------------------------------------------------------------------------
+# the time loops as first written, kept to check the model's bytes against:
+# the conv folded into A and b' with every gate row as stored, a sigmoid
+# that negates its input each step, and a step that allocates its products
+
+def reference_fuse_params(params, cfg):
+    d = cfg.input_dim
+    pad_l = (KERNEL_WIDTH - 1) // 2
+    W3 = params["W_z"].reshape(4 * cfg.hidden_size, cfg.n_filters, d)
+    G = np.dot(W3.transpose(0, 2, 1).reshape(-1, cfg.n_filters),
+               params["conv_k"]).reshape(len(W3), d, KERNEL_WIDTH)
+    A_pad = np.zeros((len(W3), d + KERNEL_WIDTH - 1))
+    for k in range(KERNEL_WIDTH):
+        A_pad[:, k : k + d] += G[:, :, k]
+    b = params["b"] + W3.sum(axis=2) @ params["conv_b"]
+    return {"W3": W3, "A": np.ascontiguousarray(A_pad[:, pad_l : pad_l + d]),
+            "b": b}
+
+
+def reference_sigmoid(a):
+    np.negative(a, out=a)
+    with np.errstate(over="ignore"):
+        np.exp(a, out=a)
+    a += 1.0
+    return np.reciprocal(a, out=a)
+
+
+def reference_cell_step(proj, h, c, params, a, h_new, c_new, tanh_c,
+                        sigmoid):
+    n = len(h)
+    np.matmul(params["W_h"], h, out=a)
+    a += proj
+    a[: 2 * n] += params["W_c"] @ c
+    sigmoid(a[: 2 * n])
+    np.tanh(a[2 * n : 3 * n], out=a[2 * n : 3 * n])
+    np.multiply(a[n : 2 * n], c, out=c_new)
+    c_new += a[:n] * a[2 * n : 3 * n]
+    a[3 * n :] += params["Wo_c"] @ c_new
+    sigmoid(a[3 * n :])
+    np.tanh(c_new, out=tanh_c)
+    np.multiply(a[3 * n :], tanh_c, out=h_new)
+
+
+def reference_forward_blocks(x, params, cfg, want_cache=False,
+                             sigmoid=reference_sigmoid):
+    B, T, d = x.shape
+    n = cfg.hidden_size
+    fused = reference_fuse_params(params, cfg)
+    if B and x.strides[0] == x.strides[1]:
+        frames = np.concatenate([x[:, 0], x[-1, 1:]])
+        proj = np.lib.stride_tricks.sliding_window_view(
+            np.ascontiguousarray((frames @ fused["A"].T + fused["b"]).T), B,
+            axis=1).swapaxes(0, 1)
+    else:
+        proj = np.empty((T, 4 * n, B))
+        k = max(B // model.PROJ_BLOCKS, 1)
+        edges = np.arange(k + 1) * B // k
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            chunk = x[lo:hi].reshape(-1, d) @ fused["A"].T
+            chunk += fused["b"]
+            proj[:, :, lo:hi] = chunk.reshape(-1, T, 4 * n).transpose(1, 2, 0)
+    S, G = (T + 1, T) if want_cache else (2, 1)
+    hs = np.zeros((S, n, B))
+    cs = np.zeros((S, n, B))
+    gates = np.empty((G, 4 * n, B))
+    tanh_cs = np.empty((G, n, B))
+    for t in range(T):
+        reference_cell_step(proj[t], hs[t % S], cs[t % S], params,
+                            gates[t % G], hs[(t + 1) % S], cs[(t + 1) % S],
+                            tanh_cs[t % G], sigmoid)
+    h = hs[T % S].T
+    hp = h.reshape(B, n // POOL_LEN, POOL_LEN)
+    pool_idx = hp.argmax(axis=2)
+    u = hp.max(axis=2)
+    dense_us = [u]
+    for li in range(len(cfg.dense_sizes)):
+        u = np.tanh(u @ params[f"dense_W{li}"].T + params[f"dense_b{li}"])
+        dense_us.append(u)
+    logit = u @ params["out_w"] + params["out_b"]
+    p = sigmoid(logit)
+    if not want_cache:
+        return p
+    cache = {"fused": fused, "h": hs, "c": cs, "gates": gates,
+             "tanh_c": tanh_cs, "pool_idx": pool_idx, "dense_us": dense_us}
+    return p, cache
+
+
+def reference_bce_loss(p, y):
+    pc = np.clip(p, 1e-12, 1.0 - 1e-12)
+    return float(np.mean(-y * np.log(pc) - (1.0 - y) * np.log(1.0 - pc)))
+
+
+def reference_lrcn_backward(x, y, params, cfg):
+    y = np.asarray(y, dtype=np.float64)
+    p, cache = reference_forward_blocks(x, params, cfg, want_cache=True)
+    B, T, d = x.shape
+    n = cfg.hidden_size
+    loss = reference_bce_loss(p, y)
+    grads = zero_params(cfg)
+    dlogit = (p - y) / B
+    np.matmul(dlogit, cache["dense_us"][-1], out=grads["out_w"])
+    grads["out_b"][...] = dlogit.sum()
+    du = np.outer(dlogit, params["out_w"])
+    for li in reversed(range(len(cfg.dense_sizes))):
+        u = cache["dense_us"][li + 1]
+        da = du * (1.0 - u ** 2)
+        np.matmul(da.T, cache["dense_us"][li], out=grads[f"dense_W{li}"])
+        da.sum(axis=0, out=grads[f"dense_b{li}"])
+        du = da @ params[f"dense_W{li}"]
+    dh = np.zeros((B, n // POOL_LEN, POOL_LEN))
+    np.put_along_axis(dh, cache["pool_idx"][:, :, None], du[:, :, None], axis=2)
+    dh = np.ascontiguousarray(dh.reshape(B, n).T)
+    hs, cs, tanh_cs = cache["h"], cache["c"], cache["tanh_c"]
+    i, f, g, o = cache["gates"].reshape(T, 4, n, B).swapaxes(0, 1)
+    dc_to_ifc = np.stack([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f),
+                          i * (1.0 - g ** 2)], axis=1)
+    dh_to_o = tanh_cs * o * (1.0 - o)
+    dh_to_c = o * (1.0 - tanh_cs ** 2)
+    dpre = np.empty((4 * n, T, B))
+    dpre_ifc = dpre.reshape(4, n, T, B)[:3]
+    W_hT, W_cT, Wo_cT = params["W_h"].T, params["W_c"].T, params["Wo_c"].T
+    dc, dc_carry = np.empty((n, B)), np.zeros((n, B))
+    for t in reversed(range(T)):
+        da = dpre[:, t]
+        np.multiply(dh, dh_to_o[t], out=da[3 * n :])
+        np.multiply(dh, dh_to_c[t], out=dc)
+        dc += dc_carry
+        dc += Wo_cT @ da[3 * n :]
+        np.multiply(dc, dc_to_ifc[t], out=dpre_ifc[:, :, t])
+        np.matmul(W_hT, da, out=dh)
+        np.multiply(dc, f[t], out=dc_carry)
+        dc_carry += W_cT @ da[: 2 * n]
+    dpre = dpre.reshape(4 * n, T * B)
+    h_in = hs[:-1].transpose(1, 0, 2).reshape(n, T * B)
+    c_all = cs.transpose(1, 0, 2).reshape(n, (T + 1) * B)
+    dA = np.dot(dpre, x.transpose(1, 0, 2).reshape(T * B, d))
+    db = dpre.sum(axis=1, out=grads["b"])
+    np.dot(dpre, h_in.T, out=grads["W_h"])
+    np.dot(dpre[: 2 * n], c_all[:, : T * B].T, out=grads["W_c"])
+    np.dot(dpre[3 * n :], c_all[:, B:].T, out=grads["Wo_c"])
+    pad_l = (KERNEL_WIDTH - 1) // 2
+    W3 = cache["fused"]["W3"]
+    dA_pad = np.zeros((4 * n, d + KERNEL_WIDTH - 1))
+    dA_pad[:, pad_l : pad_l + d] = dA
+    dG = np.lib.stride_tricks.sliding_window_view(
+        dA_pad, KERNEL_WIDTH, axis=1).reshape(-1, KERNEL_WIDTH)
+    grads["conv_k"][...] = np.dot(
+        W3.transpose(1, 0, 2).reshape(cfg.n_filters, -1), dG)
+    np.matmul(W3.sum(axis=2).T, db, out=grads["conv_b"])
+    dW3 = (np.dot(dG, params["conv_k"].T).reshape(4 * n, d, cfg.n_filters)
+           .transpose(0, 2, 1) + np.outer(db, params["conv_b"])[:, :, None])
+    grads["W_z"][...] = dW3.reshape(4 * n, cfg.conv_dim)
+    return loss, grads
+
+
 FOLD = LrcnConfig(input_dim=7, block_len=6, n_filters=3, hidden_size=6,
                   dense_sizes=(5,))
 
@@ -310,11 +466,14 @@ class TestCellStep:
         p = {name: 0.5 * r.standard_normal(shape)
              for name, shape in param_shapes(cfg)}
         proj, h, c = (r.standard_normal((B, m)) for m in (4 * n, n, n))
-        a = np.empty((4 * n, B))
-        h_new, c_new, tanh_c = np.empty((3, n, B))
-        model._cell_step(*(np.ascontiguousarray(v.T) for v in (proj, h, c)),
-                         p, a, h_new, c_new, tanh_c)
-        return (proj, h, c, p), (a.T, h_new.T, c_new.T, tanh_c.T)
+        # as forward_blocks feeds it: i, f, o rows of proj and weights
+        # negated, states in the first of two slots
+        hs, cs, gates, tanh_cs = model._cell_slots(n, B, 1, False)
+        hs[0], cs[0] = h.T, c.T
+        neg_proj = model._negate_sigmoid_rows(proj.T.copy(), n)
+        model._run_cells(neg_proj[None], hs, cs, gates, tanh_cs,
+                         model._fuse_params(p, cfg))
+        return (proj, h, c, p), (gates[0].T, hs[1].T, cs[1].T, tanh_cs[0].T)
 
     @CASES
     def test_gate_major_bitwise_equal_to_strided(self, B, n):
@@ -334,7 +493,7 @@ class TestCellStep:
         p = small_params(seed=3)
         x, h_prev, c_prev = rng.standard_normal(6), *rng.standard_normal((2, 8))
         h, c, gates = lrcn_cell_step(x, h_prev, c_prev, p, SMALL)
-        fused = model._fuse_params(p, SMALL)
+        fused = reference_fuse_params(p, SMALL)
         a_ref, h_ref, c_ref, _ = strided_cell_step(
             x[None] @ fused["A"].T + fused["b"], h_prev[None], c_prev[None], p)
         assert sorted(gates) == ["f", "i", "o"]
@@ -439,16 +598,112 @@ class TestSigmoid:
             warnings.simplefilter("error")
             model._sigmoid(x)
 
-    def test_forward_blocks_close_to_expit(self, monkeypatch):
-        # prediction's batch on a padded window view, at the default shape
+    def test_forward_blocks_close_to_expit(self):
+        # prediction's batch on a padded window view, at the default shape;
+        # the reference loop runs every gate and the head on expit
         cfg = PipelineConfig().lrcn_config(input_dim=39)
         p = init_params(cfg, seed=16)
         values = np.random.default_rng(16).standard_normal((999, 39))
         x = blockify(values, cfg.block_len)[: model.PREDICT_BATCH]
         got = forward_blocks(x, p, cfg)
-        monkeypatch.setattr(model, "_sigmoid", lambda a: expit(a, out=a))
-        want = forward_blocks(x, p, cfg)
+        want = reference_forward_blocks(x, p, cfg,
+                                        sigmoid=lambda a: expit(a, out=a))
         assert np.abs(got - want).max() <= 1e-13
+
+
+CACHE_KEYS = ("h", "c", "gates", "tanh_c", "pool_idx")
+
+
+def random_model(data):
+    """A drawn model shape with every parameter random and non-zero, and an
+    input scale: at 1e3 the gate pre-activations reach +-800, where exp
+    overflows."""
+    cfg = LrcnConfig(input_dim=data.draw(st.integers(1, 40), label="d"),
+                     block_len=data.draw(st.integers(1, 29), label="T"),
+                     n_filters=data.draw(st.integers(1, 8), label="filters"),
+                     hidden_size=2 * data.draw(st.integers(1, 16), label="h/2"),
+                     dense_sizes=data.draw(st.sampled_from([(), (16, 8)]),
+                                           label="dense_sizes"))
+    r = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                        label="seed"))
+    p = {name: 0.5 * r.standard_normal(shape)
+         for name, shape in param_shapes(cfg)}
+    return cfg, p, r, data.draw(st.sampled_from([1.0, 1e3]), label="scale")
+
+
+def assert_forward_bytes_equal(x, p, cfg):
+    """forward_blocks on x, with and without the cache, byte-equal to the
+    reference loop, raising no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = forward_blocks(x, p, cfg)
+        got_c, cache = forward_blocks(x, p, cfg, want_cache=True)
+        want = reference_forward_blocks(x, p, cfg)
+        want_c, ref_cache = reference_forward_blocks(x, p, cfg, want_cache=True)
+    assert got.tobytes() == want.tobytes() == got_c.tobytes() == want_c.tobytes()
+    for key in CACHE_KEYS:
+        assert cache[key].tobytes() == ref_cache[key].tobytes(), key
+    for u, ref_u in zip(cache["dense_us"], ref_cache["dense_us"], strict=True):
+        assert u.tobytes() == ref_u.tobytes()
+
+
+def assert_backward_bytes_equal(x, y, p, cfg):
+    """lrcn_backward's loss and gradients byte-equal to the reference
+    loop's, raising no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, grads = lrcn_backward(x, y, p, cfg)
+        ref_loss, ref = reference_lrcn_backward(x, y, p, cfg)
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    for name, _ in param_shapes(cfg):
+        assert grads[name].tobytes() == ref[name].tobytes(), name
+
+
+class TestReferenceLoops:
+    """Posteriors, cache, loss and every gradient byte-equal to the loops
+    as first written (reference_forward_blocks, reference_lrcn_backward)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_gathered_batch(self, data):
+        cfg, p, r, scale = random_model(data)
+        B = data.draw(st.integers(1, 40), label="B")
+        values = scale * r.standard_normal((B + cfg.block_len, cfg.input_dim))
+        blocks = blockify(values, cfg.block_len)
+        x = blocks[r.integers(0, len(blocks), B)]
+        assert_forward_bytes_equal(x, p, cfg)
+        assert_backward_bytes_equal(x, (r.random(B) < 0.5).astype(np.float64),
+                                    p, cfg)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_window_view_batches(self, data):
+        # prediction's stride-1 window view, cut into batches of any size
+        # as predict_track cuts it: the first batch and the last, of any
+        # length
+        cfg, p, r, scale = random_model(data)
+        n_frames = data.draw(st.integers(1, 600), label="frames")
+        batch = data.draw(st.integers(1, 600), label="batch")
+        x = blockify(scale * r.standard_normal((n_frames, cfg.input_dim)),
+                     cfg.block_len)
+        chunks = row_chunks(len(x), batch)
+        for rows in chunks[:1] + chunks[1:][-1:]:
+            assert_forward_bytes_equal(x[rows], p, cfg)
+
+    def test_saturated_gates(self):
+        # the scale of 1e3 does push gate pre-activations past +-800
+        cfg = LrcnConfig(input_dim=13, block_len=29, n_filters=4,
+                         hidden_size=16, dense_sizes=(16, 8))
+        r = np.random.default_rng(17)
+        p = {name: 0.5 * r.standard_normal(shape)
+             for name, shape in param_shapes(cfg)}
+        x = 1e3 * r.standard_normal((32, cfg.block_len, cfg.input_dim))
+        fused = reference_fuse_params(p, cfg)
+        pre = x.reshape(-1, cfg.input_dim) @ fused["A"].T + fused["b"]
+        assert pre.min() < -800.0 and pre.max() > 800.0
+        assert_forward_bytes_equal(x, p, cfg)
+        assert_backward_bytes_equal(x, (r.random(32) < 0.5).astype(np.float64),
+                                    p, cfg)
 
 
 class TestBackward:
