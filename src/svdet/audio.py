@@ -142,25 +142,33 @@ def row_chunks(n_rows: int, size: int | None = None):
             for start in range(0, n_rows, size)]
 
 
-def chunk_map(fn, n_rows: int) -> None:
-    """fn(rows, side) for rows in row_chunks(n_rows), two chunks at a time.
+def chunk_map(fn, n_rows: int, *workspaces) -> None:
+    """fn(rows, side, *views) for rows in row_chunks(n_rows), two chunks
+    at a time.
 
     The caller's thread runs the first half of the chunks (the middle one
     too, for an odd count) as side 0 and the pool thread the second half
     as side 1; without a pool the caller runs both halves. So a side
-    always runs the same chunks, in order. fn writes only into arrays its
-    caller allocated, one workspace per side (see side_buffers), so no
-    side allocates a chunk-sized temporary; its return value is dropped.
-    fn calls no BLAS, no function the benchmark traces and not chunk_map.
-    An exception from either side is raised once both sides have stopped.
+    always runs the same chunks, in order. Each workspace is a (row
+    shape, dtype) pair, for which chunk_map makes each side one zeroed
+    array of the largest chunk's row count; views are the first
+    len(rows) rows of the running side's arrays, so no side allocates a
+    chunk-sized temporary. fn writes only into its views and into rows
+    of its caller's arrays that no other chunk writes; its return value
+    is dropped. fn calls no BLAS, no function the benchmark traces and
+    not chunk_map. An exception from either side is raised once both
+    sides have stopped.
     """
     chunks = row_chunks(n_rows)
     half = (len(chunks) + 1) // 2
     first_half, second_half = chunks[:half], chunks[half:]
+    spaces = [np.zeros((2, min(n_rows, CHUNK_ROWS), *shape), dtype)
+              for shape, dtype in workspaces]
 
     def run(part, side):
         for rows in part:
-            fn(rows, side)
+            n = rows.stop - rows.start
+            fn(rows, side, *(space[side, :n] for space in spaces))
 
     pool = _POOL
     if pool is None or not second_half:
@@ -173,12 +181,6 @@ def chunk_map(fn, n_rows: int) -> None:
     finally:  # the pool side writes into the caller's arrays until it stops
         wait([second])
     second.result()
-
-
-def side_buffers(n_rows: int, shape, dtype=np.float64) -> np.ndarray:
-    """Zeroed workspaces of chunk_map(fn, n_rows), one per side: a
-    (2, largest chunk, *shape) array."""
-    return np.zeros((2, min(n_rows, CHUNK_ROWS), *shape), dtype)
 
 
 def frame_count(n_samples: int) -> int:
@@ -214,14 +216,12 @@ def stft(clip: AudioClip) -> np.ndarray:
     """
     frames = frame_matrix(clip)
     bins = np.empty((len(frames), N_FFT // 2 + 1), dtype=np.complex128)
-    windowed = side_buffers(len(frames), (FRAME_LEN,))
 
-    def transform(rows, side):
-        x = np.multiply(frames[rows], WINDOW,
-                        out=windowed[side, : rows.stop - rows.start])
+    def transform(rows, side, windowed):
+        x = np.multiply(frames[rows], WINDOW, out=windowed)
         np.fft.rfft(x, n=N_FFT, axis=1, out=bins[rows])
 
-    chunk_map(transform, len(frames))
+    chunk_map(transform, len(frames), ((FRAME_LEN,), np.float64))
     return bins
 
 
@@ -229,31 +229,24 @@ def istft(bins: np.ndarray) -> AudioClip:
     """Windowed overlap-add inverse, normalized by the summed squared window."""
     # HOP is half of FRAME_LEN: piece 0 of frame i lands on output row i
     # and piece 1 on row i + 1, so row i sums 0 + piece 1 of frame i - 1
-    # + piece 0 of frame i. Each side adds its chunks' pieces in frame
-    # order but holds its first frame's piece 0, whose row may be the
-    # other side's last, until both sides have stopped.
+    # + piece 0 of frame i. A chunk's first row may take its piece 1 from
+    # the other side, so each chunk keeps its first frame's piece 0 in
+    # starts, added once both sides have stopped: no row is written by
+    # both sides, and every row adds piece 1 before piece 0.
     n_frames = len(bins)
     num = np.zeros((n_frames + 1, HOP))
-    frames = side_buffers(n_frames, (N_FFT,))
-    held = np.empty((2, HOP))
-    first_rows = [None, None]
+    starts = np.empty((len(row_chunks(n_frames)), HOP))
 
-    def overlap_add(rows, side):
-        x = np.fft.irfft(bins[rows], n=N_FFT, axis=1,
-                         out=frames[side, : rows.stop - rows.start])
+    def overlap_add(rows, side, frames):
+        x = np.fft.irfft(bins[rows], n=N_FFT, axis=1, out=frames)
         pieces = np.multiply(x[:, :FRAME_LEN], WINDOW,
                              out=x[:, :FRAME_LEN]).reshape(-1, 2, HOP)
         num[rows.start + 1 : rows.stop + 1] += pieces[:, 1]
-        skip = first_rows[side] is None
-        if skip:
-            first_rows[side] = rows.start
-            held[side] = pieces[0, 0]
-        num[rows.start + skip : rows.stop] += pieces[skip:, 0]
+        starts[rows.start // CHUNK_ROWS] = pieces[0, 0]
+        num[rows.start + 1 : rows.stop] += pieces[1:, 0]
 
-    chunk_map(overlap_add, n_frames)
-    for side, row in enumerate(first_rows):
-        if row is not None:
-            num[row] += held[side]
+    chunk_map(overlap_add, n_frames, ((N_FFT,), np.float64))
+    num[:n_frames:CHUNK_ROWS] += starts
     # the squared window summed over the frames that cover each row: the
     # first, the interior and the last; each entry >= WINDOW[0] ** 2 > 0
     wsq = (WINDOW ** 2).reshape(2, HOP)

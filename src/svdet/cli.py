@@ -73,7 +73,8 @@ def resolve_config(config_path=None, overrides=()) -> PipelineConfig:
         if not path.exists():
             raise DataError(f"config file not found: {path}")
         try:
-            text = path.read_text(encoding="utf-8")
+            # a leading byte-order mark is no part of the first key
+            text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text: {exc.reason} at offset "
                             f"{exc.start}") from exc
@@ -203,8 +204,8 @@ def cmd_evaluate(args, cfg, writer):
     if end <= 0.0:
         raise DataError("label files contain no segments")
     n_frames = frame_count(round(end * SAMPLE_RATE))
-    pred = evaluation.load_labels(args.pred, n_frames)
-    truth = evaluation.load_labels(args.truth, n_frames)
+    pred = evaluation.rasterize_labels(pred_segs, n_frames)
+    truth = evaluation.rasterize_labels(truth_segs, n_frames)
     report = evaluation.metrics(evaluation.confusion_counts(pred, truth))
     out = writer.register(args.out)
     out.write_text(report.to_json() + "\n")

@@ -32,6 +32,8 @@ def parse_label_file(path) -> list[Segment]:
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc.reason} at offset "
                         f"{exc.start}") from exc
+    if lines:  # a leading byte-order mark is no part of the first line
+        lines[0] = lines[0].removeprefix("\ufeff")
     segments = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -66,19 +68,23 @@ def parse_label_file(path) -> list[Segment]:
     return segments
 
 
-def load_labels(path, n_frames: int) -> LabelTrack:
-    """Rasterize a segment label file onto the first n_frames frames.
+def rasterize_labels(segments, n_frames: int) -> LabelTrack:
+    """Segments onto the first n_frames frames.
 
     A frame is vocal iff its center time falls inside a sing segment;
     time not covered by any segment defaults to non-vocal.
     """
-    segments = parse_label_file(path)
     centers = frame_times(n_frames)
     labels = np.zeros(n_frames, dtype=np.int8)
     for seg in segments:
         if seg.label == 1:
             labels[(centers >= seg.start) & (centers < seg.end)] = 1
     return LabelTrack(labels=labels)
+
+
+def load_labels(path, n_frames: int) -> LabelTrack:
+    """A segment label file rasterized onto the first n_frames frames."""
+    return rasterize_labels(parse_label_file(path), n_frames)
 
 
 def save_labels(path, track: LabelTrack) -> None:

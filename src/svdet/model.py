@@ -7,40 +7,26 @@ freshly updated cell state. A max-pool + dense + sigmoid head turns the
 final hidden state into a per-block voicing posterior.
 
 The gate parameters and the checkpoint store the gate rows stacked in
-the order i, f, c, o, as each step reads them (see param_shapes). The
-conv is linear and nothing nonlinear sits between it and the gates, so
-at run time it is folded into one fused gate projection: W_z @ conv(x)
-+ b becomes A @ x + b' with A of shape (4h, d), computed for every
-frame of a batch before the time loop, and each step does one stacked
-hidden-state matmul for all four gates. The backward pass chains the
-gradient of A back into conv_k, conv_b and W_z. Any A is reachable
-(make one filter a unit impulse), so the conv adds no capacity: it only
-reparameterizes the input projection. Stride-1 inference runs on a
-window view of one padded feature matrix, and forward_blocks projects
-each frame under such a view once, not once per block it falls in.
+the order i, f, c, o, as each step reads them (see param_shapes). At run
+time the linear conv is folded into one fused gate projection, applied
+to every frame of a batch before the time loop (_fuse_params), and the
+backward pass chains its gradient back into conv_k, conv_b and W_z. Any
+fused projection is reachable (make one filter a unit impulse), so the
+conv adds no capacity: it only reparameterizes the input projection.
+Stride-1 inference runs on a window view of one padded feature matrix,
+and forward_blocks projects each frame under such a view once, not once
+per block it falls in.
 
 The recurrence runs units x blocks: the state h, c is (h, B) and the
 gates (4h, B), with the blocks of a batch on the last, contiguous axis.
-Each step writes W_h @ h straight into the gate rows and adds W_c @ c to
-the i, f rows, so gate i, f, c, o is the plain row slice
-a[k*h:(k+1)*h] and no step builds a reshape or a transposed view; the
-projection is laid out (T, 4h, B) by one copy per call, and the forward
-cache and the backward pass keep the same layout. Once per call, the i,
-f and o rows of A, b' and W_h, and all of the peepholes W_c and Wo_c,
-are negated, so each step's sigmoid inputs come out negated and the
-sigmoid is exp, +1 and reciprocal in place, with no negation pass. This
-changes no bit: rounding to nearest is symmetric in sign, every product
-keeps its shapes (so its BLAS kernel), and the activated gates are the
-same. One function runs every step, of forward_blocks and of
-lrcn_cell_step; it makes the row views and a product buffer once per
-call and enters np.errstate once. The backward pass forms its gate
-derivatives into arrays made once per call. The gates and the head
-share one in-place sigmoid on numpy's vector exp: at prediction's batch
-of 512 blocks, scipy's expit (one libm exp per element) took over half
-of each step. It differs from expit only in the last bits (a few ulp),
-so outputs keep their decisions, not their bytes. Training updates flat
-vectors of parameters, gradients and momentum in place, through named
-views of them.
+The projection is laid out (T, 4h, B) by one copy per call, and the
+forward cache and the backward pass keep the same layout. One function
+runs every step, of forward_blocks and of lrcn_cell_step (_run_cells);
+the backward pass forms its gate derivatives into arrays made once per
+call. The gates and the head share one in-place sigmoid on numpy's
+vector exp, which differs from scipy's expit only in the last bits (a
+few ulp). Training updates flat vectors of parameters, gradients and
+momentum in place, through named views of them.
 
 Everything is float64 numpy; forward/backward are batched over blocks.
 """
@@ -382,17 +368,9 @@ def lrcn_cell_step(x_vec: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
 # Backward (BPTT)
 
 def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
-    """Mean of -y log(pc) - (1 - y) log(1 - pc), pc = p clipped to [1e-12,
-    1 - 1e-12]; the two logs are one call on a (2, B) array."""
-    logs, weights = np.empty((2, 2, len(p)))
-    np.minimum(np.maximum(p, 1e-12, out=logs[0]), 1.0 - 1e-12, out=logs[0])
-    np.subtract(1.0, logs[0], out=logs[1])
-    np.log(logs, out=logs)
-    np.negative(y, out=weights[0])
-    np.subtract(1.0, y, out=weights[1])
-    logs *= weights
-    np.subtract(logs[0], logs[1], out=logs[0])
-    return float(np.add.reduce(logs[0]) / len(p))
+    """Mean binary cross-entropy, posteriors clipped to [1e-12, 1 - 1e-12]."""
+    pc = np.clip(p, 1e-12, 1 - 1e-12)
+    return float(np.mean(-y * np.log(pc) - (1 - y) * np.log(1 - pc)))
 
 
 def lrcn_backward(x: np.ndarray, y: np.ndarray, params: dict, cfg: LrcnConfig,
@@ -616,7 +594,8 @@ def read_checkpoint(path):
     holds a non-finite value.
     """
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # opened here, so a file np.load refuses is closed by the with
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             meta = json.loads(bytes(data["__meta__"]).decode())
             version = meta["format_version"]
             if version == CHECKPOINT_VERSION:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .audio import (HOP, SAMPLE_RATE, AudioClip, chunk_map, frame_signal,
-                    istft, row_chunks, side_buffers, stft)
+                    istft, row_chunks, stft)
 from .errors import ClipTooShortError, DataError
 
 MASK_EPS = 1e-10
@@ -46,37 +46,32 @@ def beat_spectrum(spec: np.ndarray) -> np.ndarray:
     # each bin is a row, autocorrelated by FFT a chunk of bins at a time;
     # each side sums its own normalized rows
     totals = np.zeros((2, n_frames))
-    norms = side_buffers(n_bins, (n_frames,))
-    mags = side_buffers(n_bins, (n_frames,))
-    spectra = side_buffers(n_bins, (n // 2 + 1,), np.complex128)
-    powers = side_buffers(n_bins, (n // 2 + 1,), np.complex128)
-    positive = side_buffers(n_bins, (n_frames,), bool)
 
-    def autocorrelate(rows, side):
-        c = rows.stop - rows.start
-        x = np.abs(spec[:, rows].T, out=mags[side, :c])
-        ft = np.fft.rfft(x, n=n, axis=1, out=spectra[side, :c])
+    def autocorrelate(rows, side, mags, spectra, powers, norm, positive):
+        x = np.abs(spec[:, rows].T, out=mags)
+        ft = np.fft.rfft(x, n=n, axis=1, out=spectra)
         # |ft|^2 as the real part of a complex row: irfft reads it uncast
-        power = powers[side, :c].real
+        power = powers.real
         np.square(np.abs(ft, out=power), out=power)
         # the linear autocorrelation, in the spectra's (now free) memory
-        acc = np.fft.irfft(powers[side, :c], n=n, axis=1,
+        acc = np.fft.irfft(powers, n=n, axis=1,
                            out=ft.view(np.float64)[:, :n])[:, :n_frames]
         cum = np.cumsum(np.square(x, out=x), axis=1, out=x)
         # norm[:, l] = sqrt(energy of x[l : T] * energy of x[0 : T-l])
-        norm = norms[side, :c]
         norm[:, 0] = cum[:, -1]
         np.subtract(cum[:, -1:], cum[:, :-1], out=norm[:, 1:])
         norm *= cum[:, ::-1]
         np.sqrt(np.maximum(norm, 0.0, out=norm), out=norm)
         # near-silent windows: rounding noise over a tiny norm is no signal
-        mask = np.greater(norm, NORM_FLOOR * cum[:, -1:],
-                          out=positive[side, :c])
+        mask = np.greater(norm, NORM_FLOOR * cum[:, -1:], out=positive)
         np.divide(acc, norm, out=norm, where=mask)
         np.copyto(norm, 0.0, where=np.logical_not(mask, out=mask))
         totals[side] += norm.sum(axis=0)
 
-    chunk_map(autocorrelate, n_bins)
+    by_frame = ((n_frames,), np.float64)
+    spectrum = ((n // 2 + 1,), np.complex128)
+    chunk_map(autocorrelate, n_bins, by_frame, spectrum, spectrum, by_frame,
+              ((n_frames,), bool))
     # the mean over bins; per row lag l <= lag 0 by Cauchy-Schwarz, so
     # lag 0 stays the maximum
     return (totals[0] + totals[1]) / n_bins

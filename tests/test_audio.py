@@ -328,6 +328,38 @@ class TestChunkMap:
         for rows, side, thread in ran:
             assert (thread is caller) == (side == 0 or sides == "serial")
 
+    @pytest.mark.parametrize("n_rows", [3, 5, 12, 32])
+    def test_workspaces(self, sides, monkeypatch, n_rows):
+        # CHUNK_ROWS 5: one chunk of 3 or 5 rows, then 3 and 7 chunks, the
+        # last two rows long
+        monkeypatch.setattr(audio, "CHUNK_ROWS", 5)
+        seen = []
+
+        def fn(rows, side, floats, flags):
+            seen.append((rows, side, floats, flags,
+                         not floats.any() and not flags.any()))
+            floats[:] = 1.0  # the next chunk of this side sees these
+            flags[:] = True
+
+        chunk_map(fn, n_rows, ((2, 3), np.float64), ((4,), bool))
+        chunks = row_chunks(n_rows)
+        assert sorted(s[0].start for s in seen) == [r.start for r in chunks]
+        # the first chunk of each side: of the caller's half and the pool's
+        half = (len(chunks) + 1) // 2
+        side_starts = {part[0].start for part in (chunks[:half], chunks[half:])
+                       if part}
+        for rows, side, floats, flags, zero in seen:
+            n = rows.stop - rows.start
+            assert floats.shape == (n, 2, 3) and floats.dtype == np.float64
+            assert flags.shape == (n, 4) and flags.dtype == bool
+            # zeroed when chunk_map starts, not for each chunk
+            assert zero == (rows.start in side_starts)
+            # one array per side, shared by all of that side's chunks
+            for _, other_side, other_floats, other_flags, _ in seen:
+                assert (np.shares_memory(floats, other_floats)
+                        == np.shares_memory(flags, other_flags)
+                        == (side == other_side))
+
     def test_no_rows(self, sides):
         ran = []
         assert chunk_map(lambda rows, side: ran.append(rows), 0) is None

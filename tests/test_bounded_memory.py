@@ -125,8 +125,8 @@ class TestChunksMatchWholeArray:
         bins = reference_stft(AudioClip(samples=rng.standard_normal(8500)))
         assert np.array_equal(istft(bins).samples, reference_istft(bins))
         # 1-5 chunks, so the caller and the pool run even and odd halves,
-        # the last chunk full or one frame; the row where the sides meet
-        # takes the pool side's held first piece once
+        # the last chunk full or one frame; each chunk's first row takes
+        # its first piece once both sides have stopped
         for n_frames in sorted({(n_chunks - 1) * few_rows + last
                                 for n_chunks in range(1, 6)
                                 for last in (1, few_rows)}):
@@ -137,7 +137,7 @@ class TestChunksMatchWholeArray:
 
     def test_istft_from_many_threads(self, pool, monkeypatch, rng):
         # four callers on two CPUs share the pool thread, switching every
-        # microsecond: each call's workspaces and held pieces are its own
+        # microsecond: each call's workspaces and first pieces are its own
         monkeypatch.setattr(audio, "CHUNK_ROWS", 2)
         inputs = [reference_stft(AudioClip(samples=rng.standard_normal(3300)))
                   for _ in range(4)]

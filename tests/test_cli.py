@@ -85,6 +85,14 @@ class TestResolveConfig:
         assert cfg.separate is False
         assert cfg.feature_tag == "lpcc"
 
+    def test_config_file_byte_order_mark(self, tmp_path):
+        plain, bom = tmp_path / "plain.conf", tmp_path / "bom.conf"
+        text = b"epochs=2\nfolds=3\n"
+        plain.write_bytes(text)
+        bom.write_bytes(b"\xef\xbb\xbf" + text)
+        assert resolve_config(bom) == resolve_config(plain)
+        assert resolve_config(bom).epochs == 2
+
     def test_unknown_key(self, tmp_path):
         assert main(["--set", "bogus=1", "evaluate", "--pred", "a",
                      "--truth", "b", "--out", "c"]) == 1

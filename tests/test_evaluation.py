@@ -83,6 +83,26 @@ class TestParseLabelFile:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_byte_order_mark(self, tmp_path):
+        plain, bom = tmp_path / "plain.lab", tmp_path / "bom.lab"
+        text = b"0.0 1.0 sing\n1.0 2.5 nosing\n2.5 3.0 sing\n"
+        plain.write_bytes(text)
+        bom.write_bytes(b"\xef\xbb\xbf" + text)
+        assert parse_label_file(bom) == parse_label_file(plain)
+        reports = []
+        for pred in (plain, bom):
+            out = tmp_path / f"{pred.stem}.json"
+            assert main(["evaluate", "--pred", str(pred), "--truth",
+                         str(plain), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_cut_byte_order_mark_is_not_utf8(self, tmp_path):
+        p = tmp_path / "a.lab"
+        p.write_bytes(b"\xef\xbb")
+        with pytest.raises(DataError, match=r"a\.lab: not UTF-8 text"):
+            parse_label_file(p)
+
     @pytest.mark.parametrize("line", ["0.0 nan sing", "0 inf sing",
                                       "-inf 1.0 nosing", "nan nan sing"])
     def test_non_finite_time(self, tmp_path, line):
@@ -127,6 +147,24 @@ class TestParseLabelFile:
         assert err == (f"error: data: {pred}:2: time {float(end)} s is past "
                        f"the 86400 s bound\n")
         assert not out.exists()
+
+
+def test_evaluate_parses_each_label_file_once(tmp_path, monkeypatch):
+    pred, truth = tmp_path / "pred.lab", tmp_path / "truth.lab"
+    pred.write_text("0.0 1.0 sing\n1.0 2.0 nosing\n")
+    truth.write_text("0.0 1.5 sing\n")
+    out = tmp_path / "r.json"
+    args = ["evaluate", "--pred", str(pred), "--truth", str(truth),
+            "--out", str(out)]
+    assert main(args) == 0
+    want = out.read_bytes()
+    parsed = []
+    parse = evaluation.parse_label_file
+    monkeypatch.setattr(evaluation, "parse_label_file",
+                        lambda path: parsed.append(path) or parse(path))
+    assert main(args) == 0
+    assert parsed == [str(pred), str(truth)]
+    assert out.read_bytes() == want
 
 
 class TestLoadLabels:

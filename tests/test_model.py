@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import warnings
@@ -1085,6 +1086,20 @@ class TestCheckpoint:
         saved.write_bytes(b"not a checkpoint\n" * 8)
         with pytest.raises(DataError, match="unreadable checkpoint"):
             read_checkpoint(saved)
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage"])
+    def test_refused_file_is_closed(self, saved, damage):
+        data = saved.read_bytes()
+        saved.write_bytes(data[: len(data) // 2] if damage == "truncated"
+                          else b"not a checkpoint\n" * 8)
+        # a file left open warns when it is collected, where no error
+        # can reach the caller, so the warnings are recorded
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError, match="unreadable checkpoint"):
+                read_checkpoint(saved)
+            gc.collect()
+        assert [str(w.message) for w in caught] == []
 
     def test_pickled_array_not_loaded(self, tmp_path):
         path = tmp_path / "model.npz"
